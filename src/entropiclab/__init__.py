@@ -15,13 +15,12 @@ identity machine-checkable:
   symplectic area, checked by quadrature against the boundary circulation.
 """
 from .constants import NATURAL, Constants
-from .energy_picture import HTrajectory, evolve_h, evolve_h_perturbed, noether_energy_drift
+from .energy_picture import evolve_h, evolve_h_perturbed, noether_energy_drift
 from .entropy_picture import (
     ConvergenceError,
     EigenSolutionSpec,
     EntropyOperator,
     EntropyProductionReport,
-    STrajectory,
     SecondLawVerdict,
     ThermalTimeChart,
     UncertaintyProduct,
@@ -41,7 +40,6 @@ from .entropy_picture import (
 from .fluctuations import (
     CanonicalPoint,
     CovarianceReport,
-    FluctuationSample,
     FluctuationSamples,
     Statistic,
     SymplecticPatch,
@@ -56,7 +54,6 @@ from .fluctuations import (
     symplectic_area,
     to_canonical,
     two_plane_patch,
-    write_samples_csv,
 )
 from .gravity import (
     RegionSpec,
@@ -84,6 +81,7 @@ from .operators import (
     HermitianOperator,
     SpectralDecomposition,
     StateVector,
+    Trajectory,
     apply_exponential,
     build_hamiltonian,
     expectation,

@@ -5,8 +5,8 @@ corresponding scenario deterministically, writes a CSV data artifact plus
 a JSON run record (configuration echo, summary outputs, invariant
 verdicts, wall clock, tool version), and exits 0.  Failures map to stable
 exit codes: 2 for configuration/schema problems, 3 for numerical failures
-(non-convergence, overflow), and 4 when ``check-all`` finds an invariant
-violation.
+(non-convergence, overflow), 4 when ``check-all`` finds an invariant
+violation, and 5 when an artifact cannot be written.
 """
 from __future__ import annotations
 
@@ -53,7 +53,7 @@ from .gravity import laplacian_spot_check, mean_h, trace_potential
 from .onsager import entropy_rate, reciprocity_check, relax
 from .operators import spectral_decompose
 from .report import emit_report
-from .suite import run_all
+from .suite import CheckResult, fitted_order, monotonicity_violation, run_all, semigroup_gap
 
 __all__ = ["main"]
 
@@ -76,32 +76,24 @@ def _jsonable(value):
     return value
 
 
-def _verdict(name: str, tolerance: float, measured: float, passed: bool) -> dict:
-    return {
-        "name": name,
-        "tolerance": float(tolerance),
-        "measured": float(measured),
-        "passed": bool(passed),
-    }
+def _csv_rows(*columns):
+    """CSV rows from equal-length columns, consumed once by the writer.
+
+    Each cell is the ``repr`` of a ``tolist()`` value: a Python float's repr
+    is the shortest string that reads back to the same double, and an
+    integer column prints as plain integers.
+    """
+    return zip(*(list(map(repr, np.asarray(column).tolist())) for column in columns))
 
 
-def _bounded_verdict(name: str, measured: float, tolerance: float) -> dict:
-    return _verdict(name, tolerance, measured, measured <= tolerance)
-
-
-def _state_rows(label: str, grid, trajectory_states, norms, expectations, expect_label: str):
-    dim = trajectory_states[0].dim
+def _trajectory_table(label: str, expect_label: str, trajectory):
+    dim = trajectory.amplitudes.shape[1]
     header = ["step", label, "norm", expect_label]
-    for k in range(dim):
-        header += [f"re_{k}", f"im_{k}"]
-    rows = []
-    for step, (value, state, norm, expect) in enumerate(
-        zip(grid, trajectory_states, norms, expectations)
-    ):
-        row = [str(step), repr(float(value)), repr(float(norm)), repr(float(expect))]
-        for amp in state.amplitudes:
-            row += [repr(float(amp.real)), repr(float(amp.imag))]
-        rows.append(row)
+    header += [f"{part}_{k}" for k in range(dim) for part in ("re", "im")]
+    rows = _csv_rows(
+        np.arange(len(trajectory.grid)), trajectory.grid, trajectory.norms,
+        trajectory.expectations, *trajectory.amplitudes.view(float).T,
+    )
     return header, rows
 
 
@@ -117,10 +109,6 @@ def _run_evolve_h(config: dict, base_dir: Path):
         trajectory = evolve_h(psi0, hamiltonian, grid, constants)
     else:
         trajectory = evolve_h_perturbed(psi0, hamiltonian, grid, epsilon_prime, mode, constants)
-    header, rows = _state_rows(
-        "t", trajectory.times, trajectory.states, trajectory.norms,
-        trajectory.energy_expectations, "expect_H",
-    )
     drift = noether_energy_drift(trajectory)
     outputs = {
         "final_norm": float(trajectory.norms[-1]),
@@ -131,10 +119,10 @@ def _run_evolve_h(config: dict, base_dir: Path):
     verdicts = []
     if epsilon_prime == 0.0:
         norm_wander = float(np.max(np.abs(trajectory.norms - trajectory.norms[0])))
-        verdicts.append(_bounded_verdict("h-norm-preservation", norm_wander, 1e-12))
-        e0 = abs(float(trajectory.energy_expectations[0]))
-        verdicts.append(_bounded_verdict("h-energy-conservation", drift, 1e-10 * e0 + 1e-12))
-    return outputs, verdicts, (header, rows)
+        verdicts.append(CheckResult.bounded("h-norm-preservation", norm_wander, 1e-12))
+        e0 = abs(float(trajectory.expectations[0]))
+        verdicts.append(CheckResult.bounded("h-energy-conservation", drift, 1e-10 * e0 + 1e-12))
+    return outputs, verdicts, _trajectory_table("t", "expect_H", trajectory)
 
 
 def _epsilon_from(block: dict) -> float:
@@ -164,10 +152,6 @@ def _run_evolve_s(config: dict, base_dir: Path):
     trajectory = evolve_s(
         psi0, generator, grid, epsilon, constants, allow_antidissipative=allow
     )
-    header, rows = _state_rows(
-        "tau", trajectory.taus, trajectory.states, trajectory.norms,
-        trajectory.entropy_expectations, "expect_S",
-    )
     outputs = {
         "epsilon": float(epsilon),
         "schedule": schedule_kind,
@@ -177,23 +161,19 @@ def _run_evolve_s(config: dict, base_dir: Path):
     verdicts = []
     if epsilon == 0.0:
         wander = float(np.max(np.abs(trajectory.norms - trajectory.norms[0])))
-        verdicts.append(_bounded_verdict("s-unitary-norms", wander, 1e-12))
+        verdicts.append(CheckResult.bounded("s-unitary-norms", wander, 1e-12))
     else:
         bottom = float(spectral_decompose(hamiltonian).eigenvalues[0])
         if bottom >= -1e-12:
-            steps = np.diff(trajectory.norms)
-            violation = float(max(np.max(-steps) if epsilon < 0 else np.max(steps), 0.0))
             name = "s-dilatation" if epsilon < 0 else "s-contraction"
-            verdicts.append(_bounded_verdict(name, violation, 1e-12))
+            violation = monotonicity_violation(trajectory.norms, epsilon)
+            verdicts.append(CheckResult.bounded(name, violation, 1e-12))
     if schedule_kind == "frozen" and grid.size >= 2 and grid[-1] > 0:
+        # the one-shot leg ends at grid[-1]: half + (grid[-1] - half) is exact
         half = 0.5 * grid[-1]
-        leg = evolve_s(psi0, generator, [0.0, half], epsilon, constants,
-                       allow_antidissipative=allow).states[-1]
-        two_step = evolve_s(leg, generator, [0.0, grid[-1] - half], epsilon, constants,
-                            allow_antidissipative=allow).states[-1]
-        gap = float(np.linalg.norm(two_step.amplitudes - trajectory.states[-1].amplitudes))
-        verdicts.append(_bounded_verdict("s-semigroup-composition", gap, 1e-10))
-    return outputs, verdicts, (header, rows)
+        gap = semigroup_gap(psi0, generator, half, grid[-1] - half, epsilon, constants, allow)
+        verdicts.append(CheckResult.bounded("s-semigroup-composition", gap, 1e-10))
+    return outputs, verdicts, _trajectory_table("tau", "expect_S", trajectory)
 
 
 def _run_compare_pictures(config: dict, base_dir: Path):
@@ -211,7 +191,7 @@ def _run_compare_pictures(config: dict, base_dir: Path):
     header = ["mode", "epsilon", "max_deviation"]
     rows = [[mode, repr(float(epsilon)), repr(float(deviation))]]
     outputs = {"mode": mode, "epsilon": float(epsilon), "max_deviation": float(deviation)}
-    verdicts = [_bounded_verdict("picture-deviation", deviation, tolerance)]
+    verdicts = [CheckResult.bounded("picture-deviation", deviation, tolerance)]
     return outputs, verdicts, (header, rows)
 
 
@@ -230,7 +210,9 @@ def _run_gravity(config: dict, base_dir: Path):
     verdicts = []
     if potentials:
         lowest = float(min(potentials))
-        verdicts.append(_verdict("potential-nonnegative", 0.0, min(lowest, 0.0), lowest >= 0.0))
+        verdicts.append(
+            CheckResult("potential-nonnegative", 0.0, min(lowest, 0.0), lowest >= 0.0)
+        )
     if "region" in block:
         strength = mean_h(source, region_from(block["region"]), seed)
         outputs["mean_h"] = float(strength)
@@ -249,26 +231,23 @@ def _run_onsager(config: dict, base_dir: Path):
     grid = grid_from(block["grid"])
     trajectory = relax(system, grid)
     header = ["step", "tprime", "entropy_rate"] + [f"y_{k}" for k in range(system.dim)]
-    rows = []
-    for step, (t, y, rate) in enumerate(
-        zip(trajectory.tprimes, trajectory.ys, trajectory.entropy_rates)
-    ):
-        rows.append(
-            [str(step), repr(float(t)), repr(float(rate))] + [repr(float(c)) for c in y]
-        )
+    rows = _csv_rows(
+        np.arange(len(trajectory.tprimes)), trajectory.tprimes, trajectory.entropy_rates,
+        *trajectory.ys.T,
+    )
     rate0 = entropy_rate(system, system.y0)
-    scale = max(abs(rate0.via_velocities), abs(rate0.via_forces), 1e-300)
-    gap = abs(rate0.via_velocities - rate0.via_forces) / scale
     reciprocity = reciprocity_check(system.kinetic)
     outputs = {
         "entropy_rate_initial": float(rate0.via_velocities),
         "kinetic_symmetric": bool(reciprocity.symmetric),
         "kinetic_asymmetry_norm": float(reciprocity.asymmetry_norm),
     }
-    verdicts = [_bounded_verdict("entropy-forms-agree", gap, 1e-12)]
+    verdicts = [CheckResult.bounded("entropy-forms-agree", rate0.relative_gap(), 1e-12)]
     if reciprocity.symmetric:
         worst = float(np.max(-trajectory.entropy_rates))
-        verdicts.append(_bounded_verdict("entropy-rate-nonnegative", max(worst, 0.0), 1e-12))
+        verdicts.append(
+            CheckResult.bounded("entropy-rate-nonnegative", max(worst, 0.0), 1e-12)
+        )
     return outputs, verdicts, (header, rows)
 
 
@@ -284,13 +263,7 @@ def _run_fluct(config: dict, base_dir: Path):
         workers=block.get("workers", 1),
     )
     header = ["dp", "dV", "dT", "dS"]
-    rows = [
-        [
-            repr(float(samples.dp[i])), repr(float(samples.dV[i])),
-            repr(float(samples.dT[i])), repr(float(samples.dS[i])),
-        ]
-        for i in range(len(samples))
-    ]
+    rows = _csv_rows(samples.dp, samples.dV, samples.dT, samples.dS)
     outputs = {"n": len(samples)}
     verdicts = []
     if len(samples) >= 1000:
@@ -303,7 +276,7 @@ def _run_fluct(config: dict, base_dir: Path):
             ("fluct-dt-dv-uncorrelated", report.dt_dv_correlation, 0.0),
         ):
             verdicts.append(
-                _bounded_verdict(name, statistic.standardized_deviation(target), 3.0)
+                CheckResult.bounded(name, statistic.standardized_deviation(target), 3.0)
             )
     return outputs, verdicts, (header, rows)
 
@@ -327,13 +300,11 @@ def _run_stokes(config: dict, base_dir: Path):
     outputs = {"gaps": [float(g) for g in gaps]}
     verdicts = []
     if len(resolutions) >= 3 and all(g > 1e-13 for g in gaps):
-        x = np.log2(np.asarray(resolutions, dtype=float))
-        y = np.log2(np.asarray(gaps, dtype=float))
-        order = float(-np.polyfit(x, y, 1)[0])
+        order = fitted_order(resolutions, gaps)
         outputs["convergence_order"] = order
-        verdicts.append(_verdict("stokes-order", 1.9, order, order >= 1.9))
+        verdicts.append(CheckResult("stokes-order", 1.9, order, order >= 1.9))
     elif gaps:
-        verdicts.append(_bounded_verdict("stokes-gap", float(max(gaps)), 1e-9))
+        verdicts.append(CheckResult.bounded("stokes-gap", float(max(gaps)), 1e-9))
     return outputs, verdicts, (header, rows)
 
 
@@ -361,13 +332,34 @@ def _write_record(path: Path, config: dict, outputs: dict, verdicts, wall_clock:
         "version": __version__,
         "config": _jsonable(config),
         "outputs": _jsonable(outputs),
-        "verdicts": _jsonable(list(verdicts)),
+        "verdicts": [result.verdict() for result in verdicts],
         "wall_clock_s": wall_clock,
     }
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(record, handle, indent=2, sort_keys=True)
         handle.write("\n")
+
+
+def _write_artifacts(csv_path: Path, table, record_path: Path, config, outputs, verdicts,
+                     wall_clock: float) -> int:
+    """Write the CSV, then its run record; 0 on success, 5 on an I/O failure.
+
+    A CSV whose record could not be written is removed, so a failed write
+    does not leave a data artifact without its record.
+    """
+    try:
+        _write_csv(csv_path, *table)
+        try:
+            _write_record(record_path, config, outputs, verdicts, wall_clock)
+        except OSError:
+            if csv_path.is_file():  # never a device such as /dev/null
+                csv_path.unlink()
+            raise
+    except OSError as exc:
+        print(f"io error: {exc}", file=sys.stderr)
+        return 5
+    return 0
 
 
 def _scenario_command(args) -> int:
@@ -392,12 +384,10 @@ def _scenario_command(args) -> int:
 
     started = time.perf_counter()
     try:
-        outputs, verdicts, (header, rows) = _RUNNERS[args.command](
+        outputs, verdicts, table = _RUNNERS[args.command](
             config, Path(args.config).resolve().parent
         )
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    # before ValueError: np.linalg.LinAlgError is itself a ValueError
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
@@ -406,9 +396,9 @@ def _scenario_command(args) -> int:
         return 2
     wall_clock = time.perf_counter() - started
 
-    _write_csv(Path(out_path), header, rows)
-    _write_record(Path(record_path), config, outputs, verdicts, wall_clock)
-    return 0
+    return _write_artifacts(
+        Path(out_path), table, Path(record_path), config, outputs, verdicts, wall_clock
+    )
 
 
 def _check_all_command(args) -> int:
@@ -446,16 +436,15 @@ def _check_all_command(args) -> int:
          str(bool(result.passed)).lower()]
         for result in results
     ]
-    _write_csv(outdir / "summary.csv", header, rows)
-
-    verdicts = [
-        _verdict(result.name, result.tolerance, result.measured, result.passed)
-        for result in results
-    ]
     outputs = {"criteria": [result.to_dict() for result in results]}
-    _write_record(outdir / "record.json", config, outputs, verdicts, wall_clock)
+    code = _write_artifacts(
+        outdir / "summary.csv", (header, rows), outdir / "record.json",
+        config, outputs, results, wall_clock,
+    )
+    if code:
+        return code
 
-    record = {"config": config, "verdicts": verdicts}
+    record = {"config": config, "verdicts": [result.verdict() for result in results]}
     print(emit_report([record]).text)
     return 0 if all(result.passed for result in results) else 4
 

@@ -24,7 +24,7 @@ from .fluctuations import (
     rectangle_patch,
     two_plane_patch,
 )
-from .gravity import RegionSpec, SourceDistribution, load_source, rasterize
+from .gravity import RegionSpec, SourceDistribution, _descriptor_to_source, load_source
 from .onsager import OnsagerSystem
 from .operators import HermitianOperator, StateVector, build_hamiltonian
 
@@ -172,23 +172,7 @@ def source_from(value, base_dir: Path) -> SourceDistribution:
             if not path.is_absolute():
                 path = base_dir / path
             return load_source(path)
-        if "data" in value:
-            data_path = Path(value["data"])
-            descriptor = dict(value)
-            if not data_path.is_absolute():
-                descriptor["data"] = str(base_dir / data_path)
-            lattice = np.fromfile(descriptor["data"], dtype="<f8")
-            expected = int(np.prod(value["shape"]))
-            if lattice.size != expected:
-                raise ValueError(
-                    f"lattice holds {lattice.size} values, expected {expected}"
-                )
-            return SourceDistribution(
-                lattice.reshape(value["shape"]), value["spacing"], value["origin"]
-            )
-        return rasterize(
-            value["primitives"], value["shape"], value["spacing"], value["origin"]
-        )
+        return _descriptor_to_source(value, base_dir)
     except (OSError, KeyError, ValueError) as exc:
         raise ConfigError(f"bad source: {exc}") from exc
 

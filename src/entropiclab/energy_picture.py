@@ -8,54 +8,29 @@ be measured.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._grid import evolution_grid
 from .constants import NATURAL, Constants
-from .operators import HermitianOperator, StateVector, apply_exponential, expectation
+from .operators import (
+    HermitianOperator,
+    StateVector,
+    Trajectory,
+    apply_exponential,
+    expectation,
+)
 
 __all__ = [
-    "HTrajectory",
     "evolve_h",
     "evolve_h_perturbed",
     "noether_energy_drift",
 ]
 
 
-@dataclass(frozen=True)
-class HTrajectory:
-    """States sampled along laboratory time, with norms and energy averages."""
-
-    times: np.ndarray
-    states: tuple
-    energy_expectations: np.ndarray
-    norms: np.ndarray
-
-    def __post_init__(self):
-        n = len(self.times)
-        if not (len(self.states) == len(self.energy_expectations) == len(self.norms) == n):
-            raise ValueError("trajectory fields must have equal lengths")
-        if np.any(np.asarray(self.norms) <= 0.0):
-            raise ValueError("trajectory norms must be positive")
-
-
-def _trajectory(hamiltonian, psi0, grid, exponent_of_t, constants):
-    states = []
-    energies = np.empty(grid.size)
-    norms = np.empty(grid.size)
-    for k, t in enumerate(grid):
-        state = apply_exponential(hamiltonian, exponent_of_t(t), psi0)
-        states.append(state)
-        energies[k] = expectation(hamiltonian, state)
-        norms[k] = state.norm()
-    return HTrajectory(
-        times=grid,
-        states=tuple(states),
-        energy_expectations=energies,
-        norms=norms,
-    )
+def _trajectory(hamiltonian, psi0, grid, exponent_of_t):
+    states = [apply_exponential(hamiltonian, exponent_of_t(t), psi0) for t in grid]
+    energies = [expectation(hamiltonian, state) for state in states]
+    return Trajectory.from_states(grid, states, energies)
 
 
 def evolve_h(
@@ -63,7 +38,7 @@ def evolve_h(
     hamiltonian: HermitianOperator,
     t_grid,
     constants: Constants = NATURAL,
-) -> HTrajectory:
+) -> Trajectory:
     """Evolve ``psi0`` under a constant energy generator.
 
     The state at each grid time t is ``exp(-i H t / hbar) psi0``, computed
@@ -73,9 +48,7 @@ def evolve_h(
     grid = evolution_grid(t_grid, "t_grid")
     if psi0.norm() == 0.0:
         raise ValueError("initial state must be nonzero")
-    return _trajectory(
-        hamiltonian, psi0, grid, lambda t: -1j * t / constants.hbar, constants
-    )
+    return _trajectory(hamiltonian, psi0, grid, lambda t: -1j * t / constants.hbar)
 
 
 def evolve_h_perturbed(
@@ -85,7 +58,7 @@ def evolve_h_perturbed(
     epsilon_prime: float,
     mode: str = "exact",
     constants: Constants = NATURAL,
-) -> HTrajectory:
+) -> Trajectory:
     """Evolution with a complexified time axis, (i + e') hbar dpsi/dt = H psi.
 
     ``exact`` solves the equation in closed form,
@@ -104,17 +77,17 @@ def evolve_h_perturbed(
         raise ValueError("initial state must be nonzero")
     scale = 1.0 / (1.0 + epsilon_prime**2) if mode == "exact" else 1.0
     rate = (epsilon_prime - 1j) * scale / constants.hbar
-    return _trajectory(hamiltonian, psi0, grid, lambda t: rate * t, constants)
+    return _trajectory(hamiltonian, psi0, grid, lambda t: rate * t)
 
 
-def noether_energy_drift(trajectory: HTrajectory) -> float:
+def noether_energy_drift(trajectory: Trajectory) -> float:
     """Largest excursion of the energy average from its initial value.
 
     Vanishes (to rounding) for the unitary propagator, where the generator
     is a conserved charge; a strictly positive drift is the signature of
     the perturbed, norm-changing evolution.
     """
-    energies = np.asarray(trajectory.energy_expectations)
+    energies = np.asarray(trajectory.expectations)
     if energies.size == 0:
         raise ValueError("trajectory is empty")
     return float(np.max(np.abs(energies - energies[0])))

@@ -22,6 +22,7 @@ from .constants import NATURAL, Constants
 from .operators import (
     HermitianOperator,
     StateVector,
+    Trajectory,
     apply_exponential,
     expectation,
     spectral_decompose,
@@ -38,7 +39,6 @@ __all__ = [
     "EigenSolutionSpec",
     "EntropyOperator",
     "EntropyProductionReport",
-    "STrajectory",
     "SecondLawVerdict",
     "ThermalTimeChart",
     "UncertaintyProduct",
@@ -192,23 +192,6 @@ class ThermalTimeChart:
         return value.real if value.imag == 0.0 else value
 
 
-@dataclass(frozen=True)
-class STrajectory:
-    """States sampled along thermal time, with norms and entropy averages."""
-
-    taus: np.ndarray
-    states: tuple
-    norms: np.ndarray
-    entropy_expectations: np.ndarray
-
-    def __post_init__(self):
-        n = len(self.taus)
-        if not (len(self.states) == len(self.norms) == len(self.entropy_expectations) == n):
-            raise ValueError("trajectory fields must have equal lengths")
-        if np.any(np.asarray(self.norms) <= 0.0):
-            raise ValueError("trajectory norms must be positive")
-
-
 def _generator_at(generator, tau: float, dim: int) -> EntropyOperator:
     value = generator(tau)
     if not isinstance(value, EntropyOperator):
@@ -240,7 +223,7 @@ def evolve_s(
     allow_antidissipative: bool = False,
     rtol: float = 1e-8,
     max_refinements: int = 14,
-) -> STrajectory:
+) -> Trajectory:
     """Evolve under the entropy generator: psi(tau) = T-exp[(i - eps)/kB * Integral(S)] psi0.
 
     ``generator`` is either a constant ``EntropyOperator`` (solved exactly
@@ -304,8 +287,7 @@ def evolve_s(
             "generator must be an EntropyOperator or a callable tau -> EntropyOperator"
         )
 
-    norms = np.array([s.norm() for s in states])
-    return STrajectory(taus=grid, states=tuple(states), norms=norms, entropy_expectations=entropies)
+    return Trajectory.from_states(grid, states, entropies)
 
 
 @dataclass(frozen=True)
@@ -546,7 +528,7 @@ def picture_consistency(
             apply_exponential(hamiltonian, -1j * (t - t_of_tau[0]) / constants.hbar, psi0)
             for t in t_of_tau
         ]
-        pairs = zip(s_side.states, t_states)
+        pairs = zip(s_side.amplitudes, t_states)
     elif mode == "frozen_S":
         frozen = entropy_operator(hamiltonian, reference_temperature)
         s_side = evolve_s(psi0, frozen, grid, epsilon, constants)
@@ -555,7 +537,7 @@ def picture_consistency(
             (1j - epsilon) * (eigenvalues / reference_temperature) * tau / constants.kB
             for tau in grid
         ]
-        pairs = zip(s_side.states, _closed_form_states(hamiltonian, psi0, phases))
+        pairs = zip(s_side.amplitudes, _closed_form_states(hamiltonian, psi0, phases))
     elif mode == "chart_S":
         s_side = evolve_s(psi0, chart_schedule, grid, epsilon, constants, rtol=rtol)
         eigenvalues = spectral_decompose(hamiltonian).eigenvalues
@@ -565,11 +547,11 @@ def picture_consistency(
             * (1.0 - math.exp(-tau))
             for tau in grid
         ]
-        pairs = zip(s_side.states, _closed_form_states(hamiltonian, psi0, phases))
+        pairs = zip(s_side.amplitudes, _closed_form_states(hamiltonian, psi0, phases))
     else:
         raise ValueError(f"unknown mode {mode!r}; expected real_C, frozen_S or chart_S")
 
-    return max(float(np.linalg.norm(a.amplitudes - b.amplitudes)) for a, b in pairs)
+    return max(float(np.linalg.norm(a - b.amplitudes)) for a, b in pairs)
 
 
 def generator_reading_gap(

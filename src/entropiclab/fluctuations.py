@@ -11,7 +11,6 @@ circulation of the canonical one-form around its boundary.
 """
 from __future__ import annotations
 
-import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -25,7 +24,6 @@ from .seeding import block_generator, block_ranges
 __all__ = [
     "CanonicalPoint",
     "CovarianceReport",
-    "FluctuationSample",
     "FluctuationSamples",
     "Statistic",
     "SymplecticPatch",
@@ -40,7 +38,6 @@ __all__ = [
     "symplectic_area",
     "to_canonical",
     "two_plane_patch",
-    "write_samples_csv",
 ]
 
 
@@ -107,16 +104,6 @@ class ThermoReference:
         return -self.pressure / self.volume
 
 
-@dataclass(frozen=True)
-class FluctuationSample:
-    """One joint deviation from the reference state, in physical units."""
-
-    dp: float
-    dV: float
-    dT: float
-    dS: float
-
-
 class FluctuationSamples:
     """Array-backed ensemble of joint fluctuations (columns dp, dV, dT, dS)."""
 
@@ -151,12 +138,6 @@ class FluctuationSamples:
 
     def __len__(self) -> int:
         return self._dp.size
-
-    def __getitem__(self, i: int) -> FluctuationSample:
-        return FluctuationSample(
-            dp=float(self._dp[i]), dV=float(self._dV[i]),
-            dT=float(self._dT[i]), dS=float(self._dS[i]),
-        )
 
 
 def _fill_block(ref, constants, seed, block, start, stop, dp, dV, dT, dS):
@@ -487,15 +468,3 @@ def boundary_action(patch: SymplecticPatch, resolution: int) -> float:
     term1 = 0.5 * (p1[:-1] + p1[1:]) @ np.diff(q1)
     term2 = 0.5 * (p2[:-1] + p2[1:]) @ np.diff(q2)
     return float(term1 + term2)
-
-
-def write_samples_csv(samples: FluctuationSamples, path) -> None:
-    """Dump the ensemble as CSV with columns dp, dV, dT, dS."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["dp", "dV", "dT", "dS"])
-        for i in range(len(samples)):
-            writer.writerow([
-                repr(float(samples.dp[i])), repr(float(samples.dV[i])),
-                repr(float(samples.dT[i])), repr(float(samples.dS[i])),
-            ])

@@ -145,6 +145,11 @@ class EntropyRate:
     via_velocities: float
     via_forces: float
 
+    def relative_gap(self) -> float:
+        """|velocity form - force form| over the larger of the two."""
+        scale = max(abs(self.via_velocities), abs(self.via_forces), 1e-300)
+        return abs(self.via_velocities - self.via_forces) / scale
+
 
 @dataclass(frozen=True)
 class ReciprocityReport:

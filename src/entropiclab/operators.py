@@ -32,6 +32,7 @@ __all__ = [
     "HermitianOperator",
     "SpectralDecomposition",
     "StateVector",
+    "Trajectory",
     "apply_exponential",
     "build_hamiltonian",
     "expectation",
@@ -73,6 +74,42 @@ class StateVector:
 
     def __repr__(self) -> str:
         return f"StateVector(dim={self.dim}, norm={self.norm():.6g})"
+
+
+@dataclass(frozen=True)
+class Trajectory:
+    """States sampled on an evolution grid, with norms and generator averages.
+
+    The grid is laboratory time t for Hamiltonian evolution and thermal
+    time tau for entropy evolution; ``amplitudes`` holds one read-only row
+    per grid point and ``expectations`` the matching averages of the
+    generator (energy or entropy).
+    """
+
+    grid: np.ndarray
+    amplitudes: np.ndarray
+    norms: np.ndarray
+    expectations: np.ndarray
+
+    def __post_init__(self):
+        n = len(self.grid)
+        if not (len(self.amplitudes) == len(self.norms) == len(self.expectations) == n):
+            raise ValueError("trajectory fields must have equal lengths")
+        if np.any(np.asarray(self.norms) <= 0.0):
+            raise ValueError("trajectory norms must be positive")
+
+    @classmethod
+    def from_states(cls, grid, states, expectations) -> "Trajectory":
+        """Stack evolved ``StateVector``s, one per grid point, and take their norms."""
+        amplitudes = np.array([state.amplitudes for state in states])
+        amplitudes.setflags(write=False)
+        norms = np.array([state.norm() for state in states])
+        return cls(grid, amplitudes, norms, np.asarray(expectations, dtype=float))
+
+    @property
+    def states(self) -> tuple:
+        """One ``StateVector`` per grid point, built on each access."""
+        return tuple(StateVector(row) for row in self.amplitudes)
 
 
 class HermitianOperator:

@@ -8,7 +8,7 @@ fixed seed reproduces every number in every check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,24 +44,59 @@ __all__ = ["CheckResult", "criterion_names", "run_all"]
 
 @dataclass(frozen=True)
 class CheckResult:
-    """Outcome of one named invariant check."""
+    """Outcome of one named invariant check, from the suite or a scenario run."""
 
     name: str
-    requirement: str
     tolerance: float
     measured: float
     passed: bool
-    details: dict
+    requirement: str = ""
+    details: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
+    @classmethod
+    def bounded(cls, name: str, measured: float, tolerance: float, **fields) -> "CheckResult":
+        """A check that passes when ``measured <= tolerance``."""
+        return cls(name, tolerance, measured, measured <= tolerance, **fields)
+
+    def verdict(self) -> dict:
+        """The run record's view: name, tolerance, measured, passed."""
         return {
             "name": self.name,
-            "requirement": self.requirement,
-            "tolerance": self.tolerance,
-            "measured": self.measured,
+            "tolerance": float(self.tolerance),
+            "measured": float(self.measured),
             "passed": bool(self.passed),
-            "details": self.details,
         }
+
+    def to_dict(self) -> dict:
+        return {**self.verdict(), "requirement": self.requirement, "details": self.details}
+
+
+def semigroup_gap(psi0, generator, tau1, tau2, epsilon, constants, allow_antidissipative) -> float:
+    """Distance between evolving by tau1 then tau2 and by tau1 + tau2 at once."""
+
+    def final(state, tau):
+        return evolve_s(
+            state, generator, [0.0, tau], epsilon, constants,
+            allow_antidissipative=allow_antidissipative,
+        ).amplitudes[-1]
+
+    two_step = final(StateVector(final(psi0, tau1)), tau2)
+    return float(np.linalg.norm(two_step - final(psi0, tau1 + tau2)))
+
+
+def monotonicity_violation(norms, epsilon: float) -> float:
+    """Largest step against the branch: a norm drop for epsilon < 0 (dilatation),
+    a norm rise for epsilon > 0 (contraction); 0 when the norms are monotone."""
+    steps = np.diff(norms)
+    return float(max(np.max(-steps) if epsilon < 0 else np.max(steps), 0.0))
+
+
+def fitted_order(resolutions, gaps) -> float:
+    """Convergence order: minus the slope of log2(gap) against log2(resolution)."""
+    x = np.log2(np.asarray(resolutions, dtype=float))
+    y = np.log2(np.asarray(gaps, dtype=float))
+    slope = np.polyfit(x, y, 1)[0]
+    return float(-slope)
 
 
 def _rng(seed: int, tag: int) -> np.random.Generator:
@@ -96,13 +131,11 @@ def check_unitary_limit(seed: int, workers: int = 1) -> CheckResult:
     grid = np.linspace(0.0, 50.0, 26)
     epsilon = wick_factor(0.0).epsilon
     trajectory = evolve_s(psi0, generator, grid, epsilon)
-    measured = float(np.max(np.abs(trajectory.norms - 1.0)))
-    return CheckResult(
-        name="unitary-limit",
+    return CheckResult.bounded(
+        "unitary-limit",
+        float(np.max(np.abs(trajectory.norms - 1.0))),
+        1e-12,
         requirement="max |norm - 1| over tau in [0, 50], dim 64, strength 0",
-        tolerance=1e-12,
-        measured=measured,
-        passed=measured <= 1e-12,
         details={"dim": 64, "tau_max": 50.0},
     )
 
@@ -118,16 +151,15 @@ def check_semigroup_law(seed: int, workers: int = 1) -> CheckResult:
         tau1 = float(rng.uniform(0.05, 1.5))
         tau2 = float(rng.uniform(0.05, 1.5))
         psi0 = _random_state(rng, dim)
-        leg1 = evolve_s(psi0, generator, [0.0, tau1], epsilon).states[-1]
-        two_step = evolve_s(leg1, generator, [0.0, tau2], epsilon).states[-1]
-        one_shot = evolve_s(psi0, generator, [0.0, tau1 + tau2], epsilon).states[-1]
-        worst = max(worst, float(np.linalg.norm(two_step.amplitudes - one_shot.amplitudes)))
-    return CheckResult(
-        name="semigroup-law",
+        gap = semigroup_gap(
+            psi0, generator, tau1, tau2, epsilon, NATURAL, allow_antidissipative=False
+        )
+        worst = max(worst, gap)
+    return CheckResult.bounded(
+        "semigroup-law",
+        worst,
+        1e-10,
         requirement="composition error over 100 randomized (tau1, tau2, S) triples",
-        tolerance=1e-10,
-        measured=worst,
-        passed=worst <= 1e-10,
         details={"triples": 100},
     )
 
@@ -143,20 +175,14 @@ def check_dilatation_contraction(seed: int, workers: int = 1) -> CheckResult:
         psi0 = _random_state(rng, dim)
         epsilon = float(rng.uniform(0.05, 0.5))
         if run % 2 == 0:
-            norms = evolve_s(psi0, generator, grid, -epsilon).norms
-            violation = float(np.max(norms[:-1] - norms[1:]))  # growth branch
-        else:
-            norms = evolve_s(
-                psi0, generator, grid, epsilon, allow_antidissipative=True
-            ).norms
-            violation = float(np.max(norms[1:] - norms[:-1]))  # contraction branch
-        worst = max(worst, violation)
-    return CheckResult(
-        name="dilatation-contraction",
+            epsilon = -epsilon  # growth branch on even runs, contraction on odd
+        norms = evolve_s(psi0, generator, grid, epsilon, allow_antidissipative=True).norms
+        worst = max(worst, monotonicity_violation(norms, epsilon))
+    return CheckResult.bounded(
+        "dilatation-contraction",
+        worst,
+        1e-12,
         requirement="worst monotonicity violation over 100 randomized runs, both branches",
-        tolerance=1e-12,
-        measured=worst,
-        passed=worst <= 1e-12,
         details={"runs": 100},
     )
 
@@ -187,12 +213,11 @@ def check_eigen_solution_identity(seed: int, workers: int = 1) -> CheckResult:
                         float(np.linalg.norm(direct.amplitudes - integrated.amplitudes)),
                     )
                     points += 1
-    return CheckResult(
-        name="eigen-solution-identity",
+    return CheckResult.bounded(
+        "eigen-solution-identity",
+        worst,
+        1e-10,
         requirement=f"factorized vs integrated solution over {points} (s, tau, eps) points",
-        tolerance=1e-10,
-        measured=worst,
-        passed=worst <= 1e-10,
         details={"points": points},
     )
 
@@ -225,12 +250,11 @@ def check_entropy_production_oracle(seed: int, workers: int = 1) -> CheckResult:
             )
         )
         worst = max(worst, mode_gap)
-    return CheckResult(
-        name="entropy-production-oracle",
+    return CheckResult.bounded(
+        "entropy-production-oracle",
+        worst,
+        1e-6,
         requirement="finite-difference chart derivative vs closed-form rates, 20 randomized pairs",
-        tolerance=1e-6,
-        measured=worst,
-        passed=worst <= 1e-6,
         details={"pairs": 20, "step": 1e-4},
     )
 
@@ -247,13 +271,11 @@ def check_picture_consistency(seed: int, workers: int = 1) -> CheckResult:
     deviations.append(
         picture_consistency(_random_state(rng, 16), random_h, 1.0, "real_C", grid, 0.0)
     )
-    measured = float(max(deviations))
-    return CheckResult(
-        name="picture-consistency",
+    return CheckResult.bounded(
+        "picture-consistency",
+        float(max(deviations)),
+        1e-8,
         requirement="real-factor chart deviation, two-level and dim-16 random generator",
-        tolerance=1e-8,
-        measured=measured,
-        passed=measured <= 1e-8,
         details={"deviations": [float(d) for d in deviations]},
     )
 
@@ -320,9 +342,7 @@ def check_onsager_forms(seed: int, workers: int = 1) -> CheckResult:
             b @ b.T + 0.5 * np.eye(n),
             rng.standard_normal(n),
         )
-        rate = entropy_rate(system, system.y0)
-        scale = max(abs(rate.via_velocities), abs(rate.via_forces), 1e-300)
-        worst_gap = max(worst_gap, abs(rate.via_velocities - rate.via_forces) / scale)
+        worst_gap = max(worst_gap, entropy_rate(system, system.y0).relative_gap())
         trajectory = relax(system, grid)
         worst_rate = max(worst_rate, float(np.max(-trajectory.entropy_rates)))
     passed = worst_gap <= 1e-12 and worst_rate <= 1e-12
@@ -343,26 +363,17 @@ def check_fluctuation_covariance(seed: int, workers: int = 1) -> CheckResult:
     report = covariance_report(samples, ref)
     z_dt = report.ds_dt_over_kBT.standardized_deviation(1.0)
     z_dtau = report.ds_dtau_over_kB.standardized_deviation(1.0)
-    measured = float(max(z_dt, z_dtau))
-    return CheckResult(
-        name="fluctuation-covariance",
+    return CheckResult.bounded(
+        "fluctuation-covariance",
+        float(max(z_dt, z_dtau)),
+        3.0,
         requirement="<dS dT>/(kB T) and <dS dtau>/kB within 3 standard errors of 1 at n = 1e6",
-        tolerance=3.0,
-        measured=measured,
-        passed=measured <= 3.0,
         details={
             "ds_dt_mean": report.ds_dt_over_kBT.mean,
             "ds_dtau_mean": report.ds_dtau_over_kB.mean,
             "n": report.n,
         },
     )
-
-
-def _fitted_order(resolutions, gaps) -> float:
-    x = np.log2(np.asarray(resolutions, dtype=float))
-    y = np.log2(np.asarray(gaps, dtype=float))
-    slope = np.polyfit(x, y, 1)[0]
-    return float(-slope)
 
 
 def check_stokes_identity(seed: int, workers: int = 1) -> CheckResult:
@@ -379,7 +390,7 @@ def check_stokes_identity(seed: int, workers: int = 1) -> CheckResult:
             abs(symplectic_area(patch, res) - boundary_action(patch, res))
             for res in resolutions
         ]
-        orders[label] = _fitted_order(resolutions, gaps)
+        orders[label] = fitted_order(resolutions, gaps)
     measured = float(min(orders.values()))
     return CheckResult(
         name="stokes-identity",
@@ -411,7 +422,7 @@ def check_gravity_falloff(seed: int, workers: int = 1) -> CheckResult:
 
     probe = np.array([2.0, 0.6, -0.4])
     residuals = [abs(laplacian_spot_check(source, probe, step)) for step in (0.4, 0.2, 0.1)]
-    order = _fitted_order((1, 2, 4), residuals)
+    order = fitted_order((1, 2, 4), residuals)
     passed = worst_falloff <= 0.01 and order >= 1.9
     return CheckResult(
         name="gravity-falloff",

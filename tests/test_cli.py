@@ -1,13 +1,33 @@
+import csv
 import json
+import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from conftest import cli_env
 
-from entropiclab import emit_report
+from entropiclab import (
+    OnsagerSystem,
+    ThermoReference,
+    emit_report,
+    entropy_operator,
+    evolve_h,
+    evolve_s,
+    gaussian_sample,
+    relax,
+)
 from entropiclab.cli import main
-from entropiclab.config import ConfigError, load_config, validate_config
+from entropiclab.config import (
+    ConfigError,
+    grid_from,
+    hamiltonian_from,
+    load_config,
+    state_from,
+    validate_config,
+)
+from entropiclab.constants import NATURAL
 from entropiclab.suite import CheckResult
 
 
@@ -34,6 +54,8 @@ EVOLVE_S_CONFIG = {
         "epsilon": -0.1,
     },
 }
+
+FLUCT_REFERENCE = ThermoReference.ideal_gas(1.0, 1.0, 1.0)
 
 
 class TestScenarioRuns:
@@ -130,6 +152,32 @@ class TestScenarioRuns:
         assert 0.9 <= record["outputs"]["mean_h"] <= 1.1
         assert record["outputs"]["weak_field_epsilon"] < 0.0
 
+    def test_gravity_inline_data_resolves_against_config_dir(self, tmp_path):
+        config_dir = tmp_path / "configs"
+        config_dir.mkdir()
+        lattice = np.zeros((3, 3, 3))
+        lattice[1, 1, 1] = 2.0
+        lattice.astype("<f8").tofile(config_dir / "lattice.bin")
+        config = write_config(config_dir / "cfg.json", {
+            "scenario": "gravity",
+            "gravity": {
+                "source": {
+                    "spacing": 0.5, "origin": [0.0, 0.0, 0.0], "shape": [3, 3, 3],
+                    "data": "lattice.bin",
+                },
+                # 4 units above the one occupied cell, centred at (0.75, 0.75, 0.75)
+                "probes": [[0.75, 0.75, 4.75]],
+            },
+        })
+        out = tmp_path / "probes.csv"
+        # the working directory holds no lattice.bin; only the config's does
+        result = run_cli("gravity", "--config", config, "--out", str(out), cwd=str(tmp_path))
+        assert result.returncode == 0, result.stderr
+        record = json.loads((tmp_path / "probes.csv.record.json").read_text())
+        assert record["outputs"]["total_mass"] == 2.0 * 0.5**3
+        h = float(out.read_text().strip().splitlines()[1].split(",")[-1])
+        assert h == pytest.approx(record["outputs"]["total_mass"], rel=1e-12)  # 4 M / r, r = 4
+
     def test_onsager_run(self, tmp_path):
         config = write_config(tmp_path / "cfg.json", {
             "scenario": "onsager",
@@ -168,7 +216,11 @@ class TestScenarioRuns:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "dp,dV,dT,dS"
         assert len(lines) == 2001
+        samples = gaussian_sample(FLUCT_REFERENCE, 2000, seed=21)
+        first = [float(x) for x in lines[1].split(",")]
+        assert first == [samples.dp[0], samples.dV[0], samples.dT[0], samples.dS[0]]
         record = json.loads((tmp_path / "samples.csv.record.json").read_text())
+        assert record["outputs"]["n"] == 2000
         assert {v["name"] for v in record["verdicts"]} == {
             "fluct-ds-dt", "fluct-dp-dv", "fluct-ds-dtau", "fluct-dt-dv-uncorrelated",
         }
@@ -221,6 +273,47 @@ class TestFailureModes:
         config = write_config(tmp_path / "cfg.json", EVOLVE_S_CONFIG)
         result = run_cli("evolve-s", "--config", config)
         assert result.returncode == 2
+
+    def test_source_without_data_or_primitives_exits_2(self, tmp_path):
+        config = write_config(tmp_path / "cfg.json", {
+            "scenario": "gravity",
+            "gravity": {
+                "source": {"spacing": 0.5, "origin": [0.0, 0.0, 0.0], "shape": [3, 3, 3]},
+                "probes": [[0.5, 0.5, 4.5]],
+            },
+        })
+        result = run_cli("gravity", "--config", config, "--out", str(tmp_path / "o.csv"))
+        assert result.returncode == 2
+        assert "config error" in result.stderr
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_out_directory_exits_5(self, tmp_path):
+        config = write_config(tmp_path / "cfg.json", EVOLVE_S_CONFIG)
+        result = run_cli("evolve-s", "--config", config, "--out", str(tmp_path))
+        assert result.returncode == 5
+        assert "io error" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_failed_record_removes_csv(self, tmp_path):
+        config = write_config(tmp_path / "cfg.json", EVOLVE_S_CONFIG)
+        record_dir = tmp_path / "records"
+        record_dir.mkdir()
+        out = tmp_path / "ok.csv"
+        result = run_cli(
+            "evolve-s", "--config", config, "--out", str(out), "--record", str(record_dir)
+        )
+        assert result.returncode == 5
+        assert "io error" in result.stderr
+        assert not out.exists()
+
+    def test_check_all_unwritable_outdir_exits_5(self, tmp_path, monkeypatch):
+        import entropiclab.cli as cli_module
+
+        passing = CheckResult.bounded("synthetic", 0.0, 1.0)
+        monkeypatch.setattr(cli_module, "run_all", lambda seed, workers: [passing])
+        blocker = tmp_path / "not_a_dir"
+        blocker.write_text("")
+        assert cli_module.main(["check-all", "--outdir", str(blocker)]) == 5
 
     def test_check_all_failure_maps_to_exit_4(self, tmp_path, monkeypatch):
         import entropiclab.cli as cli_module
@@ -277,6 +370,103 @@ class TestCheckAll:
             cwd=str(tmp_path),
         )
         assert result.returncode == 0, result.stderr
+
+
+def read_table(path):
+    rows = list(csv.reader(path.read_text().splitlines()))
+    return rows[0], np.array([[float(cell) for cell in row] for row in rows[1:]])
+
+
+def trajectory_columns(trajectory):
+    amplitudes = trajectory.amplitudes
+    parts = [
+        part for k in range(amplitudes.shape[1])
+        for part in (amplitudes[:, k].real, amplitudes[:, k].imag)
+    ]
+    return np.column_stack([
+        np.arange(len(trajectory.grid)), trajectory.grid, trajectory.norms,
+        trajectory.expectations, *parts,
+    ])
+
+
+def evolve_s_case(schedule):
+    block = dict(EVOLVE_S_CONFIG["evolve_s"])
+    if schedule == "chart":
+        block.update({
+            "schedule": "chart", "reference_temperature": 1.0,
+            "epsilon": 0.1, "allow_antidissipative": True,
+        })
+    config = {"scenario": "evolve-s", "evolve_s": block}
+    hamiltonian = hamiltonian_from(block["hamiltonian"], NATURAL)
+    psi0 = state_from(block["state"], hamiltonian.dim)
+    grid = grid_from(block["grid"])
+    if schedule == "chart":
+        trajectory = evolve_s(
+            psi0, lambda tau: entropy_operator(hamiltonian, math.exp(tau)), grid, 0.1,
+            allow_antidissipative=True,
+        )
+    else:
+        trajectory = evolve_s(psi0, entropy_operator(hamiltonian, 1.0), grid, -0.1)
+    return config, trajectory_columns(trajectory)
+
+
+def evolve_h_case():
+    block = {
+        "hamiltonian": {"kind": "random_hermitian", "dim": 4, "seed": 2},
+        "state": {"kind": "random", "seed": 3},
+        "grid": {"start": 0.0, "stop": 2.0, "num": 9},
+    }
+    hamiltonian = hamiltonian_from(block["hamiltonian"], NATURAL)
+    trajectory = evolve_h(
+        state_from(block["state"], hamiltonian.dim), hamiltonian, grid_from(block["grid"])
+    )
+    return {"scenario": "evolve-h", "evolve_h": block}, trajectory_columns(trajectory)
+
+
+def onsager_case():
+    block = {
+        "system": {"N": 3, "L": [2.0, 0.5, 0.1, 0.5, 1.5, 0.2, 0.1, 0.2, 1.0],
+                   "G": [1.0, 0.3, 0.0, 0.3, 2.0, 0.1, 0.0, 0.1, 0.7],
+                   "y0": [1.0, -0.4, 0.25]},
+        "grid": {"start": 0.0, "stop": 3.0, "num": 13},
+    }
+    trajectory = relax(OnsagerSystem.from_dict(block["system"]), grid_from(block["grid"]))
+    columns = np.column_stack([
+        np.arange(len(trajectory.tprimes)), trajectory.tprimes, trajectory.entropy_rates,
+        trajectory.ys,
+    ])
+    return {"scenario": "onsager", "onsager": block}, columns
+
+
+def fluct_case():
+    block = {
+        "reference": {"preset": "ideal_gas", "pressure": 1.0, "volume": 1.0, "temperature": 1.0},
+        "n": 3000,
+    }
+    samples = gaussian_sample(FLUCT_REFERENCE, 3000, seed=9)
+    columns = np.column_stack([samples.dp, samples.dV, samples.dT, samples.dS])
+    return {"scenario": "fluct", "seed": 9, "fluct": block}, columns
+
+
+class TestCsvRoundTrip:
+    """Every CSV cell reads back to exactly the value the library returns."""
+
+    @pytest.mark.parametrize("case", [
+        evolve_h_case,
+        lambda: evolve_s_case("frozen"),
+        lambda: evolve_s_case("chart"),
+        onsager_case,
+        fluct_case,
+    ], ids=["evolve-h", "evolve-s-frozen", "evolve-s-chart", "onsager", "fluct"])
+    def test_cells_equal_library_arrays(self, tmp_path, case):
+        payload, expected = case()
+        config = write_config(tmp_path / "cfg.json", payload)
+        out = tmp_path / "data.csv"
+        assert main([payload["scenario"], "--config", config, "--out", str(out)]) == 0
+        header, table = read_table(out)
+        assert len(header) == expected.shape[1]
+        assert table.shape == expected.shape
+        assert np.array_equal(table, expected)
 
 
 class TestEmitReport:

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from entropiclab import (
-    HTrajectory,
     HermitianOperator,
     StateVector,
+    Trajectory,
     build_hamiltonian,
     evolve_h,
     evolve_h_perturbed,
@@ -138,7 +138,7 @@ class TestNoetherDrift:
         h = random_hermitian(rng, 12)
         psi = random_state(rng, 12)
         traj = evolve_h(psi, h, np.linspace(0.0, 20.0, 11))
-        e0 = abs(traj.energy_expectations[0])
+        e0 = abs(traj.expectations[0])
         assert noether_energy_drift(traj) <= 1e-10 * e0 + 1e-12
 
     def test_perturbed_evolution_breaks_conservation(self):
@@ -153,9 +153,9 @@ class TestNoetherDrift:
         assert abs(drift - expected) <= 1e-12
 
     def test_empty_trajectory_rejected(self):
-        empty = HTrajectory(
-            times=np.array([]), states=(),
-            energy_expectations=np.array([]), norms=np.array([]),
+        empty = Trajectory(
+            grid=np.array([]), amplitudes=np.empty((0, 2), dtype=complex),
+            norms=np.array([]), expectations=np.array([]),
         )
         with pytest.raises(ValueError, match="empty"):
             noether_energy_drift(empty)

@@ -18,7 +18,6 @@ from entropiclab import (
     symplectic_area,
     to_canonical,
     two_plane_patch,
-    write_samples_csv,
 )
 
 REF = ThermoReference.ideal_gas(1.0, 1.0, 1.0)
@@ -90,12 +89,6 @@ class TestGaussianSample:
             gaussian_sample(REF, 10, seed=-1)
         with pytest.raises(ValueError):
             gaussian_sample(REF, 10, seed=0, workers=0)
-
-    def test_sample_record_view(self):
-        samples = gaussian_sample(REF, 5, seed=1)
-        record = samples[2]
-        assert record.dT == samples.dT[2]
-        assert len(samples) == 5
 
 
 class TestCovarianceReport:
@@ -224,15 +217,3 @@ class TestStokesIdentity:
         u = np.linspace(0.0, 1.0, 7)
         for x, y in zip(a.evaluate(u, u), b.evaluate(u, u)):
             assert np.array_equal(x, y)
-
-
-class TestSampleDump:
-    def test_csv_columns(self, tmp_path):
-        samples = gaussian_sample(REF, 12, seed=6)
-        path = tmp_path / "samples.csv"
-        write_samples_csv(samples, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "dp,dV,dT,dS"
-        assert len(lines) == 13
-        first = [float(x) for x in lines[1].split(",")]
-        assert first == [samples.dp[0], samples.dV[0], samples.dT[0], samples.dS[0]]
