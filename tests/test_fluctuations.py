@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from entropiclab import (
     to_canonical,
     two_plane_patch,
 )
+from entropiclab.cli import main
 
 REF = ThermoReference.ideal_gas(1.0, 1.0, 1.0)
 
@@ -217,3 +219,26 @@ class TestStokesIdentity:
         u = np.linspace(0.0, 1.0, 7)
         for x, y in zip(a.evaluate(u, u), b.evaluate(u, u)):
             assert np.array_equal(x, y)
+
+
+class TestSampleDump:
+    def test_csv_columns(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "scenario": "fluct",
+            "seed": 6,
+            "fluct": {
+                "reference": {
+                    "preset": "ideal_gas", "pressure": 1.0, "volume": 1.0, "temperature": 1.0,
+                },
+                "n": 12,
+            },
+        }))
+        path = tmp_path / "samples.csv"
+        assert main(["fluct", "--config", str(config), "--out", str(path)]) == 0
+        samples = gaussian_sample(REF, 12, seed=6)
+        lines = path.read_text().strip().splitlines()
+        assert lines[0] == "dp,dV,dT,dS"
+        assert len(lines) == 13
+        first = [float(x) for x in lines[1].split(",")]
+        assert first == [samples.dp[0], samples.dV[0], samples.dT[0], samples.dS[0]]
