@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -319,12 +320,36 @@ _RUNNERS = {
 }
 
 
-def _write_csv(path: Path, header, rows) -> None:
+def _write_atomically(path: Path, write, **open_args) -> None:
+    """Call ``write(handle)`` on a temp file beside ``path``, then rename it onto ``path``.
+
+    A failed write removes the temp file and leaves ``path`` as it was.  A
+    target that exists and is not a regular file, such as ``/dev/null``, is
+    written in place and never replaced.
+    """
+    path = Path(os.path.realpath(path))
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as handle:
+    if path.exists() and not path.is_file():
+        with open(path, "w", **open_args) as handle:
+            write(handle)
+        return
+    temp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(temp, "x", **open_args) as handle:
+            write(handle)
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
+def _write_csv(path: Path, header, rows) -> None:
+    def write(handle):
         writer = csv.writer(handle)
         writer.writerow(header)
         writer.writerows(rows)
+
+    _write_atomically(path, write, newline="", encoding="utf-8")
 
 
 def _write_record(path: Path, config: dict, outputs: dict, verdicts, wall_clock: float) -> None:
@@ -335,18 +360,21 @@ def _write_record(path: Path, config: dict, outputs: dict, verdicts, wall_clock:
         "verdicts": [result.verdict() for result in verdicts],
         "wall_clock_s": wall_clock,
     }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
+
+    def write(handle):
         json.dump(record, handle, indent=2, sort_keys=True)
         handle.write("\n")
+
+    _write_atomically(path, write, encoding="utf-8")
 
 
 def _write_artifacts(csv_path: Path, table, record_path: Path, config, outputs, verdicts,
                      wall_clock: float) -> int:
     """Write the CSV, then its run record; 0 on success, 5 on an I/O failure.
 
-    A CSV whose record could not be written is removed, so a failed write
-    does not leave a data artifact without its record.
+    Each file appears only once it is complete, and a CSV whose record
+    could not be written is removed, so a failed write leaves neither a
+    partial artifact nor a data artifact without its record.
     """
     try:
         _write_csv(csv_path, *table)

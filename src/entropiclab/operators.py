@@ -121,7 +121,7 @@ class HermitianOperator:
     being averaged away.
     """
 
-    __slots__ = ("_entries", "_unit", "_decomposition")
+    __slots__ = ("_entries", "_unit", "_decomposition", "_parent", "_factor")
 
     def __init__(self, entries, unit: str = "dimensionless"):
         arr = np.array(entries, dtype=complex)
@@ -141,6 +141,10 @@ class HermitianOperator:
         self._entries = arr
         self._unit = unit
         self._decomposition = None
+        # set by scaled() to the unscaled root operator and the factor
+        # taken from it: the eigensystem is the root's, eigenvalues times _factor
+        self._parent = None
+        self._factor = 1.0
 
     @property
     def dim(self) -> int:
@@ -159,10 +163,18 @@ class HermitianOperator:
         return float(np.linalg.norm(self._entries))
 
     def scaled(self, factor: float, unit: str | None = None) -> "HermitianOperator":
-        """Multiply by a real scalar (keeps self-adjointness exactly)."""
+        """Multiply by a real scalar (keeps self-adjointness exactly).
+
+        The result inherits the eigensystem: ``spectral_decompose`` of it
+        decomposes the unscaled root operator once and rescales its
+        eigenvalues, so every multiple of one operator shares one ``eigh``.
+        """
         if not np.isfinite(factor) or np.iscomplexobj(np.asarray(factor)):
             raise ValueError("scale factor must be a finite real number")
-        return HermitianOperator(self._entries * float(factor), unit or self._unit)
+        child = HermitianOperator(self._entries * float(factor), unit or self._unit)
+        child._parent = self if self._parent is None else self._parent
+        child._factor = self._factor * float(factor)
+        return child
 
     def shifted(self, offset: float) -> "HermitianOperator":
         """Add ``offset`` times identity."""
@@ -192,11 +204,30 @@ def spectral_decompose(operator: HermitianOperator) -> SpectralDecomposition:
     on that choice, and the exponential below provably does not.
 
     The decomposition is cached on the operator (operators are immutable,
-    so the cache is safe to share across threads).
+    so the cache is safe to share across threads).  An operator made by
+    ``scaled`` reuses its root's eigenvectors: ``c * H = V (c L) V*``, with
+    both reversed for ``c < 0`` so the eigenvalues stay ascending.
     """
     cached = operator._decomposition
     if cached is not None:
         return cached
+    parent, factor = operator._parent, operator._factor
+    if parent is None:
+        return _decompose(operator)
+    root = parent._decomposition or _decompose(parent)
+    eigenvalues, eigenvectors = root.eigenvalues * factor, root.eigenvectors
+    if factor < 0.0:
+        eigenvalues = eigenvalues[::-1].copy()
+        eigenvectors = np.ascontiguousarray(eigenvectors[:, ::-1])
+        eigenvectors.setflags(write=False)
+    eigenvalues.setflags(write=False)
+    decomposition = SpectralDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
+    operator._decomposition = decomposition
+    return decomposition
+
+
+def _decompose(operator: HermitianOperator) -> SpectralDecomposition:
+    # eigh plus the reconstruction and orthonormality checks; caches the result
     eigenvalues, eigenvectors = np.linalg.eigh(operator.entries)
     scale = max(operator.norm(), _TINY)
     recon = eigenvectors @ (eigenvalues[:, None] * eigenvectors.conj().T)

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -305,6 +306,37 @@ class TestFailureModes:
         assert result.returncode == 5
         assert "io error" in result.stderr
         assert not out.exists()
+
+    def test_failed_csv_write_leaves_no_file(self, tmp_path, monkeypatch):
+        import entropiclab.cli as cli_module
+
+        real_writer = csv.writer
+
+        class DiskFullWriter:
+            def __init__(self, handle):
+                self._writer = real_writer(handle)
+
+            def writerow(self, row):
+                self._writer.writerow(row)
+
+            def writerows(self, rows):
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli_module.csv, "writer", DiskFullWriter)
+        config = write_config(tmp_path / "cfg.json", EVOLVE_S_CONFIG)
+        out = tmp_path / "part.csv"
+        assert main(["evolve-s", "--config", config, "--out", str(out)]) == 5
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    @pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
+    def test_device_target_is_written_in_place(self, tmp_path):
+        config = write_config(tmp_path / "cfg.json", EVOLVE_S_CONFIG)
+        record = tmp_path / "run.record.json"
+        assert main(
+            ["evolve-s", "--config", config, "--out", os.devnull, "--record", str(record)]
+        ) == 0
+        assert not os.path.isfile(os.devnull)
+        assert json.loads(record.read_text())["config"]["scenario"] == "evolve-s"
 
     def test_check_all_unwritable_outdir_exits_5(self, tmp_path, monkeypatch):
         import entropiclab.cli as cli_module

@@ -13,6 +13,7 @@ from entropiclab import (
     StateVector,
     ThermalTimeChart,
     WickFactor,
+    apply_exponential,
     build_hamiltonian,
     dissipative_part,
     eigen_solution,
@@ -27,6 +28,8 @@ from entropiclab import (
     uncertainty_product,
     wick_factor,
 )
+from entropiclab.entropy_picture import _ordered_product
+from entropiclab.suite import fitted_order
 
 
 def random_hermitian(rng, dim, unit="energy"):
@@ -37,6 +40,15 @@ def random_hermitian(rng, dim, unit="energy"):
 def random_state(rng, dim):
     raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return StateVector(raw / np.linalg.norm(raw))
+
+
+def midpoint_product(state, generator, a, b, substeps, z_rate):
+    # the second-order midpoint ordered product the integrator used before,
+    # kept here only as an independent reference
+    width = (b - a) / substeps
+    for j in range(substeps):
+        state = apply_exponential(generator(a + (j + 0.5) * width).operator, z_rate * width, state)
+    return state
 
 
 def spectrum_operator(rng, dim, low, high):
@@ -214,6 +226,37 @@ class TestEvolveS:
         psi = StateVector([1.0, 1.0])
         with pytest.raises(ConvergenceError):
             evolve_s(psi, schedule, [0.0, 2.0], 0.0, max_refinements=0)
+        # a budget that enters the refinement loop and still runs out
+        with pytest.raises(ConvergenceError):
+            evolve_s(psi, schedule, [0.0, 2.0], 0.0, max_refinements=3)
+
+    def test_non_commuting_schedule(self):
+        # S(tau) = (H0 + tau V) / T with [H0, V] != 0: no shared eigensystem,
+        # so this exercises the generic path of the fourth-order step
+        rng = np.random.default_rng(15)
+        h0, v = random_hermitian(rng, 4).entries, random_hermitian(rng, 4).entries
+        assert np.linalg.norm(h0 @ v - v @ h0) > 1.0
+        schedule = lambda tau: entropy_operator(  # noqa: E731
+            HermitianOperator(h0 + tau * v, unit="energy"), 1.5
+        )
+        psi = random_state(rng, 4)
+        eps = -0.2
+        z_rate = 1j - eps
+        # Richardson extrapolation of two fine midpoint runs; the midpoint
+        # product is time-symmetric, so its error is even in the step
+        coarse = midpoint_product(psi, schedule, 0.0, 1.0, 1024, z_rate).amplitudes
+        fine = midpoint_product(psi, schedule, 0.0, 1.0, 2048, z_rate).amplitudes
+        reference = (4.0 * fine - coarse) / 3.0
+        traj = evolve_s(psi, schedule, [0.0, 0.5, 1.0], eps)
+        assert np.linalg.norm(traj.amplitudes[-1] - reference) <= 1e-8
+        substeps = (2, 4, 8, 16)
+        gaps = [
+            np.linalg.norm(
+                _ordered_product(psi, schedule, 0.0, 1.0, n, z_rate, 4).amplitudes - reference
+            )
+            for n in substeps
+        ]
+        assert fitted_order(substeps, gaps) >= 3.8
 
     def test_entropic_schroedinger_residual(self):
         # central difference of the trajectory against the generator image:

@@ -11,6 +11,7 @@ from entropiclab import (
     spectral_decompose,
     uncertainty,
 )
+from entropiclab.operators import RECONSTRUCTION_RTOL
 
 
 def random_hermitian(rng, dim, unit="dimensionless"):
@@ -120,6 +121,44 @@ class TestSpectralDecompose:
             recon = dec.eigenvectors @ np.diag(dec.eigenvalues) @ dec.eigenvectors.conj().T
             assert np.linalg.norm(recon - op.entries) <= 1e-10 * op.norm()
             assert np.all(np.diff(dec.eigenvalues) >= 0.0)
+
+
+class TestScaledInheritance:
+    @staticmethod
+    def count_eigh(monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        return calls
+
+    @pytest.mark.parametrize("factor", [2.5, -0.75, 0.0])
+    def test_child_reuses_parent_eigensystem(self, factor, monkeypatch):
+        parent = random_hermitian(np.random.default_rng(7), 6)
+        parent_dec = spectral_decompose(parent)
+        calls = self.count_eigh(monkeypatch)
+        child = parent.scaled(factor)
+        dec = spectral_decompose(child)
+        assert calls == []
+        assert np.all(np.diff(dec.eigenvalues) >= 0.0)
+        np.testing.assert_array_equal(dec.eigenvalues, np.sort(factor * parent_dec.eigenvalues))
+        recon = dec.eigenvectors @ (dec.eigenvalues[:, None] * dec.eigenvectors.conj().T)
+        scale = max(child.norm(), np.finfo(float).tiny)
+        assert np.linalg.norm(recon - child.entries) <= RECONSTRUCTION_RTOL * scale
+
+    def test_undecomposed_parent_is_decomposed_once(self, monkeypatch):
+        parent = random_hermitian(np.random.default_rng(8), 5)
+        calls = self.count_eigh(monkeypatch)
+        first, second = parent.scaled(3.0), parent.scaled(-2.0)
+        spectral_decompose(first)
+        spectral_decompose(second)
+        assert len(calls) == 1
+        assert spectral_decompose(parent) is spectral_decompose(parent)
+        assert len(calls) == 1
 
 
 class TestApplyExponential:
