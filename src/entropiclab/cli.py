@@ -257,11 +257,7 @@ def _run_fluct(config: dict, base_dir: Path):
     block = config["fluct"]
     reference = reference_from(block["reference"])
     samples = gaussian_sample(
-        reference,
-        block["n"],
-        seed=config.get("seed", 0),
-        constants=constants,
-        workers=block.get("workers", 1),
+        reference, block["n"], seed=config.get("seed", 0), constants=constants
     )
     header = ["dp", "dV", "dT", "dS"]
     rows = _csv_rows(samples.dp, samples.dV, samples.dT, samples.dS)
@@ -447,12 +443,11 @@ def _check_all_command(args) -> int:
         return 2
 
     seed = config.get("seed", 0)
-    workers = config.get("check_all", {}).get("workers", 1)
     outdir = Path(args.outdir)
 
     started = time.perf_counter()
     try:
-        results = run_all(seed=seed, workers=workers)
+        results = run_all(seed=seed)
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
@@ -494,7 +489,7 @@ def main(argv=None) -> int:
     check.add_argument("--config", help="optional check-all configuration JSON")
     check.add_argument("--seed", type=int, default=0, help="master seed (ignored with --config)")
     check.add_argument("--workers", type=int, default=1,
-                       help="worker count for sampling criteria (ignored with --config)")
+                       help="accepted for old configs; changes neither data nor speed")
     check.add_argument("--outdir", default="check_all_artifacts",
                        help="directory for summary.csv and record.json")
 

@@ -12,25 +12,13 @@ import numpy as np
 
 from ._grid import evolution_grid
 from .constants import NATURAL, Constants
-from .operators import (
-    HermitianOperator,
-    StateVector,
-    Trajectory,
-    apply_exponential,
-    expectation,
-)
+from .operators import HermitianOperator, StateVector, Trajectory, exponential_rows
 
 __all__ = [
     "evolve_h",
     "evolve_h_perturbed",
     "noether_energy_drift",
 ]
-
-
-def _trajectory(hamiltonian, psi0, grid, exponent_of_t):
-    states = [apply_exponential(hamiltonian, exponent_of_t(t), psi0) for t in grid]
-    energies = [expectation(hamiltonian, state) for state in states]
-    return Trajectory.from_states(grid, states, energies)
 
 
 def evolve_h(
@@ -48,7 +36,8 @@ def evolve_h(
     grid = evolution_grid(t_grid, "t_grid")
     if psi0.norm() == 0.0:
         raise ValueError("initial state must be nonzero")
-    return _trajectory(hamiltonian, psi0, grid, lambda t: -1j * t / constants.hbar)
+    amplitudes = exponential_rows(hamiltonian, [-1j * t / constants.hbar for t in grid], psi0)
+    return Trajectory.from_amplitudes(grid, amplitudes, hamiltonian)
 
 
 def evolve_h_perturbed(
@@ -77,7 +66,8 @@ def evolve_h_perturbed(
         raise ValueError("initial state must be nonzero")
     scale = 1.0 / (1.0 + epsilon_prime**2) if mode == "exact" else 1.0
     rate = (epsilon_prime - 1j) * scale / constants.hbar
-    return _trajectory(hamiltonian, psi0, grid, lambda t: rate * t)
+    amplitudes = exponential_rows(hamiltonian, [rate * t for t in grid], psi0)
+    return Trajectory.from_amplitudes(grid, amplitudes, hamiltonian)
 
 
 def noether_energy_drift(trajectory: Trajectory) -> float:

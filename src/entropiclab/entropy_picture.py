@@ -24,7 +24,9 @@ from .operators import (
     StateVector,
     Trajectory,
     apply_exponential,
+    eigenbasis_rows,
     expectation,
+    exponential_rows,
     spectral_decompose,
     uncertainty,
 )
@@ -270,43 +272,38 @@ def evolve_s(
     z_rate = (1j - epsilon) / constants.kB
 
     if isinstance(generator, EntropyOperator):
-        if generator.dim != psi0.dim:
-            raise ValueError("generator and state dimensions differ")
-        states = [apply_exponential(generator.operator, z_rate * tau, psi0) for tau in grid]
-        entropies = np.array([expectation(generator.operator, s) for s in states])
-    elif callable(generator):
-        dim = psi0.dim
-        states = [psi0]
-        current = psi0
-        interval_rtol = rtol / max(1, grid.size - 1)
-        for a, b in zip(grid[:-1], grid[1:]):
-            coarse = _ordered_product(current, generator, a, b, 1, z_rate, dim)
-            substeps = 2
-            refined = None
-            while substeps <= 2**max_refinements:
-                fine = _ordered_product(current, generator, a, b, substeps, z_rate, dim)
-                gap = float(np.linalg.norm(fine.amplitudes - coarse.amplitudes))
-                if gap <= interval_rtol * max(fine.norm(), _TINY):
-                    refined = fine
-                    break
-                coarse = fine
-                substeps *= 2
-            if refined is None:
-                raise ConvergenceError(
-                    f"ordered-product refinement stalled above rtol={rtol:g} "
-                    f"on tau interval [{a:g}, {b:g}]"
-                )
-            current = refined
-            states.append(current)
-        entropies = np.array(
-            [expectation(_generator_at(generator, tau, dim).operator, s) for tau, s in zip(grid, states)]
-        )
-    else:
+        amplitudes = exponential_rows(generator.operator, [z_rate * tau for tau in grid], psi0)
+        return Trajectory.from_amplitudes(grid, amplitudes, generator.operator)
+    if not callable(generator):
         raise TypeError(
             "generator must be an EntropyOperator or a callable tau -> EntropyOperator"
         )
-
-    return Trajectory.from_states(grid, states, entropies)
+    dim = psi0.dim
+    rows = [psi0.amplitudes]
+    current = psi0
+    interval_rtol = rtol / max(1, grid.size - 1)
+    for a, b in zip(grid[:-1], grid[1:]):
+        coarse = _ordered_product(current, generator, a, b, 1, z_rate, dim)
+        substeps = 2
+        refined = None
+        while substeps <= 2**max_refinements:
+            fine = _ordered_product(current, generator, a, b, substeps, z_rate, dim)
+            gap = float(np.linalg.norm(fine.amplitudes - coarse.amplitudes))
+            if gap <= interval_rtol * max(fine.norm(), _TINY):
+                refined = fine
+                break
+            coarse = fine
+            substeps *= 2
+        if refined is None:
+            raise ConvergenceError(
+                f"ordered-product refinement stalled above rtol={rtol:g} "
+                f"on tau interval [{a:g}, {b:g}]"
+            )
+        current = refined
+        rows.append(current.amplitudes)
+    return Trajectory.from_amplitudes(
+        grid, np.array(rows), lambda tau: _generator_at(generator, tau, dim).operator
+    )
 
 
 @dataclass(frozen=True)
@@ -495,16 +492,6 @@ def second_law_refinement(delta_s: float, constants: Constants = NATURAL) -> Sec
     return SecondLawVerdict.SECOND_LAW_ONLY
 
 
-def _closed_form_states(hamiltonian, psi0, phases):
-    # sum of eigenmodes with per-mode complex weights, one state per row of phases
-    decomposition = spectral_decompose(hamiltonian)
-    coefficients = decomposition.eigenvectors.conj().T @ psi0.amplitudes
-    return [
-        StateVector(decomposition.eigenvectors @ (np.exp(row) * coefficients))
-        for row in phases
-    ]
-
-
 def picture_consistency(
     psi0: StateVector,
     hamiltonian: HermitianOperator,
@@ -522,9 +509,10 @@ def picture_consistency(
                     t(tau) = hbar / (kB T0 exp(tau)) against the adaptive
                     thermal-time integration driven by the chart generator
                     S(tau) = H exp(-tau) / T0.  Both sides use H's own
-                    eigensystem: the laboratory side applies exp(-i H t /
-                    hbar) directly, the thermal side steps through multiples
-                    of H; they share no integrator code.
+                    eigensystem: the laboratory side takes exp(-i H t /
+                    hbar) over the whole grid in one eigenbasis product,
+                    the thermal side steps through multiples of H; they
+                    share no integrator code.
     ``frozen_S`` -- generator held at H / T0; integration against the
                     closed-form spectral solution exp[(i-eps) (h/T0) tau / kB].
     ``chart_S``  -- generator carrying the chart's tau dependence; adaptive
@@ -545,11 +533,8 @@ def picture_consistency(
             raise ValueError("real_C mode is defined for epsilon = 0")
         s_side = evolve_s(psi0, chart_schedule, grid, 0.0, constants, rtol=rtol)
         t_of_tau = constants.hbar / (constants.kB * reference_temperature * np.exp(grid))
-        t_states = [
-            apply_exponential(hamiltonian, -1j * (t - t_of_tau[0]) / constants.hbar, psi0)
-            for t in t_of_tau
-        ]
-        pairs = zip(s_side.amplitudes, t_states)
+        exponents = [-1j * (t - t_of_tau[0]) / constants.hbar for t in t_of_tau]
+        reference = exponential_rows(hamiltonian, exponents, psi0)
     elif mode == "frozen_S":
         frozen = entropy_operator(hamiltonian, reference_temperature)
         s_side = evolve_s(psi0, frozen, grid, epsilon, constants)
@@ -558,7 +543,7 @@ def picture_consistency(
             (1j - epsilon) * (eigenvalues / reference_temperature) * tau / constants.kB
             for tau in grid
         ]
-        pairs = zip(s_side.amplitudes, _closed_form_states(hamiltonian, psi0, phases))
+        reference = eigenbasis_rows(spectral_decompose(hamiltonian), phases, psi0)
     elif mode == "chart_S":
         s_side = evolve_s(psi0, chart_schedule, grid, epsilon, constants, rtol=rtol)
         eigenvalues = spectral_decompose(hamiltonian).eigenvalues
@@ -568,11 +553,11 @@ def picture_consistency(
             * (1.0 - math.exp(-tau))
             for tau in grid
         ]
-        pairs = zip(s_side.amplitudes, _closed_form_states(hamiltonian, psi0, phases))
+        reference = eigenbasis_rows(spectral_decompose(hamiltonian), phases, psi0)
     else:
         raise ValueError(f"unknown mode {mode!r}; expected real_C, frozen_S or chart_S")
 
-    return max(float(np.linalg.norm(a - b.amplitudes)) for a, b in pairs)
+    return max(float(np.linalg.norm(a - b)) for a, b in zip(s_side.amplitudes, reference))
 
 
 def generator_reading_gap(
@@ -594,14 +579,13 @@ def generator_reading_gap(
         raise ValueError("reference_temperature must be positive")
     if not (np.isfinite(tau) and np.isfinite(epsilon)):
         raise ValueError("tau and epsilon must be finite")
-    eigenvalues = spectral_decompose(hamiltonian).eigenvalues
+    decomposition = spectral_decompose(hamiltonian)
+    eigenvalues = decomposition.eigenvalues
     frozen_phase = (1j - epsilon) * (eigenvalues / reference_temperature) * tau / constants.kB
     chart_phase = (
         (1j - epsilon)
         * (eigenvalues / (constants.kB * reference_temperature))
         * (1.0 - math.exp(-tau))
     )
-    frozen_state, chart_state = _closed_form_states(
-        hamiltonian, psi0, [frozen_phase, chart_phase]
-    )
-    return float(np.linalg.norm(frozen_state.amplitudes - chart_state.amplitudes))
+    frozen_row, chart_row = eigenbasis_rows(decomposition, [frozen_phase, chart_phase], psi0)
+    return float(np.linalg.norm(frozen_row - chart_row))

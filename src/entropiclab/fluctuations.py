@@ -12,7 +12,6 @@ circulation of the canonical one-form around its boundary.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -160,36 +159,22 @@ def gaussian_sample(
     n: int,
     seed: int,
     constants: Constants = NATURAL,
-    workers: int = 1,
 ) -> FluctuationSamples:
     """Draw n joint fluctuations around the reference state.
 
     Temperature and volume deviations are independent zero-mean Gaussians
     with variances kB T^2 / cv and -kB T (dV/dp)_T; entropy and pressure
     deviations follow from the equation-of-state slopes.  Sample block b
-    depends only on (seed, b), so any worker count reproduces the same
-    stream bit for bit and in the same order.
+    depends only on (seed, b), so a seed reproduces its stream bit for bit.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
-    if not isinstance(workers, (int, np.integer)) or workers < 1:
-        raise ValueError(f"workers must be a positive integer, got {workers!r}")
     dp = np.empty(n)
     dV = np.empty(n)
     dT = np.empty(n)
     dS = np.empty(n)
-    blocks = list(block_ranges(n))
-    if workers == 1 or len(blocks) == 1:
-        for block, start, stop in blocks:
-            _fill_block(ref, constants, seed, block, start, stop, dp, dV, dT, dS)
-    else:
-        with ThreadPoolExecutor(max_workers=int(workers)) as pool:
-            futures = [
-                pool.submit(_fill_block, ref, constants, seed, block, start, stop, dp, dV, dT, dS)
-                for block, start, stop in blocks
-            ]
-            for future in futures:
-                future.result()
+    for block, start, stop in block_ranges(n):
+        _fill_block(ref, constants, seed, block, start, stop, dp, dV, dT, dS)
     return FluctuationSamples(dp, dV, dT, dS)
 
 

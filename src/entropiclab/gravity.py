@@ -198,8 +198,8 @@ def _sample_region(region: RegionSpec, rng: np.random.Generator, count: int) -> 
 def mean_h(source: SourceDistribution, region: RegionSpec, seed: int) -> float:
     """Monte Carlo average of the potential over the region.
 
-    Deterministic given the seed, and independent of how the sample blocks
-    might be farmed out to workers (see :mod:`entropiclab.seeding`).
+    Deterministic given the seed: sample block b depends only on (seed, b)
+    (see :mod:`entropiclab.seeding`).
     """
     _check_region_clear(source, region)
     total = 0.0

@@ -11,6 +11,7 @@ instead of by scaling-and-squaring.
 """
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,12 +100,21 @@ class Trajectory:
             raise ValueError("trajectory norms must be positive")
 
     @classmethod
-    def from_states(cls, grid, states, expectations) -> "Trajectory":
-        """Stack evolved ``StateVector``s, one per grid point, and take their norms."""
-        amplitudes = np.array([state.amplitudes for state in states])
+    def from_amplitudes(cls, grid, amplitudes, generator) -> "Trajectory":
+        """Take the norm and the generator average of each amplitude row.
+
+        ``amplitudes`` holds one row per grid point and is made read-only.
+        ``generator`` is one ``HermitianOperator``, or for a schedule a
+        callable grid point -> ``HermitianOperator``.
+        """
+        generator_at = generator if callable(generator) else (lambda point: generator)
         amplitudes.setflags(write=False)
-        norms = np.array([state.norm() for state in states])
-        return cls(grid, amplitudes, norms, np.asarray(expectations, dtype=float))
+        norms = np.array([np.linalg.norm(row) for row in amplitudes])
+        averages = np.array([
+            expectation(generator_at(point), StateVector(row))
+            for point, row in zip(grid, amplitudes)
+        ])
+        return cls(grid, amplitudes, norms, averages)
 
     @property
     def states(self) -> tuple:
@@ -304,30 +314,63 @@ def build_hamiltonian(
     return operator
 
 
-def apply_exponential(operator: HermitianOperator, z: complex, state: StateVector) -> StateVector:
-    """Apply ``exp(z * operator)`` to ``state`` exactly via the eigensystem.
+def eigenbasis_rows(decomposition: SpectralDecomposition, exponents, state: StateVector):
+    """Rows ``V (exp(e_k) * V* state)``, one per row ``e_k`` of per-mode exponents.
 
-    The result is independent of the eigenbasis chosen inside degenerate
-    clusters because the exponential weights coincide there.  Exponents
-    whose real part exceeds the double-precision range are reported as
-    ``OverflowError`` instead of silently saturating.
+    ``exponents`` is an ``(n, dim)`` array in the eigenbasis of
+    ``decomposition``: row k carries ``state`` by the operator whose
+    eigenvalues are ``e_k``.  ``V* state`` is projected once; each row is
+    then one matrix-vector product.  Exponents whose real part exceeds the
+    double-precision range raise ``OverflowError`` instead of saturating,
+    and a nonzero state whose image underflows to zero weight raises
+    ``FloatingPointError`` instead of being returned as the zero vector.
     """
-    if operator.dim != state.dim:
-        raise ValueError(f"dimension mismatch: operator {operator.dim} vs state {state.dim}")
-    z = complex(z)
-    if not (np.isfinite(z.real) and np.isfinite(z.imag)):
-        raise ValueError("exponent must be finite")
-    decomposition = spectral_decompose(operator)
-    exponents = z.real * decomposition.eigenvalues
-    largest = float(np.max(exponents)) if exponents.size else 0.0
+    vectors = decomposition.eigenvectors
+    if vectors.shape[0] != state.dim:
+        raise ValueError(f"dimension mismatch: operator {vectors.shape[0]} vs state {state.dim}")
+    exponents = np.asarray(exponents, dtype=complex)
+    largest = float(exponents.real.max())
     if largest > _MAX_EXPONENT:
         raise OverflowError(
             f"exp({largest:.3e}) exceeds the representable double range; "
             "rescale the generator or shorten the evolution interval"
         )
-    weights = decomposition.eigenvectors.conj().T @ state.amplitudes
-    weights = np.exp(z * decomposition.eigenvalues) * weights
-    return StateVector(decomposition.eigenvectors @ weights)
+    coefficients = vectors.conj().T @ state.amplitudes
+    # one matrix-vector product per row, not one matrix product for all rows,
+    # so that every row equals the one-row case bit for bit
+    rows = np.array([vectors @ (np.exp(row) * coefficients) for row in exponents])
+    # a row's weight is zero exactly when every squared part underflows; a
+    # square that overflows still counts as weight
+    with np.errstate(over="ignore"):
+        weights = (rows.view(float) ** 2).sum(axis=1)
+    if not weights.all() and state.norm() > 0.0:
+        raise FloatingPointError(
+            "the evolved state underflowed to zero weight; "
+            "rescale the generator or shorten the evolution interval"
+        )
+    return rows
+
+
+def exponential_rows(operator: HermitianOperator, exponents, state: StateVector):
+    """Rows ``exp(z_k * operator) state``, one per scalar exponent ``z_k``."""
+    exponents = [complex(z) for z in exponents]
+    if not all(cmath.isfinite(z) for z in exponents):
+        raise ValueError("exponent must be finite")
+    decomposition = spectral_decompose(operator)
+    return eigenbasis_rows(
+        decomposition, [z * decomposition.eigenvalues for z in exponents], state
+    )
+
+
+def apply_exponential(operator: HermitianOperator, z: complex, state: StateVector) -> StateVector:
+    """Apply ``exp(z * operator)`` to ``state`` exactly via the eigensystem.
+
+    The one-row case of ``exponential_rows``.  The result is independent of
+    the eigenbasis chosen inside degenerate clusters because the
+    exponential weights coincide there.  Overflow and underflow are
+    reported as by ``eigenbasis_rows``.
+    """
+    return StateVector(exponential_rows(operator, [z], state)[0])
 
 
 def expectation(operator: HermitianOperator, state: StateVector) -> float:

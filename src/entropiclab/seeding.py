@@ -2,9 +2,8 @@
 
 Monte Carlo draws are organized in fixed blocks generated from a Philox
 counter stream advanced to a per-block offset, so block b depends only on
-(seed, b).  Any worker layout that assembles blocks in index order then
-reproduces the single-worker stream bit for bit, which is what makes the
-parallel samplers in this package deterministic.
+(seed, b).  A seed therefore reproduces its stream bit for bit, and any
+block can be regenerated on its own without drawing the blocks before it.
 """
 from __future__ import annotations
 

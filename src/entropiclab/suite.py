@@ -122,7 +122,7 @@ def _random_spectrum_operator(rng, dim, low, high, unit="energy") -> HermitianOp
     return HermitianOperator((matrix + matrix.conj().T) / 2.0, unit=unit)
 
 
-def check_unitary_limit(seed: int, workers: int = 1) -> CheckResult:
+def check_unitary_limit(seed: int) -> CheckResult:
     """Zero field strength must keep the thermal-time evolution unitary."""
     rng = _rng(seed, 1)
     hamiltonian = _random_hermitian(rng, 64)
@@ -140,7 +140,7 @@ def check_unitary_limit(seed: int, workers: int = 1) -> CheckResult:
     )
 
 
-def check_semigroup_law(seed: int, workers: int = 1) -> CheckResult:
+def check_semigroup_law(seed: int) -> CheckResult:
     """Constant-generator evolution composes: step tau1 then tau2 = step tau1+tau2."""
     rng = _rng(seed, 2)
     worst = 0.0
@@ -164,7 +164,7 @@ def check_semigroup_law(seed: int, workers: int = 1) -> CheckResult:
     )
 
 
-def check_dilatation_contraction(seed: int, workers: int = 1) -> CheckResult:
+def check_dilatation_contraction(seed: int) -> CheckResult:
     """Nonnegative generator: norms never shrink for eps < 0, never grow for eps > 0."""
     rng = _rng(seed, 3)
     grid = np.linspace(0.0, 2.0, 21)
@@ -187,7 +187,7 @@ def check_dilatation_contraction(seed: int, workers: int = 1) -> CheckResult:
     )
 
 
-def check_eigen_solution_identity(seed: int, workers: int = 1) -> CheckResult:
+def check_eigen_solution_identity(seed: int) -> CheckResult:
     """Factorized eigen-solutions agree with the integrated propagator."""
     rng = _rng(seed, 4)
     constants = NATURAL
@@ -222,7 +222,7 @@ def check_eigen_solution_identity(seed: int, workers: int = 1) -> CheckResult:
     )
 
 
-def check_entropy_production_oracle(seed: int, workers: int = 1) -> CheckResult:
+def check_entropy_production_oracle(seed: int) -> CheckResult:
     """Chart finite difference reproduces the per-mode production rates."""
     rng = _rng(seed, 5)
     constants = NATURAL
@@ -259,7 +259,7 @@ def check_entropy_production_oracle(seed: int, workers: int = 1) -> CheckResult:
     )
 
 
-def check_picture_consistency(seed: int, workers: int = 1) -> CheckResult:
+def check_picture_consistency(seed: int) -> CheckResult:
     """Laboratory-time and thermal-time integrations match through the chart."""
     rng = _rng(seed, 6)
     grid = np.linspace(0.0, 1.0, 5)
@@ -280,7 +280,7 @@ def check_picture_consistency(seed: int, workers: int = 1) -> CheckResult:
     )
 
 
-def check_uncertainty_bound(seed: int, workers: int = 1) -> CheckResult:
+def check_uncertainty_bound(seed: int) -> CheckResult:
     """Generator-spread times observable clock time never undershoots kB/2."""
     rng = _rng(seed, 7)
     constants = NATURAL
@@ -300,7 +300,6 @@ def check_uncertainty_bound(seed: int, workers: int = 1) -> CheckResult:
         min_margin = min(min_margin, record.product - half_kb)
 
     # saturating two-level configuration: projector probe on an equal superposition
-    s_matrix = HermitianOperator(np.diag([0.0, 2.0 * constants.kB]), unit="entropy")
     generator = entropy_operator(
         HermitianOperator(np.diag([0.0, 2.0 * constants.kB]), unit="energy"), 1.0
     )
@@ -327,7 +326,7 @@ def check_uncertainty_bound(seed: int, workers: int = 1) -> CheckResult:
     )
 
 
-def check_onsager_forms(seed: int, workers: int = 1) -> CheckResult:
+def check_onsager_forms(seed: int) -> CheckResult:
     """Velocity and force quadratic forms agree; production stays nonnegative."""
     rng = _rng(seed, 8)
     grid = np.linspace(0.0, 2.0, 9)
@@ -356,10 +355,10 @@ def check_onsager_forms(seed: int, workers: int = 1) -> CheckResult:
     )
 
 
-def check_fluctuation_covariance(seed: int, workers: int = 1) -> CheckResult:
+def check_fluctuation_covariance(seed: int) -> CheckResult:
     """Entropy-temperature cross moments hit their sharp Gaussian values."""
     ref = ThermoReference.ideal_gas(1.0, 1.0, 1.0)
-    samples = gaussian_sample(ref, 10**6, seed=seed, workers=workers)
+    samples = gaussian_sample(ref, 10**6, seed=seed)
     report = covariance_report(samples, ref)
     z_dt = report.ds_dt_over_kBT.standardized_deviation(1.0)
     z_dtau = report.ds_dtau_over_kB.standardized_deviation(1.0)
@@ -376,7 +375,7 @@ def check_fluctuation_covariance(seed: int, workers: int = 1) -> CheckResult:
     )
 
 
-def check_stokes_identity(seed: int, workers: int = 1) -> CheckResult:
+def check_stokes_identity(seed: int) -> CheckResult:
     """Area integral and boundary circulation converge together at order 2."""
     resolutions = (16, 32, 64, 128)
     patches = {
@@ -402,7 +401,7 @@ def check_stokes_identity(seed: int, workers: int = 1) -> CheckResult:
     )
 
 
-def check_gravity_falloff(seed: int, workers: int = 1) -> CheckResult:
+def check_gravity_falloff(seed: int) -> CheckResult:
     """Compact sources look like 4M/r from afar; the potential is harmonic in vacuum."""
     radius = 0.45
     source = rasterize(
@@ -434,15 +433,13 @@ def check_gravity_falloff(seed: int, workers: int = 1) -> CheckResult:
     )
 
 
-def check_determinism(seed: int, workers: int = 1) -> CheckResult:
-    """Identical seeds reproduce streams bit for bit, at any worker count."""
+def check_determinism(seed: int) -> CheckResult:
+    """Identical seeds reproduce streams bit for bit."""
     ref = ThermoReference.ideal_gas(1.0, 1.0, 1.0)
-    single = gaussian_sample(ref, 20000, seed=seed, workers=1)
-    fanned = gaussian_sample(ref, 20000, seed=seed, workers=8)
-    repeat = gaussian_sample(ref, 20000, seed=seed, workers=1)
+    samples = gaussian_sample(ref, 20000, seed=seed)
+    repeat = gaussian_sample(ref, 20000, seed=seed)
     streams_equal = all(
-        np.array_equal(getattr(single, col), getattr(fanned, col))
-        and np.array_equal(getattr(single, col), getattr(repeat, col))
+        np.array_equal(getattr(samples, col), getattr(repeat, col))
         for col in ("dp", "dV", "dT", "dS")
     )
 
@@ -460,15 +457,12 @@ def check_determinism(seed: int, workers: int = 1) -> CheckResult:
     grid = np.linspace(0.0, 1.0, 6)
     first = evolve_h(psi0, hamiltonian, grid)
     second = evolve_h(psi0, hamiltonian, grid)
-    trajectories_equal = all(
-        np.array_equal(a.amplitudes, b.amplitudes)
-        for a, b in zip(first.states, second.states)
-    )
+    trajectories_equal = np.array_equal(first.amplitudes, second.amplitudes)
 
     passed = streams_equal and means_equal and trajectories_equal
     return CheckResult(
         name="determinism",
-        requirement="bit-identical streams across reruns and worker counts 1 and 8",
+        requirement="bit-identical streams across reruns",
         tolerance=0.0,
         measured=0.0 if passed else 1.0,
         passed=bool(passed),
@@ -500,6 +494,6 @@ def criterion_names() -> list:
     return [fn.__name__.removeprefix("check_").replace("_", "-") for fn in _CRITERIA]
 
 
-def run_all(seed: int = 0, workers: int = 1) -> list:
+def run_all(seed: int = 0) -> list:
     """Run every check with sub-seeds derived from one master seed."""
-    return [criterion(seed, workers) for criterion in _CRITERIA]
+    return [criterion(seed) for criterion in _CRITERIA]

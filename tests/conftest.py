@@ -1,6 +1,9 @@
-"""Shared test harness for the command-line subprocess tests."""
+"""Shared test harness: the command-line subprocess environment and the
+per-point reference for whole-grid evolutions."""
 import os
 from pathlib import Path
+
+import numpy as np
 
 
 def cli_env():
@@ -20,3 +23,13 @@ def cli_env():
         os.pathsep.join([package_parent, inherited]) if inherited else package_parent
     )
     return env
+
+
+def assert_matches_per_point(trajectory, generator, psi, exponents):
+    """The trajectory equals one ``apply_exponential`` per grid point, bit for bit."""
+    from entropiclab import apply_exponential, expectation
+
+    states = [apply_exponential(generator, z, psi) for z in exponents]
+    assert np.array_equal(trajectory.amplitudes, np.array([s.amplitudes for s in states]))
+    assert np.array_equal(trajectory.norms, [s.norm() for s in states])
+    assert np.array_equal(trajectory.expectations, [expectation(generator, s) for s in states])

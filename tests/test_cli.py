@@ -270,6 +270,19 @@ class TestFailureModes:
         assert result.returncode == 3
         assert "numerical failure" in result.stderr
 
+    def test_underflow_exits_3(self, tmp_path, capsys):
+        payload = json.loads(json.dumps(EVOLVE_S_CONFIG))
+        payload["evolve_s"].update({
+            "hamiltonian": {"kind": "two_level", "e0": 1.0, "e1": 2.0},
+            "grid": {"start": 0.0, "stop": 800.0, "num": 5},
+            "epsilon": 1.0,
+            "allow_antidissipative": True,
+        })
+        config = write_config(tmp_path / "cfg.json", payload)
+        assert main(["evolve-s", "--config", config, "--out", str(tmp_path / "o.csv")]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_missing_out_path(self, tmp_path):
         config = write_config(tmp_path / "cfg.json", EVOLVE_S_CONFIG)
         result = run_cli("evolve-s", "--config", config)
@@ -342,7 +355,7 @@ class TestFailureModes:
         import entropiclab.cli as cli_module
 
         passing = CheckResult.bounded("synthetic", 0.0, 1.0)
-        monkeypatch.setattr(cli_module, "run_all", lambda seed, workers: [passing])
+        monkeypatch.setattr(cli_module, "run_all", lambda seed: [passing])
         blocker = tmp_path / "not_a_dir"
         blocker.write_text("")
         assert cli_module.main(["check-all", "--outdir", str(blocker)]) == 5
@@ -354,7 +367,7 @@ class TestFailureModes:
             name="synthetic", requirement="forced failure", tolerance=0.0,
             measured=1.0, passed=False, details={},
         )
-        monkeypatch.setattr(cli_module, "run_all", lambda seed, workers: [failing])
+        monkeypatch.setattr(cli_module, "run_all", lambda seed: [failing])
         code = cli_module.main(["check-all", "--outdir", str(tmp_path / "out")])
         assert code == 4
 

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from conftest import assert_matches_per_point
 
 from entropiclab import (
+    Constants,
     HermitianOperator,
     StateVector,
     Trajectory,
@@ -126,6 +128,31 @@ class TestEvolveHPerturbed:
             evolve_h_perturbed(PLUS, TWO_LEVEL, [0.0, 1.0], -1.5)
         with pytest.raises(ValueError, match="mode"):
             evolve_h_perturbed(PLUS, TWO_LEVEL, [0.0, 1.0], 0.1, mode="third_order")
+
+
+class TestWholeGridProduct:
+    CONSTANTS = Constants(hbar=0.7, kB=1.3)
+
+    def test_unitary_matches_per_point_loop(self):
+        rng = np.random.default_rng(6)
+        h = random_hermitian(rng, 16)
+        psi = random_state(rng, 16)
+        grid = np.linspace(0.0, 3.0, 101)
+        traj = evolve_h(psi, h, grid, self.CONSTANTS)
+        exponents = [-1j * t / self.CONSTANTS.hbar for t in grid]
+        assert_matches_per_point(traj, h, psi, exponents)
+
+    @pytest.mark.parametrize("mode", ["exact", "first_order"])
+    def test_perturbed_matches_per_point_loop(self, mode):
+        rng = np.random.default_rng(7)
+        h = random_hermitian(rng, 16)
+        psi = random_state(rng, 16)
+        grid = np.linspace(0.0, 3.0, 101)
+        eps = -0.15
+        traj = evolve_h_perturbed(psi, h, grid, eps, mode, self.CONSTANTS)
+        scale = 1.0 / (1.0 + eps**2) if mode == "exact" else 1.0
+        rate = (eps - 1j) * scale / self.CONSTANTS.hbar
+        assert_matches_per_point(traj, h, psi, [rate * t for t in grid])
 
 
 class TestNoetherDrift:

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import assert_matches_per_point
 
 from entropiclab import (
     Constants,
@@ -276,11 +277,41 @@ class TestEvolveS:
             residual = np.linalg.norm(-(1j + eps) * derivative - image)
             assert residual <= 1e-6 * np.linalg.norm(image)
 
+    def test_frozen_matches_per_point_loop(self):
+        constants = Constants(hbar=0.7, kB=1.3)
+        rng = np.random.default_rng(16)
+        generator = entropy_operator(spectrum_operator(rng, 16, 0.0, 2.0), 1.7)
+        psi = random_state(rng, 16)
+        grid = np.linspace(0.0, 2.0, 101)
+        eps = -0.2
+        traj = evolve_s(psi, generator, grid, eps, constants)
+        z_rate = (1j - eps) / constants.kB
+        assert_matches_per_point(traj, generator.operator, psi, [z_rate * tau for tau in grid])
+
+    def test_frozen_overflow_is_reported(self):
+        # exponent 0.5 * tau on the upper level passes 709 only at the last point
+        generator = entropy_operator(build_hamiltonian("two_level", e0=0.0, e1=1.0), 1.0)
+        with pytest.raises(OverflowError):
+            evolve_s(StateVector([1.0, 1.0]), generator, [0.0, 700.0, 1400.0, 1500.0], -0.5)
+
+    @pytest.mark.parametrize("stop", [720.0, 800.0], ids=["subnormal", "zero"])
+    def test_underflowed_state_is_a_numerical_failure(self, stop):
+        # contraction to exp(-tau) and exp(-2 tau): at tau = 720 every squared
+        # amplitude underflows, at tau = 800 every amplitude does
+        generator = entropy_operator(build_hamiltonian("two_level", e0=1.0, e1=2.0), 1.0)
+        with pytest.raises(FloatingPointError, match="underflow"):
+            evolve_s(
+                StateVector([1.0, 1.0]), generator, np.linspace(0.0, stop, 5), 1.0,
+                allow_antidissipative=True,
+            )
+
     def test_grid_and_type_errors(self):
         generator = entropy_operator(build_hamiltonian("two_level", e0=0.0, e1=1.0), 1.0)
         psi = StateVector([1.0, 0.0])
         with pytest.raises(ValueError, match="start at 0"):
             evolve_s(psi, generator, [0.5, 1.0], 0.0)
+        with pytest.raises(ValueError, match="mismatch"):
+            evolve_s(StateVector([1.0, 0.0, 0.0]), generator, [0.0, 1.0], 0.0)
         with pytest.raises(TypeError):
             evolve_s(psi, np.eye(2), [0.0, 1.0], 0.0)
 
