@@ -11,7 +11,7 @@ violation, and 5 when an artifact cannot be written.
 from __future__ import annotations
 
 import argparse
-import csv
+import itertools
 import json
 import math
 import os
@@ -77,25 +77,27 @@ def _jsonable(value):
     return value
 
 
-def _csv_rows(*columns):
-    """CSV rows from equal-length columns, consumed once by the writer.
+def _csv_lines(header, *columns):
+    """CSV lines, each ending in CRLF: ``header``, then one row per index of ``columns``.
 
-    Each cell is the ``repr`` of a ``tolist()`` value: a Python float's repr
-    is the shortest string that reads back to the same double, and an
-    integer column prints as plain integers.
+    A numeric cell is the ``repr`` of a ``tolist()`` value, the shortest string
+    that reads back to the same double or integer; a ``str`` cell is written
+    as it is.  No cell holds a comma, quote or line break, so none is quoted.
+    Lines are made lazily, as the writer takes them.
     """
-    return zip(*(list(map(repr, np.asarray(column).tolist())) for column in columns))
+    arrays = [np.asarray(column) for column in columns]
+    cells = [a.tolist() if a.dtype.kind == "U" else map(repr, a.tolist()) for a in arrays]
+    return map("{}\r\n".format, map(",".join, itertools.chain([header], zip(*cells))))
 
 
 def _trajectory_table(label: str, expect_label: str, trajectory):
     dim = trajectory.amplitudes.shape[1]
     header = ["step", label, "norm", expect_label]
     header += [f"{part}_{k}" for k in range(dim) for part in ("re", "im")]
-    rows = _csv_rows(
-        np.arange(len(trajectory.grid)), trajectory.grid, trajectory.norms,
+    return _csv_lines(
+        header, np.arange(len(trajectory.grid)), trajectory.grid, trajectory.norms,
         trajectory.expectations, *trajectory.amplitudes.view(float).T,
     )
-    return header, rows
 
 
 def _run_evolve_h(config: dict, base_dir: Path):
@@ -189,24 +191,19 @@ def _run_compare_pictures(config: dict, base_dir: Path):
         psi0, hamiltonian, block["reference_temperature"], mode, grid, epsilon, constants
     )
     tolerance = {"real_C": 1e-8, "frozen_S": 1e-10, "chart_S": 1e-8}[mode]
-    header = ["mode", "epsilon", "max_deviation"]
-    rows = [[mode, repr(float(epsilon)), repr(float(deviation))]]
     outputs = {"mode": mode, "epsilon": float(epsilon), "max_deviation": float(deviation)}
+    table = _csv_lines(list(outputs), *([value] for value in outputs.values()))
     verdicts = [CheckResult.bounded("picture-deviation", deviation, tolerance)]
-    return outputs, verdicts, (header, rows)
+    return outputs, verdicts, table
 
 
 def _run_gravity(config: dict, base_dir: Path):
     block = config["gravity"]
     source = source_from(block["source"], base_dir)
     seed = config.get("seed", 0)
-    header = ["x", "y", "z", "h"]
-    rows = []
-    potentials = []
-    for probe in block.get("probes", []):
-        value = trace_potential(source, probe)
-        potentials.append(value)
-        rows.append([repr(float(c)) for c in probe] + [repr(float(value))])
+    probes = np.asarray(block.get("probes", []), dtype=float).reshape(-1, 3)
+    potentials = [trace_potential(source, probe) for probe in probes]
+    table = _csv_lines(["x", "y", "z", "h"], *probes.T, potentials)
     outputs = {"total_mass": float(source.total_mass)}
     verdicts = []
     if potentials:
@@ -223,7 +220,7 @@ def _run_gravity(config: dict, base_dir: Path):
             source, block["laplacian"]["point"], block["laplacian"].get("step")
         )
         outputs["laplacian_residual"] = float(residual)
-    return outputs, verdicts, (header, rows)
+    return outputs, verdicts, table
 
 
 def _run_onsager(config: dict, base_dir: Path):
@@ -231,8 +228,8 @@ def _run_onsager(config: dict, base_dir: Path):
     system = system_from(block["system"], base_dir)
     grid = grid_from(block["grid"])
     trajectory = relax(system, grid)
-    header = ["step", "tprime", "entropy_rate"] + [f"y_{k}" for k in range(system.dim)]
-    rows = _csv_rows(
+    table = _csv_lines(
+        ["step", "tprime", "entropy_rate"] + [f"y_{k}" for k in range(system.dim)],
         np.arange(len(trajectory.tprimes)), trajectory.tprimes, trajectory.entropy_rates,
         *trajectory.ys.T,
     )
@@ -249,7 +246,7 @@ def _run_onsager(config: dict, base_dir: Path):
         verdicts.append(
             CheckResult.bounded("entropy-rate-nonnegative", max(worst, 0.0), 1e-12)
         )
-    return outputs, verdicts, (header, rows)
+    return outputs, verdicts, table
 
 
 def _run_fluct(config: dict, base_dir: Path):
@@ -259,8 +256,7 @@ def _run_fluct(config: dict, base_dir: Path):
     samples = gaussian_sample(
         reference, block["n"], seed=config.get("seed", 0), constants=constants
     )
-    header = ["dp", "dV", "dT", "dS"]
-    rows = _csv_rows(samples.dp, samples.dV, samples.dT, samples.dS)
+    table = _csv_lines(["dp", "dV", "dT", "dS"], samples.dp, samples.dV, samples.dT, samples.dS)
     outputs = {"n": len(samples)}
     verdicts = []
     if len(samples) >= 1000:
@@ -275,34 +271,29 @@ def _run_fluct(config: dict, base_dir: Path):
             verdicts.append(
                 CheckResult.bounded(name, statistic.standardized_deviation(target), 3.0)
             )
-    return outputs, verdicts, (header, rows)
+    return outputs, verdicts, table
 
 
 def _run_stokes(config: dict, base_dir: Path):
     block = config["stokes"]
     patch = patch_from(block["patch"])
     resolutions = block["resolutions"]
-    header = ["resolution", "area", "boundary_action", "abs_gap"]
-    rows = []
-    gaps = []
-    for resolution in resolutions:
-        area = symplectic_area(patch, resolution)
-        circulation = boundary_action(patch, resolution)
-        gap = abs(area - circulation)
-        gaps.append(gap)
-        rows.append([
-            str(int(resolution)), repr(float(area)),
-            repr(float(circulation)), repr(float(gap)),
-        ])
-    outputs = {"gaps": [float(g) for g in gaps]}
+    areas = np.array([symplectic_area(patch, resolution) for resolution in resolutions])
+    circulations = np.array([boundary_action(patch, resolution) for resolution in resolutions])
+    gaps = np.abs(areas - circulations)
+    table = _csv_lines(
+        ["resolution", "area", "boundary_action", "abs_gap"],
+        resolutions, areas, circulations, gaps,
+    )
+    outputs = {"gaps": gaps.tolist()}
     verdicts = []
     if len(resolutions) >= 3 and all(g > 1e-13 for g in gaps):
         order = fitted_order(resolutions, gaps)
         outputs["convergence_order"] = order
         verdicts.append(CheckResult("stokes-order", 1.9, order, order >= 1.9))
-    elif gaps:
+    else:  # the schema asks for at least one resolution
         verdicts.append(CheckResult.bounded("stokes-gap", float(max(gaps)), 1e-9))
-    return outputs, verdicts, (header, rows)
+    return outputs, verdicts, table
 
 
 _RUNNERS = {
@@ -316,8 +307,8 @@ _RUNNERS = {
 }
 
 
-def _write_atomically(path: Path, write, **open_args) -> None:
-    """Call ``write(handle)`` on a temp file beside ``path``, then rename it onto ``path``.
+def _write_atomically(path: Path, text) -> None:
+    """Write the strings of ``text`` to a temp file beside ``path``, then rename it onto ``path``.
 
     A failed write removes the temp file and leaves ``path`` as it was.  A
     target that exists and is not a regular file, such as ``/dev/null``, is
@@ -326,26 +317,23 @@ def _write_atomically(path: Path, write, **open_args) -> None:
     path = Path(os.path.realpath(path))
     path.parent.mkdir(parents=True, exist_ok=True)
     if path.exists() and not path.is_file():
-        with open(path, "w", **open_args) as handle:
-            write(handle)
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            handle.writelines(text)
         return
     temp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     try:
-        with open(temp, "x", **open_args) as handle:
-            write(handle)
+        with open(temp, "x", newline="", encoding="utf-8") as handle:
+            handle.writelines(text)
         os.replace(temp, path)
     except BaseException:
         temp.unlink(missing_ok=True)
         raise
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    def write(handle):
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-    _write_atomically(path, write, newline="", encoding="utf-8")
+# _write_csv and _write_record keep their own names and a path as their
+# first argument: perfbench/tracer.py times and counts each by name
+def _write_csv(path: Path, lines) -> None:
+    _write_atomically(path, lines)
 
 
 def _write_record(path: Path, config: dict, outputs: dict, verdicts, wall_clock: float) -> None:
@@ -356,12 +344,7 @@ def _write_record(path: Path, config: dict, outputs: dict, verdicts, wall_clock:
         "verdicts": [result.verdict() for result in verdicts],
         "wall_clock_s": wall_clock,
     }
-
-    def write(handle):
-        json.dump(record, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-    _write_atomically(path, write, encoding="utf-8")
+    _write_atomically(path, [json.dumps(record, indent=2, sort_keys=True), "\n"])
 
 
 def _write_artifacts(csv_path: Path, table, record_path: Path, config, outputs, verdicts,
@@ -373,7 +356,7 @@ def _write_artifacts(csv_path: Path, table, record_path: Path, config, outputs, 
     partial artifact nor a data artifact without its record.
     """
     try:
-        _write_csv(csv_path, *table)
+        _write_csv(csv_path, table)
         try:
             _write_record(record_path, config, outputs, verdicts, wall_clock)
         except OSError:
@@ -453,15 +436,12 @@ def _check_all_command(args) -> int:
         return 3
     wall_clock = time.perf_counter() - started
 
-    header = ["criterion", "tolerance", "measured", "passed"]
-    rows = [
-        [result.name, repr(float(result.tolerance)), repr(float(result.measured)),
-         str(bool(result.passed)).lower()]
-        for result in results
-    ]
+    rows = [(result.name, float(result.tolerance), float(result.measured),
+             str(bool(result.passed)).lower()) for result in results]
+    table = _csv_lines(["criterion", "tolerance", "measured", "passed"], *zip(*rows))
     outputs = {"criteria": [result.to_dict() for result in results]}
     code = _write_artifacts(
-        outdir / "summary.csv", (header, rows), outdir / "record.json",
+        outdir / "summary.csv", table, outdir / "record.json",
         config, outputs, results, wall_clock,
     )
     if code:

@@ -56,8 +56,17 @@ def schema() -> dict:
     return json.loads(text)
 
 
+# Draft 2020-12 counts 5.0 as an integer; counts, sizes and seeds must be JSON integers
+_Validator = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda checker, value: isinstance(value, int) and not isinstance(value, bool)
+    ),
+)
+
+
 def validate_config(config: dict) -> None:
-    validator = jsonschema.Draft202012Validator(schema())
+    validator = _Validator(schema())
     errors = sorted(validator.iter_errors(config), key=lambda e: list(e.absolute_path))
     if errors:
         lines = []

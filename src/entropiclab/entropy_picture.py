@@ -492,6 +492,20 @@ def second_law_refinement(delta_s: float, constants: Constants = NATURAL) -> Sec
     return SecondLawVerdict.SECOND_LAW_ONLY
 
 
+def _closed_form_rows(mode, psi0, hamiltonian, reference_temperature, taus, epsilon, constants):
+    """Closed-form ``frozen_S`` or ``chart_S`` rows at each tau (see picture_consistency)."""
+    decomposition = spectral_decompose(hamiltonian)
+    h = decomposition.eigenvalues
+    if mode == "frozen_S":
+        phases = [(1j - epsilon) * (h / reference_temperature) * tau / constants.kB for tau in taus]
+    else:
+        phases = [
+            (1j - epsilon) * (h / (constants.kB * reference_temperature)) * (1.0 - math.exp(-tau))
+            for tau in taus
+        ]
+    return eigenbasis_rows(decomposition, phases, psi0)
+
+
 def picture_consistency(
     psi0: StateVector,
     hamiltonian: HermitianOperator,
@@ -538,22 +552,14 @@ def picture_consistency(
     elif mode == "frozen_S":
         frozen = entropy_operator(hamiltonian, reference_temperature)
         s_side = evolve_s(psi0, frozen, grid, epsilon, constants)
-        eigenvalues = spectral_decompose(hamiltonian).eigenvalues
-        phases = [
-            (1j - epsilon) * (eigenvalues / reference_temperature) * tau / constants.kB
-            for tau in grid
-        ]
-        reference = eigenbasis_rows(spectral_decompose(hamiltonian), phases, psi0)
+        reference = _closed_form_rows(
+            mode, psi0, hamiltonian, reference_temperature, grid, epsilon, constants
+        )
     elif mode == "chart_S":
         s_side = evolve_s(psi0, chart_schedule, grid, epsilon, constants, rtol=rtol)
-        eigenvalues = spectral_decompose(hamiltonian).eigenvalues
-        phases = [
-            (1j - epsilon)
-            * (eigenvalues / (constants.kB * reference_temperature))
-            * (1.0 - math.exp(-tau))
-            for tau in grid
-        ]
-        reference = eigenbasis_rows(spectral_decompose(hamiltonian), phases, psi0)
+        reference = _closed_form_rows(
+            mode, psi0, hamiltonian, reference_temperature, grid, epsilon, constants
+        )
     else:
         raise ValueError(f"unknown mode {mode!r}; expected real_C, frozen_S or chart_S")
 
@@ -579,13 +585,9 @@ def generator_reading_gap(
         raise ValueError("reference_temperature must be positive")
     if not (np.isfinite(tau) and np.isfinite(epsilon)):
         raise ValueError("tau and epsilon must be finite")
-    decomposition = spectral_decompose(hamiltonian)
-    eigenvalues = decomposition.eigenvalues
-    frozen_phase = (1j - epsilon) * (eigenvalues / reference_temperature) * tau / constants.kB
-    chart_phase = (
-        (1j - epsilon)
-        * (eigenvalues / (constants.kB * reference_temperature))
-        * (1.0 - math.exp(-tau))
+    frozen_row, chart_row = (
+        _closed_form_rows(mode, psi0, hamiltonian, reference_temperature, [tau], epsilon,
+                          constants)[0]
+        for mode in ("frozen_S", "chart_S")
     )
-    frozen_row, chart_row = eigenbasis_rows(decomposition, [frozen_phase, chart_phase], psi0)
     return float(np.linalg.norm(frozen_row - chart_row))

@@ -105,15 +105,22 @@ class Trajectory:
 
         ``amplitudes`` holds one row per grid point and is made read-only.
         ``generator`` is one ``HermitianOperator``, or for a schedule a
-        callable grid point -> ``HermitianOperator``.
+        callable grid point -> ``HermitianOperator``.  A norm or average
+        past the double range raises ``OverflowError``.
         """
         generator_at = generator if callable(generator) else (lambda point: generator)
         amplitudes.setflags(write=False)
-        norms = np.array([np.linalg.norm(row) for row in amplitudes])
-        averages = np.array([
-            expectation(generator_at(point), StateVector(row))
-            for point, row in zip(grid, amplitudes)
-        ])
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = np.array([np.linalg.norm(row) for row in amplitudes])
+            averages = np.array([
+                expectation(generator_at(point), StateVector(row))
+                for point, row in zip(grid, amplitudes)
+            ])
+        if not (np.isfinite(norms).all() and np.isfinite(averages).all()):
+            raise OverflowError(
+                "the evolved state's norm or generator average exceeds the double range; "
+                "rescale the generator or shorten the evolution interval"
+            )
         return cls(grid, amplitudes, norms, averages)
 
     @property

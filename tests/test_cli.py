@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import os
@@ -10,14 +11,19 @@ import pytest
 from conftest import cli_env
 
 from entropiclab import (
+    Constants,
     OnsagerSystem,
     ThermoReference,
+    boundary_action,
     emit_report,
     entropy_operator,
     evolve_h,
     evolve_s,
     gaussian_sample,
+    picture_consistency,
     relax,
+    symplectic_area,
+    trace_potential,
 )
 from entropiclab.cli import main
 from entropiclab.config import (
@@ -25,6 +31,8 @@ from entropiclab.config import (
     grid_from,
     hamiltonian_from,
     load_config,
+    patch_from,
+    source_from,
     state_from,
     validate_config,
 )
@@ -321,24 +329,68 @@ class TestFailureModes:
         assert not out.exists()
 
     def test_failed_csv_write_leaves_no_file(self, tmp_path, monkeypatch):
+        import builtins
+
         import entropiclab.cli as cli_module
 
-        real_writer = csv.writer
+        class DiskFullFile:
+            """A text file that takes its first write, then fails as a full disk does."""
 
-        class DiskFullWriter:
             def __init__(self, handle):
-                self._writer = real_writer(handle)
+                self._handle = handle
+                self._writes = 0
 
-            def writerow(self, row):
-                self._writer.writerow(row)
+            def __enter__(self):
+                return self
 
-            def writerows(self, rows):
-                raise OSError(28, "No space left on device")
+            def __exit__(self, *exc_info):
+                self._handle.close()
 
-        monkeypatch.setattr(cli_module.csv, "writer", DiskFullWriter)
+            def write(self, text):
+                if self._writes:
+                    raise OSError(28, "No space left on device")
+                self._writes += 1
+                return self._handle.write(text)
+
+            def writelines(self, lines):
+                for line in lines:
+                    self.write(line)
+
+        def disk_full_open(*args, **kwargs):
+            return DiskFullFile(builtins.open(*args, **kwargs))
+
+        monkeypatch.setattr(cli_module, "open", disk_full_open, raising=False)
         config = write_config(tmp_path / "cfg.json", EVOLVE_S_CONFIG)
         out = tmp_path / "part.csv"
         assert main(["evolve-s", "--config", config, "--out", str(out)]) == 5
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_norm_overflow_exits_3(self, tmp_path, capsys):
+        # amplitudes pass the exponent guard, their squares do not
+        payload = json.loads(json.dumps(EVOLVE_S_CONFIG))
+        payload["evolve_s"]["grid"] = {"points": [0.0, 250.0, 500.0]}
+        payload["evolve_s"]["epsilon"] = -1.0
+        config = write_config(tmp_path / "cfg.json", payload)
+        assert main(["evolve-s", "--config", config, "--out", str(tmp_path / "o.csv")]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    @pytest.mark.parametrize("scenario, block, where", [
+        ("evolve-s", {**EVOLVE_S_CONFIG["evolve_s"],
+                      "grid": {"start": 0.0, "stop": 1.0, "num": 5.0}}, "evolve_s/grid/num"),
+        ("stokes", {"patch": {"kind": "disk", "radius": 0.8}, "resolutions": [16.0, 32, 64]},
+         "stokes/resolutions/0"),
+        ("evolve-h", {"hamiltonian": {"kind": "random_hermitian", "dim": 4.0, "seed": 2},
+                      "state": {"kind": "uniform"},
+                      "grid": {"start": 0.0, "stop": 1.0, "num": 3}},
+         "evolve_h/hamiltonian/dim"),
+    ], ids=["num", "resolutions", "dim"])
+    def test_integral_float_for_integer_exits_2(self, tmp_path, capsys, scenario, block, where):
+        config = write_config(
+            tmp_path / "cfg.json", {"scenario": scenario, scenario.replace("-", "_"): block}
+        )
+        assert main([scenario, "--config", config, "--out", str(tmp_path / "o.csv")]) == 2
+        assert f"at {where}: " in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     @pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
@@ -419,19 +471,34 @@ class TestCheckAll:
 
 def read_table(path):
     rows = list(csv.reader(path.read_text().splitlines()))
-    return rows[0], np.array([[float(cell) for cell in row] for row in rows[1:]])
+    return rows[0], rows[1:]
 
 
-def trajectory_columns(trajectory):
-    amplitudes = trajectory.amplitudes
-    parts = [
-        part for k in range(amplitudes.shape[1])
-        for part in (amplitudes[:, k].real, amplitudes[:, k].imag)
+def csv_writer_text(header, columns):
+    """The reference CSV: ``csv.writer``'s default dialect over cells written
+    as the parent format wrote them, ``str`` for labels and integers and
+    ``repr(float)`` for everything else."""
+    cells = [
+        [x if isinstance(x, str) else str(x) if isinstance(x, int) else repr(float(x))
+         for x in np.asarray(column).tolist()]
+        for column in columns
     ]
-    return np.column_stack([
-        np.arange(len(trajectory.grid)), trajectory.grid, trajectory.norms,
-        trajectory.expectations, *parts,
-    ])
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows(zip(*cells))
+    return buffer.getvalue()
+
+
+def trajectory_case(label, expect_label, trajectory):
+    amplitudes = trajectory.amplitudes
+    header = ["step", label, "norm", expect_label]
+    columns = [np.arange(len(trajectory.grid)), trajectory.grid, trajectory.norms,
+               trajectory.expectations]
+    for k in range(amplitudes.shape[1]):
+        header += [f"re_{k}", f"im_{k}"]
+        columns += [amplitudes[:, k].real, amplitudes[:, k].imag]
+    return header, columns
 
 
 def evolve_s_case(schedule):
@@ -452,7 +519,7 @@ def evolve_s_case(schedule):
         )
     else:
         trajectory = evolve_s(psi0, entropy_operator(hamiltonian, 1.0), grid, -0.1)
-    return config, trajectory_columns(trajectory)
+    return (config, *trajectory_case("tau", "expect_S", trajectory))
 
 
 def evolve_h_case():
@@ -465,7 +532,8 @@ def evolve_h_case():
     trajectory = evolve_h(
         state_from(block["state"], hamiltonian.dim), hamiltonian, grid_from(block["grid"])
     )
-    return {"scenario": "evolve-h", "evolve_h": block}, trajectory_columns(trajectory)
+    return ({"scenario": "evolve-h", "evolve_h": block},
+            *trajectory_case("t", "expect_H", trajectory))
 
 
 def onsager_case():
@@ -476,11 +544,10 @@ def onsager_case():
         "grid": {"start": 0.0, "stop": 3.0, "num": 13},
     }
     trajectory = relax(OnsagerSystem.from_dict(block["system"]), grid_from(block["grid"]))
-    columns = np.column_stack([
-        np.arange(len(trajectory.tprimes)), trajectory.tprimes, trajectory.entropy_rates,
-        trajectory.ys,
-    ])
-    return {"scenario": "onsager", "onsager": block}, columns
+    header = ["step", "tprime", "entropy_rate", "y_0", "y_1", "y_2"]
+    columns = [np.arange(len(trajectory.tprimes)), trajectory.tprimes, trajectory.entropy_rates,
+               *trajectory.ys.T]
+    return {"scenario": "onsager", "onsager": block}, header, columns
 
 
 def fluct_case():
@@ -489,29 +556,123 @@ def fluct_case():
         "n": 3000,
     }
     samples = gaussian_sample(FLUCT_REFERENCE, 3000, seed=9)
-    columns = np.column_stack([samples.dp, samples.dV, samples.dT, samples.dS])
-    return {"scenario": "fluct", "seed": 9, "fluct": block}, columns
+    columns = [samples.dp, samples.dV, samples.dT, samples.dS]
+    return {"scenario": "fluct", "seed": 9, "fluct": block}, ["dp", "dV", "dT", "dS"], columns
+
+
+def gravity_case(probes):
+    # integer probe coordinates in the JSON still print as floats
+    block = {
+        "source": {
+            "spacing": 0.5, "origin": [0.0, 0.0, 0.0], "shape": [3, 3, 3],
+            "primitives": [{"kind": "point", "position": [0.75, 0.75, 0.75], "mass": 2.0}],
+        },
+        "probes": probes,
+    }
+    source = source_from(block["source"], None)
+    coordinates = np.asarray(probes, dtype=float).reshape(-1, 3)
+    potentials = [trace_potential(source, probe) for probe in probes]
+    return ({"scenario": "gravity", "gravity": block}, ["x", "y", "z", "h"],
+            [*coordinates.T, potentials])
+
+
+def stokes_case():
+    block = {"patch": {"kind": "fourier", "seed": 4}, "resolutions": [16, 32, 64]}
+    patch = patch_from(block["patch"])
+    areas = [symplectic_area(patch, n) for n in block["resolutions"]]
+    circulations = [boundary_action(patch, n) for n in block["resolutions"]]
+    gaps = [abs(a - c) for a, c in zip(areas, circulations)]
+    return ({"scenario": "stokes", "stokes": block},
+            ["resolution", "area", "boundary_action", "abs_gap"],
+            [block["resolutions"], areas, circulations, gaps])
+
+
+def compare_pictures_case(mode):
+    block = {
+        "hamiltonian": {"kind": "random_hermitian", "dim": 3, "seed": 5},
+        "state": {"kind": "random", "seed": 6},
+        "grid": {"start": 0.0, "stop": 0.5, "num": 4},
+        "reference_temperature": 1.3,
+        "mode": mode,
+        "epsilon": 0.0 if mode == "real_C" else -0.2,
+    }
+    constants = Constants(hbar=0.7, kB=1.3)
+    hamiltonian = hamiltonian_from(block["hamiltonian"], constants)
+    deviation = picture_consistency(
+        state_from(block["state"], hamiltonian.dim), hamiltonian, 1.3, mode,
+        grid_from(block["grid"]), block["epsilon"], constants,
+    )
+    config = {"scenario": "compare-pictures", "constants": {"hbar": 0.7, "kB": 1.3},
+              "compare_pictures": block}
+    return config, ["mode", "epsilon", "max_deviation"], [[mode], [block["epsilon"]], [deviation]]
+
+
+SCENARIO_CASES = {
+    "evolve-h": evolve_h_case,
+    "evolve-s-frozen": lambda: evolve_s_case("frozen"),
+    "evolve-s-chart": lambda: evolve_s_case("chart"),
+    "onsager": onsager_case,
+    "fluct": fluct_case,
+    "gravity": lambda: gravity_case([[3, 1, 0], [0.5, -2.25, 7]]),
+    "stokes": stokes_case,
+    "compare-pictures-real-C": lambda: compare_pictures_case("real_C"),
+    "compare-pictures-frozen-S": lambda: compare_pictures_case("frozen_S"),
+    "compare-pictures-chart-S": lambda: compare_pictures_case("chart_S"),
+}
+
+
+def run_case(tmp_path, case):
+    payload, header, columns = case()
+    config = write_config(tmp_path / "cfg.json", payload)
+    out = tmp_path / "data.csv"
+    assert main([payload["scenario"], "--config", config, "--out", str(out)]) == 0
+    return out, header, columns
 
 
 class TestCsvRoundTrip:
     """Every CSV cell reads back to exactly the value the library returns."""
 
-    @pytest.mark.parametrize("case", [
-        evolve_h_case,
-        lambda: evolve_s_case("frozen"),
-        lambda: evolve_s_case("chart"),
-        onsager_case,
-        fluct_case,
-    ], ids=["evolve-h", "evolve-s-frozen", "evolve-s-chart", "onsager", "fluct"])
+    @pytest.mark.parametrize("case", SCENARIO_CASES.values(), ids=SCENARIO_CASES.keys())
     def test_cells_equal_library_arrays(self, tmp_path, case):
-        payload, expected = case()
-        config = write_config(tmp_path / "cfg.json", payload)
-        out = tmp_path / "data.csv"
-        assert main([payload["scenario"], "--config", config, "--out", str(out)]) == 0
-        header, table = read_table(out)
-        assert len(header) == expected.shape[1]
-        assert table.shape == expected.shape
-        assert np.array_equal(table, expected)
+        out, header, columns = run_case(tmp_path, case)
+        written_header, rows = read_table(out)
+        assert written_header == header
+        assert len(rows) == len(columns[0])
+        assert all(len(row) == len(header) for row in rows)
+        for cells, column in zip(zip(*rows), columns):
+            if isinstance(column[0], str):
+                assert list(cells) == list(column)
+            else:
+                assert np.array_equal(np.array([float(cell) for cell in cells]), column)
+
+
+class TestCsvFormat:
+    """The CLI's CSV bytes equal ``csv.writer``'s over the same cells."""
+
+    @pytest.mark.parametrize(
+        "case", [*SCENARIO_CASES.values(), lambda: gravity_case([])],
+        ids=[*SCENARIO_CASES.keys(), "gravity-no-probes"],
+    )
+    def test_scenario_bytes_match_csv_writer(self, tmp_path, case):
+        out, header, columns = run_case(tmp_path, case)
+        assert out.read_bytes() == csv_writer_text(header, columns).encode("utf-8")
+
+    def test_check_all_summary_matches_csv_writer(self, tmp_path, monkeypatch):
+        import entropiclab.cli as cli_module
+
+        results = [
+            CheckResult.bounded("unitary-limit", 3.4e-17, 1e-12),
+            CheckResult("stokes-identity", 1.9, 1.7600000000000002, False),
+            CheckResult.bounded("gravity-falloff", 0.0, 5),
+        ]
+        monkeypatch.setattr(cli_module, "run_all", lambda seed: results)
+        assert main(["check-all", "--outdir", str(tmp_path)]) == 4
+        expected = csv_writer_text(
+            ["criterion", "tolerance", "measured", "passed"],
+            [[r.name for r in results], [r.tolerance for r in results],
+             [r.measured for r in results], [str(r.passed).lower() for r in results]],
+        )
+        assert (tmp_path / "summary.csv").read_bytes() == expected.encode("utf-8")
 
 
 class TestEmitReport:

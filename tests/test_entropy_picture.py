@@ -294,6 +294,13 @@ class TestEvolveS:
         with pytest.raises(OverflowError):
             evolve_s(StateVector([1.0, 1.0]), generator, [0.0, 700.0, 1400.0, 1500.0], -0.5)
 
+    def test_norm_overflow_is_reported(self):
+        # exponent tau on the upper level stays below 709, but at tau = 500
+        # the squared amplitude exp(1000) is past the double range
+        generator = entropy_operator(build_hamiltonian("two_level", e0=0.0, e1=1.0), 1.0)
+        with pytest.raises(OverflowError, match="double range"):
+            evolve_s(StateVector([1.0, 1.0]), generator, [0.0, 250.0, 500.0], -1.0)
+
     @pytest.mark.parametrize("stop", [720.0, 800.0], ids=["subnormal", "zero"])
     def test_underflowed_state_is_a_numerical_failure(self, stop):
         # contraction to exp(-tau) and exp(-2 tau): at tau = 720 every squared
