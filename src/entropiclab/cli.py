@@ -5,8 +5,10 @@ corresponding scenario deterministically, writes a CSV data artifact plus
 a JSON run record (configuration echo, summary outputs, invariant
 verdicts, wall clock, tool version), and exits 0.  Failures map to stable
 exit codes: 2 for configuration/schema problems, 3 for numerical failures
-(non-convergence, overflow), 4 when ``check-all`` finds an invariant
-violation, and 5 when an artifact cannot be written.
+(non-convergence, overflow) and for running out of memory, 4 when
+``check-all`` finds an invariant violation, and 5 when an artifact cannot
+be written.  ``check-all`` is one more runner: its configuration may come
+from flags instead of a file, and it also prints the verdict table.
 """
 from __future__ import annotations
 
@@ -296,6 +298,14 @@ def _run_stokes(config: dict, base_dir: Path):
     return outputs, verdicts, table
 
 
+def _run_check_all(config: dict, base_dir: Path):
+    results = run_all(seed=config.get("seed", 0))
+    rows = [(result.name, float(result.tolerance), float(result.measured),
+             str(bool(result.passed)).lower()) for result in results]
+    table = _csv_lines(["criterion", "tolerance", "measured", "passed"], *zip(*rows))
+    return {"criteria": [result.to_dict() for result in results]}, results, table
+
+
 _RUNNERS = {
     "evolve-h": _run_evolve_h,
     "evolve-s": _run_evolve_s,
@@ -304,6 +314,7 @@ _RUNNERS = {
     "onsager": _run_onsager,
     "fluct": _run_fluct,
     "stokes": _run_stokes,
+    "check-all": _run_check_all,
 }
 
 
@@ -369,9 +380,16 @@ def _write_artifacts(csv_path: Path, table, record_path: Path, config, outputs, 
     return 0
 
 
-def _scenario_command(args) -> int:
+def _command(args) -> int:
     try:
-        config = load_config(args.config)
+        if args.config:
+            config = load_config(args.config)
+            base_dir = Path(args.config).resolve().parent
+        else:  # check-all's flag form
+            config = {"scenario": "check-all", "seed": args.seed,
+                      "check_all": {"workers": args.workers}}
+            validate_config(config)
+            base_dir = Path.cwd()
         scenario = config["scenario"]
         if scenario != args.command:
             raise ConfigError(
@@ -391,65 +409,27 @@ def _scenario_command(args) -> int:
 
     started = time.perf_counter()
     try:
-        outputs, verdicts, table = _RUNNERS[args.command](
-            config, Path(args.config).resolve().parent
-        )
+        outputs, verdicts, table = _RUNNERS[args.command](config, base_dir)
     # before ValueError: np.linalg.LinAlgError is itself a ValueError
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     wall_clock = time.perf_counter() - started
 
-    return _write_artifacts(
+    code = _write_artifacts(
         Path(out_path), table, Path(record_path), config, outputs, verdicts, wall_clock
     )
-
-
-def _check_all_command(args) -> int:
-    try:
-        if args.config:
-            config = load_config(args.config)
-            if config["scenario"] != "check-all":
-                raise ConfigError("config scenario must be 'check-all'")
-        else:
-            config = {
-                "scenario": "check-all",
-                "seed": args.seed,
-                "check_all": {"workers": args.workers},
-            }
-            validate_config(config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    seed = config.get("seed", 0)
-    outdir = Path(args.outdir)
-
-    started = time.perf_counter()
-    try:
-        results = run_all(seed=seed)
-    except _NUMERICAL_ERRORS as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    wall_clock = time.perf_counter() - started
-
-    rows = [(result.name, float(result.tolerance), float(result.measured),
-             str(bool(result.passed)).lower()) for result in results]
-    table = _csv_lines(["criterion", "tolerance", "measured", "passed"], *zip(*rows))
-    outputs = {"criteria": [result.to_dict() for result in results]}
-    code = _write_artifacts(
-        outdir / "summary.csv", table, outdir / "record.json",
-        config, outputs, results, wall_clock,
-    )
-    if code:
+    if code or args.command != "check-all":
         return code
-
-    record = {"config": config, "verdicts": [result.verdict() for result in results]}
+    record = {"config": config, "verdicts": [result.verdict() for result in verdicts]}
     print(emit_report([record]).text)
-    return 0 if all(result.passed for result in results) else 4
+    return 0 if all(result.passed for result in verdicts) else 4
 
 
 def main(argv=None) -> int:
@@ -459,7 +439,7 @@ def main(argv=None) -> int:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    for name in _RUNNERS:
+    for name in [name for name in _RUNNERS if name != "check-all"]:
         sub = subparsers.add_parser(name, help=f"run the {name} scenario from a JSON config")
         sub.add_argument("--config", required=True, help="path to the run configuration JSON")
         sub.add_argument("--out", help="CSV output path (overrides output.csv)")
@@ -475,8 +455,9 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     if args.command == "check-all":
-        return _check_all_command(args)
-    return _scenario_command(args)
+        args.out = Path(args.outdir) / "summary.csv"
+        args.record = Path(args.outdir) / "record.json"
+    return _command(args)
 
 
 if __name__ == "__main__":

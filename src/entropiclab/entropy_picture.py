@@ -80,63 +80,52 @@ class WickFactor:
     ``phase`` interpolates from 0 (no field, unitary evolution) to -pi/2
     (strong field, maximal dissipation); ``factor`` is exp(i * phase) and
     ``epsilon = -pi * strength / 2`` is its weak-field expansion parameter.
+    All three are derived from ``strength``.
     """
 
     strength: float
-    phase: float
-    factor: complex
-    epsilon: float
+    phase: float = field(init=False)
+    factor: complex = field(init=False)
+    epsilon: float = field(init=False)
 
     def __post_init__(self):
         if not (np.isfinite(self.strength) and self.strength >= 0.0):
             raise ValueError(f"strength must be finite and >= 0, got {self.strength!r}")
-        expected_phase = -(math.pi / 2.0) * (1.0 - math.exp(-self.strength))
-        if abs(self.phase - expected_phase) > 1e-12:
-            raise ValueError("phase is inconsistent with the strength profile")
-        if abs(self.factor - complex(math.cos(self.phase), math.sin(self.phase))) > 1e-12:
-            raise ValueError("factor must equal exp(i * phase)")
-        if abs(abs(self.factor) - 1.0) > 1e-12:
-            raise ValueError("factor must have unit modulus")
-        expected_epsilon = -math.pi * self.strength / 2.0
-        if abs(self.epsilon - expected_epsilon) > 1e-12 * max(1.0, abs(expected_epsilon)):
-            raise ValueError("epsilon is inconsistent with the strength")
+        strength = float(self.strength)
+        phase = -(math.pi / 2.0) * (1.0 - math.exp(-strength))
+        object.__setattr__(self, "strength", strength)
+        object.__setattr__(self, "phase", phase)
+        object.__setattr__(self, "factor", complex(math.cos(phase), math.sin(phase)))
+        object.__setattr__(self, "epsilon", -math.pi * strength / 2.0)
 
 
 def wick_factor(strength: float) -> WickFactor:
     """Build the time-axis rotation for a given nonnegative field strength."""
-    if not np.isfinite(strength):
-        raise ValueError("strength must be finite")
-    if strength < 0.0:
-        raise ValueError(f"strength must be >= 0, got {strength}")
-    phase = -(math.pi / 2.0) * (1.0 - math.exp(-strength))
-    return WickFactor(
-        strength=float(strength),
-        phase=phase,
-        factor=complex(math.cos(phase), math.sin(phase)),
-        epsilon=-math.pi * float(strength) / 2.0,
-    )
+    return WickFactor(strength)
 
 
 @dataclass(frozen=True)
 class EntropyOperator:
-    """Energy operator divided by a fixed positive temperature."""
+    """Energy operator divided by a fixed positive temperature.
 
-    operator: HermitianOperator
-    temperature: float
+    ``operator`` is derived as ``source`` scaled by ``1 / temperature``, so
+    it inherits the source's eigensystem.
+    """
+
     source: HermitianOperator
+    temperature: float
+    operator: HermitianOperator = field(init=False)
 
     def __post_init__(self):
         if not (np.isfinite(self.temperature) and self.temperature > 0.0):
             raise ValueError(f"temperature must be positive, got {self.temperature!r}")
         if self.source.unit != "energy":
-            raise ValueError("source operator must carry energy units")
-        if self.operator.unit != "entropy":
-            raise ValueError("entropy operator must carry entropy units")
-        if self.operator.dim != self.source.dim:
-            raise ValueError("operator and source dimensions differ")
-        defect = np.linalg.norm(self.operator.entries - self.source.entries / self.temperature)
-        if defect > 1e-12 * max(self.operator.norm(), _TINY):
-            raise ValueError("operator entries must equal source / temperature")
+            raise ValueError("hamiltonian must carry energy units")
+        temperature = float(self.temperature)
+        object.__setattr__(self, "temperature", temperature)
+        object.__setattr__(
+            self, "operator", self.source.scaled(1.0 / temperature, unit="entropy")
+        )
 
     @property
     def dim(self) -> int:
@@ -145,15 +134,7 @@ class EntropyOperator:
 
 def entropy_operator(hamiltonian: HermitianOperator, temperature: float) -> EntropyOperator:
     """Divide an energy operator by a temperature to get the evolution generator."""
-    if not (np.isfinite(temperature) and temperature > 0.0):
-        raise ValueError(f"temperature must be positive, got {temperature!r}")
-    if hamiltonian.unit != "energy":
-        raise ValueError("hamiltonian must carry energy units")
-    return EntropyOperator(
-        operator=hamiltonian.scaled(1.0 / temperature, unit="entropy"),
-        temperature=float(temperature),
-        source=hamiltonian,
-    )
+    return EntropyOperator(hamiltonian, temperature)
 
 
 @dataclass(frozen=True)

@@ -67,12 +67,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self._amplitudes))
 
-    def normalized(self) -> "StateVector":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return StateVector(self._amplitudes / n)
-
     def __repr__(self) -> str:
         return f"StateVector(dim={self.dim}, norm={self.norm():.6g})"
 

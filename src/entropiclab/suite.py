@@ -87,6 +87,8 @@ def semigroup_gap(psi0, generator, tau1, tau2, epsilon, constants, allow_antidis
 def monotonicity_violation(norms, epsilon: float) -> float:
     """Largest step against the branch: a norm drop for epsilon < 0 (dilatation),
     a norm rise for epsilon > 0 (contraction); 0 when the norms are monotone."""
+    if len(norms) < 2:
+        return 0.0
     steps = np.diff(norms)
     return float(max(np.max(-steps) if epsilon < 0 else np.max(steps), 0.0))
 

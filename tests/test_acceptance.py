@@ -12,7 +12,7 @@ import time
 import pytest
 from conftest import cli_env
 
-from entropiclab.suite import criterion_names, run_all
+from entropiclab.suite import criterion_names, monotonicity_violation, run_all
 
 ACCEPTANCE_SEED = 2026
 
@@ -41,6 +41,18 @@ def test_criterion(name, suite_results):
 
 def test_suite_runs_at_desk_scale(suite_results):
     assert suite_results["__wall_clock__"] < 60.0
+
+
+class TestMonotonicityViolation:
+    @pytest.mark.parametrize("epsilon", [-0.1, 0.1])
+    def test_fewer_than_two_norms_are_monotone(self, epsilon):
+        assert monotonicity_violation([1.0], epsilon) == 0.0
+        assert monotonicity_violation([], epsilon) == 0.0
+
+    def test_largest_step_against_the_branch(self):
+        norms = [1.0, 1.5, 1.25, 2.0]
+        assert monotonicity_violation(norms, -0.1) == 0.25
+        assert monotonicity_violation(norms, 0.1) == 0.75
 
 
 class TestCommandLineDeterminism:

@@ -65,6 +65,7 @@ EVOLVE_S_CONFIG = {
 }
 
 FLUCT_REFERENCE = ThermoReference.ideal_gas(1.0, 1.0, 1.0)
+IDEAL_GAS = {"preset": "ideal_gas", "pressure": 1.0, "volume": 1.0, "temperature": 1.0}
 
 
 class TestScenarioRuns:
@@ -91,6 +92,16 @@ class TestScenarioRuns:
         out_b = tmp_path / "b.csv"
         assert main(["evolve-s", "--config", echoed, "--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    def test_one_point_grid_with_nonzero_epsilon(self, tmp_path):
+        payload = json.loads(json.dumps(EVOLVE_S_CONFIG))
+        payload["evolve_s"]["grid"] = {"points": [0.0]}
+        config = write_config(tmp_path / "cfg.json", payload)
+        assert main(["evolve-s", "--config", config, "--out", str(tmp_path / "o.csv")]) == 0
+        record = json.loads((tmp_path / "o.csv.record.json").read_text())
+        verdicts = {v["name"]: v for v in record["verdicts"]}
+        assert verdicts["s-dilatation"]["measured"] == 0.0
+        assert verdicts["s-dilatation"]["passed"] is True
 
     def test_two_processes_same_bytes(self, tmp_path):
         config = write_config(tmp_path / "cfg.json", EVOLVE_S_CONFIG)
@@ -411,6 +422,51 @@ class TestFailureModes:
         blocker = tmp_path / "not_a_dir"
         blocker.write_text("")
         assert cli_module.main(["check-all", "--outdir", str(blocker)]) == 5
+
+    def test_out_of_memory_exits_3(self, tmp_path, monkeypatch, capsys):
+        import entropiclab.cli as cli_module
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 29.1 TiB")
+
+        monkeypatch.setattr(cli_module, "gaussian_sample", exhausted)
+        monkeypatch.setattr(cli_module, "run_all", exhausted)
+        config = write_config(tmp_path / "cfg.json", {
+            "scenario": "fluct",
+            "fluct": {"reference": IDEAL_GAS, "n": 10**12},
+        })
+        assert main(["fluct", "--config", config, "--out", str(tmp_path / "o.csv")]) == 3
+        assert main(["check-all", "--outdir", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err.count("out of memory: Unable to allocate") == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_seed_beyond_philox_key_exits_2(self, tmp_path, capsys):
+        seed = 2**128
+        fluct = write_config(tmp_path / "fluct.json", {
+            "scenario": "fluct", "seed": seed,
+            "fluct": {"reference": IDEAL_GAS, "n": 10},
+        })
+        check = write_config(tmp_path / "check.json", {"scenario": "check-all", "seed": seed})
+        assert main(["fluct", "--config", fluct, "--out", str(tmp_path / "o.csv")]) == 2
+        assert main(["check-all", "--config", check, "--outdir", str(tmp_path / "a")]) == 2
+        assert main(["check-all", "--seed", str(seed), "--outdir", str(tmp_path / "b")]) == 2
+        assert capsys.readouterr().err.count("at seed: ") == 3
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["check.json", "fluct.json"]
+
+    def test_largest_seed_runs(self, tmp_path):
+        config = write_config(tmp_path / "cfg.json", {
+            "scenario": "fluct", "seed": 2**128 - 1,
+            "fluct": {"reference": IDEAL_GAS, "n": 10},
+        })
+        assert main(["fluct", "--config", config, "--out", str(tmp_path / "o.csv")]) == 0
+
+    def test_check_all_config_for_another_scenario(self, tmp_path, capsys):
+        config = write_config(tmp_path / "cfg.json", EVOLVE_S_CONFIG)
+        assert main(["check-all", "--config", config, "--outdir", str(tmp_path / "out")]) == 2
+        assert (
+            "config declares scenario 'evolve-s' but was passed to 'check-all'"
+            in capsys.readouterr().err
+        )
 
     def test_check_all_failure_maps_to_exit_4(self, tmp_path, monkeypatch):
         import entropiclab.cli as cli_module

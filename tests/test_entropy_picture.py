@@ -9,6 +9,7 @@ from entropiclab import (
     Constants,
     ConvergenceError,
     EigenSolutionSpec,
+    EntropyOperator,
     HermitianOperator,
     SecondLawVerdict,
     StateVector,
@@ -85,8 +86,17 @@ class TestWickFactor:
         with pytest.raises(ValueError):
             wick_factor(float("nan"))
 
-    def test_inconsistent_fields_rejected(self):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("strength", [0.0, math.log(2.0), 0.07, 1e6])
+    def test_derived_fields_equal_closed_forms(self, strength):
+        w = WickFactor(strength)
+        phase = -(math.pi / 2.0) * (1.0 - math.exp(-strength))
+        assert w.strength == strength
+        assert w.phase == phase
+        assert w.factor == complex(math.cos(phase), math.sin(phase))
+        assert w.epsilon == -math.pi * strength / 2.0
+
+    def test_derived_fields_are_not_arguments(self):
+        with pytest.raises(TypeError):
             WickFactor(strength=1.0, phase=0.0, factor=1.0, epsilon=0.0)
 
 
@@ -112,6 +122,15 @@ class TestEntropyOperator:
     def test_requires_energy_units(self):
         with pytest.raises(ValueError, match="energy"):
             entropy_operator(HermitianOperator(np.eye(2)), 1.0)
+
+    def test_operator_is_derived_from_source(self):
+        h = HermitianOperator(np.diag([2.0, 4.0]), unit="energy")
+        s = EntropyOperator(h, 3)
+        assert s.temperature == 3.0 and isinstance(s.temperature, float)
+        assert np.array_equal(s.operator.entries, h.scaled(1.0 / 3.0).entries)
+        assert s.operator.unit == "entropy"
+        with pytest.raises(TypeError):
+            EntropyOperator(h, 3.0, operator=h)
 
 
 class TestThermalTimeChart:
