@@ -21,8 +21,6 @@ from .entropy_picture import (
     EigenSolutionSpec,
     EntropyOperator,
     EntropyProductionReport,
-    SecondLawVerdict,
-    ThermalTimeChart,
     UncertaintyProduct,
     WickFactor,
     dissipative_part,
@@ -31,11 +29,8 @@ from .entropy_picture import (
     entropy_production,
     entropy_production_via_chart,
     evolve_s,
-    generator_reading_gap,
     picture_consistency,
-    second_law_refinement,
     uncertainty_product,
-    wick_factor,
 )
 from .fluctuations import (
     CanonicalPoint,
@@ -62,7 +57,6 @@ from .gravity import (
     load_source,
     mean_h,
     rasterize,
-    save_source,
     trace_potential,
 )
 from .onsager import (
@@ -72,10 +66,8 @@ from .onsager import (
     ReciprocityReport,
     entropy_rate,
     forces,
-    harmonic_hamiltonian,
     reciprocity_check,
     relax,
-    wick_map,
 )
 from .operators import (
     HermitianOperator,

@@ -40,10 +40,10 @@ from .config import (
 )
 from .entropy_picture import (
     ConvergenceError,
+    WickFactor,
     entropy_operator,
     evolve_s,
     picture_consistency,
-    wick_factor,
 )
 from .energy_picture import evolve_h, evolve_h_perturbed, noether_energy_drift
 from .fluctuations import (
@@ -109,7 +109,7 @@ def _run_evolve_h(config: dict, base_dir: Path):
     psi0 = state_from(block["state"], hamiltonian.dim)
     grid = grid_from(block["grid"])
     epsilon_prime = block.get("epsilon_prime", 0.0)
-    mode = block.get("mode", "first_order" if config.get("first_order_mode") else "exact")
+    mode = block.get("mode", "exact")
     if epsilon_prime == 0.0:
         trajectory = evolve_h(psi0, hamiltonian, grid, constants)
     else:
@@ -134,7 +134,7 @@ def _epsilon_from(block: dict) -> float:
     if "epsilon" in block and "strength" in block:
         raise ConfigError("give either 'epsilon' or 'strength', not both")
     if "strength" in block:
-        return wick_factor(block["strength"]).epsilon
+        return WickFactor(block["strength"]).epsilon
     return float(block.get("epsilon", 0.0))
 
 
@@ -147,6 +147,10 @@ def _run_evolve_s(config: dict, base_dir: Path):
     epsilon = _epsilon_from(block)
     schedule_kind = block.get("schedule", "frozen")
     allow = block.get("allow_antidissipative", False)
+    # each schedule reads one temperature key; the other one would be ignored
+    unread = "reference_temperature" if schedule_kind == "frozen" else "temperature"
+    if unread in block:
+        raise ConfigError(f"{schedule_kind} schedule does not read {unread!r}")
     if schedule_kind == "frozen":
         generator = entropy_operator(hamiltonian, block.get("temperature", 1.0))
     else:
@@ -216,7 +220,7 @@ def _run_gravity(config: dict, base_dir: Path):
     if "region" in block:
         strength = mean_h(source, region_from(block["region"]), seed)
         outputs["mean_h"] = float(strength)
-        outputs["weak_field_epsilon"] = float(wick_factor(strength).epsilon)
+        outputs["weak_field_epsilon"] = float(WickFactor(strength).epsilon)
     if "laplacian" in block:
         residual = laplacian_spot_check(
             source, block["laplacian"]["point"], block["laplacian"].get("step")
@@ -386,8 +390,7 @@ def _command(args) -> int:
             config = load_config(args.config)
             base_dir = Path(args.config).resolve().parent
         else:  # check-all's flag form
-            config = {"scenario": "check-all", "seed": args.seed,
-                      "check_all": {"workers": args.workers}}
+            config = {"scenario": "check-all", "seed": args.seed}
             validate_config(config)
             base_dir = Path.cwd()
         scenario = config["scenario"]
@@ -448,8 +451,6 @@ def main(argv=None) -> int:
     check = subparsers.add_parser("check-all", help="run the full invariant suite")
     check.add_argument("--config", help="optional check-all configuration JSON")
     check.add_argument("--seed", type=int, default=0, help="master seed (ignored with --config)")
-    check.add_argument("--workers", type=int, default=1,
-                       help="accepted for old configs; changes neither data nor speed")
     check.add_argument("--outdir", default="check_all_artifacts",
                        help="directory for summary.csv and record.json")
 

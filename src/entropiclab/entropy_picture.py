@@ -11,7 +11,6 @@ and the consistency map back to evolution in laboratory time.
 """
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
@@ -41,8 +40,6 @@ __all__ = [
     "EigenSolutionSpec",
     "EntropyOperator",
     "EntropyProductionReport",
-    "SecondLawVerdict",
-    "ThermalTimeChart",
     "UncertaintyProduct",
     "WickFactor",
     "dissipative_part",
@@ -51,11 +48,8 @@ __all__ = [
     "entropy_production",
     "entropy_production_via_chart",
     "evolve_s",
-    "generator_reading_gap",
     "picture_consistency",
-    "second_law_refinement",
     "uncertainty_product",
-    "wick_factor",
 ]
 
 
@@ -99,11 +93,6 @@ class WickFactor:
         object.__setattr__(self, "epsilon", -math.pi * strength / 2.0)
 
 
-def wick_factor(strength: float) -> WickFactor:
-    """Build the time-axis rotation for a given nonnegative field strength."""
-    return WickFactor(strength)
-
-
 @dataclass(frozen=True)
 class EntropyOperator:
     """Energy operator divided by a fixed positive temperature.
@@ -135,44 +124,6 @@ class EntropyOperator:
 def entropy_operator(hamiltonian: HermitianOperator, temperature: float) -> EntropyOperator:
     """Divide an energy operator by a temperature to get the evolution generator."""
     return EntropyOperator(hamiltonian, temperature)
-
-
-@dataclass(frozen=True)
-class ThermalTimeChart:
-    """Coordinate chart trading laboratory time for temperature.
-
-    Forward map: T(t) = hbar * factor / (kB * t) for t > 0.  The thermal
-    time is tau = ln(T / T0).  For a real factor the three maps are
-    mutually inverse; for a complex factor the returned time is complex
-    and only the real-factor round trip is contractual.
-    """
-
-    reference_temperature: float
-    factor: complex = 1.0
-    constants: Constants = NATURAL
-
-    def __post_init__(self):
-        if not (np.isfinite(self.reference_temperature) and self.reference_temperature > 0.0):
-            raise ValueError("reference_temperature must be positive")
-
-    def temperature_from_time(self, t: float):
-        if not (np.isfinite(t) and t > 0.0):
-            raise ValueError(f"time must be positive, got {t!r}")
-        value = self.constants.hbar * complex(self.factor) / (self.constants.kB * t)
-        return value.real if value.imag == 0.0 else value
-
-    def tau_from_temperature(self, temperature: float) -> float:
-        if not (np.isfinite(temperature) and temperature > 0.0):
-            raise ValueError(f"temperature must be positive, got {temperature!r}")
-        return float(np.log(temperature / self.reference_temperature))
-
-    def time_from_tau(self, tau: float):
-        if not np.isfinite(tau):
-            raise ValueError("tau must be finite")
-        value = self.constants.hbar * complex(self.factor) / (
-            self.constants.kB * self.reference_temperature * math.exp(tau)
-        )
-        return value.real if value.imag == 0.0 else value
 
 
 def _generator_at(generator, tau: float, dim: int) -> EntropyOperator:
@@ -401,14 +352,12 @@ class UncertaintyProduct:
 
     ``delta_tau`` is the ratio (spread of A) / |d<A>/dtau| at the probe
     point; ``product = delta_s * delta_tau`` obeys the kB/2 bound in the
-    unitary branch.  ``convention_product`` is delta_s times a unit
-    interval of tau, reported for comparison against the kB threshold.
+    unitary branch.
     """
 
     delta_s: float
     delta_tau: float
     product: float | None
-    convention_product: float
 
 
 def uncertainty_product(
@@ -440,37 +389,9 @@ def uncertainty_product(
     clock_matrix = HermitianOperator((1j / constants.kB) * commutator, unit="dimensionless")
     rate = expectation(clock_matrix, probe)
     if abs(rate) < STATIONARY_DERIVATIVE:
-        return UncertaintyProduct(
-            delta_s=delta_s,
-            delta_tau=math.inf,
-            product=None,
-            convention_product=delta_s,
-        )
+        return UncertaintyProduct(delta_s=delta_s, delta_tau=math.inf, product=None)
     delta_tau = delta_a / abs(rate)
-    return UncertaintyProduct(
-        delta_s=delta_s,
-        delta_tau=delta_tau,
-        product=delta_s * delta_tau,
-        convention_product=delta_s,
-    )
-
-
-class SecondLawVerdict(enum.Enum):
-    """Where an entropy spread lands relative to the kB-refined bound."""
-
-    REFINED_LAW = "refined_law"          # delta_s >= kB
-    SECOND_LAW_ONLY = "second_law_only"  # 0 <= delta_s < kB
-    FLAGGED = "flagged"                  # delta_s < 0
-
-
-def second_law_refinement(delta_s: float, constants: Constants = NATURAL) -> SecondLawVerdict:
-    if not np.isfinite(delta_s):
-        raise ValueError("delta_s must be finite")
-    if delta_s < 0.0:
-        return SecondLawVerdict.FLAGGED
-    if delta_s >= constants.kB:
-        return SecondLawVerdict.REFINED_LAW
-    return SecondLawVerdict.SECOND_LAW_ONLY
+    return UncertaintyProduct(delta_s=delta_s, delta_tau=delta_tau, product=delta_s * delta_tau)
 
 
 def _closed_form_rows(mode, psi0, hamiltonian, reference_temperature, taus, epsilon, constants):
@@ -546,29 +467,3 @@ def picture_consistency(
 
     return max(float(np.linalg.norm(a - b)) for a, b in zip(s_side.amplitudes, reference))
 
-
-def generator_reading_gap(
-    psi0: StateVector,
-    hamiltonian: HermitianOperator,
-    reference_temperature: float,
-    tau: float,
-    epsilon: float,
-    constants: Constants = NATURAL,
-) -> float:
-    """Distance at a single tau between the frozen-generator solution and the
-    solution whose generator carries the chart's tau dependence.
-
-    The two readings coincide at tau = 0 and to first order in tau; the gap
-    at finite tau quantifies how much the choice matters for a given
-    spectrum.  Both closed forms are evaluated exactly.
-    """
-    if not (np.isfinite(reference_temperature) and reference_temperature > 0.0):
-        raise ValueError("reference_temperature must be positive")
-    if not (np.isfinite(tau) and np.isfinite(epsilon)):
-        raise ValueError("tau and epsilon must be finite")
-    frozen_row, chart_row = (
-        _closed_form_rows(mode, psi0, hamiltonian, reference_temperature, [tau], epsilon,
-                          constants)[0]
-        for mode in ("frozen_S", "chart_S")
-    )
-    return float(np.linalg.norm(frozen_row - chart_row))

@@ -25,7 +25,6 @@ __all__ = [
     "load_source",
     "mean_h",
     "rasterize",
-    "save_source",
     "trace_potential",
 ]
 
@@ -326,18 +325,3 @@ def load_source(path) -> SourceDistribution:
         raise ValueError("source descriptor must be a JSON object")
     return _descriptor_to_source(descriptor, path.parent)
 
-
-def save_source(source: SourceDistribution, json_path, data_name: str | None = None) -> None:
-    """Write a source as JSON header plus raw little-endian float64 lattice."""
-    json_path = Path(json_path)
-    data_name = data_name or (json_path.stem + ".bin")
-    source.trace.astype("<f8").tofile(json_path.parent / data_name)
-    header = {
-        "spacing": source.spacing,
-        "origin": [float(x) for x in source.origin],
-        "shape": [int(n) for n in source.trace.shape],
-        "data": data_name,
-    }
-    with open(json_path, "w", encoding="utf-8") as handle:
-        json.dump(header, handle, indent=2, sort_keys=True)
-        handle.write("\n")

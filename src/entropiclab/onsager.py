@@ -27,10 +27,8 @@ __all__ = [
     "ReciprocityReport",
     "entropy_rate",
     "forces",
-    "harmonic_hamiltonian",
     "reciprocity_check",
     "relax",
-    "wick_map",
 ]
 
 
@@ -172,13 +170,6 @@ def entropy_rate(system: OnsagerSystem, y) -> EntropyRate:
     )
 
 
-def harmonic_hamiltonian(system: OnsagerSystem, y) -> float:
-    """Average of the two production-rate forms; positive away from equilibrium
-    for symmetric positive-definite inputs."""
-    rate = entropy_rate(system, y)
-    return 0.5 * (rate.via_velocities + rate.via_forces)
-
-
 def relax(system: OnsagerSystem, tprime_grid) -> OnsagerTrajectory:
     """Integrate ydot = -L G y exactly through the eigensystem of L G."""
     grid = evolution_grid(tprime_grid, "tprime_grid")
@@ -207,7 +198,3 @@ def reciprocity_check(kinetic) -> ReciprocityReport:
     asymmetry = float(np.linalg.norm(L - L.T) / max(scale, _TINY))
     return ReciprocityReport(symmetric=asymmetry <= 1e-12, asymmetry_norm=asymmetry)
 
-
-def wick_map(t: float) -> complex:
-    """Thermodynamical time as rotated laboratory time: t' = i t."""
-    return 1j * t

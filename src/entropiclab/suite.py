@@ -16,6 +16,7 @@ from .constants import NATURAL
 from .energy_picture import evolve_h
 from .entropy_picture import (
     EigenSolutionSpec,
+    WickFactor,
     dissipative_part,
     eigen_solution,
     entropy_operator,
@@ -24,7 +25,6 @@ from .entropy_picture import (
     evolve_s,
     picture_consistency,
     uncertainty_product,
-    wick_factor,
 )
 from .fluctuations import (
     ThermoReference,
@@ -131,7 +131,7 @@ def check_unitary_limit(seed: int) -> CheckResult:
     generator = entropy_operator(hamiltonian, temperature=1.0)
     psi0 = _random_state(rng, 64)
     grid = np.linspace(0.0, 50.0, 26)
-    epsilon = wick_factor(0.0).epsilon
+    epsilon = WickFactor(0.0).epsilon
     trajectory = evolve_s(psi0, generator, grid, epsilon)
     return CheckResult.bounded(
         "unitary-limit",
@@ -233,7 +233,7 @@ def check_entropy_production_oracle(seed: int) -> CheckResult:
         dim = int(rng.integers(4, 9))
         hamiltonian = _random_hermitian(rng, dim)
         epsilon = float(rng.uniform(-0.3, -0.01))
-        wick = wick_factor(-2.0 * epsilon / math.pi)
+        wick = WickFactor(-2.0 * epsilon / math.pi)
         derivative = entropy_production_via_chart(
             hamiltonian, wick, constants, step=1e-4, first_order=True
         )

@@ -58,18 +58,15 @@ class TestMonotonicityViolation:
 class TestCommandLineDeterminism:
     """check-all with a fixed seed reproduces its data artifacts exactly."""
 
-    @staticmethod
-    def run_check_all(outdir, *extra):
-        return subprocess.run(
-            [sys.executable, "-m", "entropiclab.cli", "check-all",
-             "--seed", "7", "--outdir", str(outdir), *extra],
-            capture_output=True, text=True, env=cli_env(),
-        )
-
     def test_repeat_runs_are_bit_identical(self, tmp_path):
         for name in ("first", "second"):
-            result = self.run_check_all(tmp_path / name)
+            result = subprocess.run(
+                [sys.executable, "-m", "entropiclab.cli", "check-all",
+                 "--seed", "7", "--outdir", str(tmp_path / name)],
+                capture_output=True, text=True, env=cli_env(),
+            )
             assert result.returncode == 0, result.stderr
+            assert "PASS" in result.stdout
         first = json.loads((tmp_path / "first/record.json").read_text())
         second = json.loads((tmp_path / "second/record.json").read_text())
         first.pop("wall_clock_s")
@@ -79,16 +76,3 @@ class TestCommandLineDeterminism:
             tmp_path / "second/summary.csv"
         ).read_bytes()
 
-    def test_worker_fanout_leaves_data_unchanged(self, tmp_path):
-        for workers, name in (("1", "w1"), ("8", "w8")):
-            result = self.run_check_all(tmp_path / name, "--workers", workers)
-            assert result.returncode == 0, result.stderr
-        assert (tmp_path / "w1/summary.csv").read_bytes() == (
-            tmp_path / "w8/summary.csv"
-        ).read_bytes()
-        narrow = json.loads((tmp_path / "w1/record.json").read_text())
-        wide = json.loads((tmp_path / "w8/record.json").read_text())
-        for record in (narrow, wide):
-            record.pop("wall_clock_s")
-            record.pop("config")  # the config echo records the worker count
-        assert narrow == wide

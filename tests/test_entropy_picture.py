@@ -11,9 +11,7 @@ from entropiclab import (
     EigenSolutionSpec,
     EntropyOperator,
     HermitianOperator,
-    SecondLawVerdict,
     StateVector,
-    ThermalTimeChart,
     WickFactor,
     apply_exponential,
     build_hamiltonian,
@@ -23,12 +21,9 @@ from entropiclab import (
     entropy_production,
     entropy_production_via_chart,
     evolve_s,
-    generator_reading_gap,
     picture_consistency,
-    second_law_refinement,
     spectral_decompose,
     uncertainty_product,
-    wick_factor,
 )
 from entropiclab.entropy_picture import _ordered_product
 from entropiclab.suite import fitted_order
@@ -63,28 +58,28 @@ def spectrum_operator(rng, dim, low, high):
 
 class TestWickFactor:
     def test_no_field_is_unitary_point(self):
-        w = wick_factor(0.0)
+        w = WickFactor(0.0)
         assert w.phase == 0.0
         assert w.factor == 1.0
         assert w.epsilon == 0.0
 
     def test_strong_field_saturates_at_quarter_turn(self):
-        w = wick_factor(1e6)
+        w = WickFactor(1e6)
         assert abs(w.phase + math.pi / 2.0) <= 1e-9
         assert abs(w.factor - (-1j)) <= 1e-9
 
     def test_half_decay_point(self):
         # 1 - exp(-ln 2) = 1/2 in closed form
-        w = wick_factor(math.log(2.0))
+        w = WickFactor(math.log(2.0))
         assert abs(w.phase + math.pi / 4.0) <= 1e-12
         assert abs(w.factor - cmath.exp(-1j * math.pi / 4.0)) <= 1e-12
         assert abs(w.epsilon + math.pi * math.log(2.0) / 2.0) <= 1e-12
 
     def test_invalid_strengths(self):
         with pytest.raises(ValueError):
-            wick_factor(-0.5)
+            WickFactor(-0.5)
         with pytest.raises(ValueError):
-            wick_factor(float("nan"))
+            WickFactor(float("nan"))
 
     @pytest.mark.parametrize("strength", [0.0, math.log(2.0), 0.07, 1e6])
     def test_derived_fields_equal_closed_forms(self, strength):
@@ -131,45 +126,6 @@ class TestEntropyOperator:
         assert s.operator.unit == "entropy"
         with pytest.raises(TypeError):
             EntropyOperator(h, 3.0, operator=h)
-
-
-class TestThermalTimeChart:
-    def test_fixed_point(self):
-        chart = ThermalTimeChart(reference_temperature=1.0)
-        assert chart.temperature_from_time(1.0) == 1.0
-        assert chart.tau_from_temperature(1.0) == 0.0
-
-    def test_direct_substitution(self):
-        chart = ThermalTimeChart(reference_temperature=1.0)
-        temperature = chart.temperature_from_time(0.5)
-        assert abs(temperature - 2.0) <= 1e-14
-        assert abs(chart.tau_from_temperature(temperature) - math.log(2.0)) <= 1e-14
-
-    def test_round_trip_for_real_factor(self):
-        chart = ThermalTimeChart(reference_temperature=3.7, constants=Constants(hbar=2.0, kB=0.5))
-        for t in (0.1, 1.0, 42.0):
-            tau = chart.tau_from_temperature(chart.temperature_from_time(t))
-            assert abs(chart.time_from_tau(tau) - t) <= 1e-12 * t
-
-    def test_chart_jacobian_by_finite_difference(self):
-        # d(tau)/dt = -1/t; probe at t = 2
-        chart = ThermalTimeChart(reference_temperature=1.0)
-        step = 1e-3
-        tau = lambda t: chart.tau_from_temperature(chart.temperature_from_time(t))  # noqa: E731
-        derivative = (tau(2.0 + step) - tau(2.0 - step)) / (2.0 * step)
-        assert abs(derivative + 0.5) <= 1e-6
-
-    def test_complex_factor_gives_complex_time(self):
-        chart = ThermalTimeChart(reference_temperature=1.0, factor=wick_factor(0.3).factor)
-        value = chart.time_from_tau(0.0)
-        assert isinstance(value, complex) and value.imag != 0.0
-
-    def test_domain_errors(self):
-        chart = ThermalTimeChart(reference_temperature=1.0)
-        with pytest.raises(ValueError):
-            chart.temperature_from_time(0.0)
-        with pytest.raises(ValueError):
-            chart.tau_from_temperature(-1.0)
 
 
 class TestEvolveS:
@@ -408,13 +364,13 @@ class TestEigenSolution:
 class TestEntropyProduction:
     def test_dissipation_free_rate(self):
         h = HermitianOperator(np.diag([1.0]), unit="energy")
-        report = entropy_production(h, wick_factor(0.0))
+        report = entropy_production(h, WickFactor(0.0))
         assert report.rates[0] == 1.0 + 0.0j
 
     def test_imaginary_part_from_chart_oracle(self):
         # independent route: finite differences of the chart generator
         eps = -0.05
-        wick = wick_factor(-2.0 * eps / math.pi)
+        wick = WickFactor(-2.0 * eps / math.pi)
         h = HermitianOperator(np.diag([2.0]), unit="energy")
         report = entropy_production(h, wick)
         assert abs(report.rates[0].imag - 0.1) <= 1e-12
@@ -424,7 +380,7 @@ class TestEntropyProduction:
     def test_matrix_statement_matches_chart(self):
         rng = np.random.default_rng(31)
         eps = -0.12
-        wick = wick_factor(-2.0 * eps / math.pi)
+        wick = WickFactor(-2.0 * eps / math.pi)
         h = random_hermitian(rng, 5)
         report = entropy_production(h, wick)
         derivative = entropy_production_via_chart(h, wick, step=1e-4)
@@ -434,14 +390,14 @@ class TestEntropyProduction:
 
     def test_second_law_sign_property(self):
         rng = np.random.default_rng(32)
-        wick = wick_factor(0.2)
+        wick = WickFactor(0.2)
         h = spectrum_operator(rng, 6, 0.0, 3.0)
         report = entropy_production(h, wick)
         assert np.all(report.rates.imag >= -1e-14)
 
     def test_exact_chart_reveals_quadratic_truncation(self):
         eps = -0.2
-        wick = wick_factor(-2.0 * eps / math.pi)
+        wick = WickFactor(-2.0 * eps / math.pi)
         h = HermitianOperator(np.diag([1.0]), unit="energy")
         first = entropy_production_via_chart(h, wick, first_order=True)[0, 0]
         exact = entropy_production_via_chart(h, wick, first_order=False)[0, 0]
@@ -472,7 +428,6 @@ class TestUncertaintyProduct:
         assert abs(record.delta_s - 1.0) <= 1e-12
         assert abs(record.delta_tau - 0.5) <= 1e-12
         assert abs(record.product - 0.5) <= 1e-10
-        assert record.convention_product == record.delta_s
 
     def test_randomized_bound(self):
         rng = np.random.default_rng(33)
@@ -484,19 +439,6 @@ class TestUncertaintyProduct:
             record = uncertainty_product(psi, generator, observable, float(rng.uniform(0.1, 2.0)))
             if record.product is not None:
                 assert record.product >= 0.5 - 1e-12
-
-
-class TestSecondLawRefinement:
-    def test_boundary_and_orderings(self):
-        assert second_law_refinement(1.0) is SecondLawVerdict.REFINED_LAW
-        assert second_law_refinement(2.0) is SecondLawVerdict.REFINED_LAW
-        assert second_law_refinement(0.0) is SecondLawVerdict.SECOND_LAW_ONLY
-        assert second_law_refinement(-0.1) is SecondLawVerdict.FLAGGED
-
-    def test_threshold_scales_with_kb(self):
-        constants = Constants(kB=2.5)
-        assert second_law_refinement(2.4, constants) is SecondLawVerdict.SECOND_LAW_ONLY
-        assert second_law_refinement(2.5, constants) is SecondLawVerdict.REFINED_LAW
 
 
 class TestPictureConsistency:
@@ -528,14 +470,6 @@ class TestPictureConsistency:
             random_state(rng, 5), h, 1.5, "chart_S", np.linspace(0.0, 1.0, 5), -0.2
         )
         assert deviation <= 1e-8
-
-    def test_generator_readings_disagree_at_finite_tau(self):
-        rng = np.random.default_rng(43)
-        h = random_hermitian(rng, 5)
-        psi = random_state(rng, 5)
-        gap = generator_reading_gap(psi, h, 1.0, 1.0, 0.0)
-        assert gap > 1e-3
-        assert generator_reading_gap(psi, h, 1.0, 0.0, 0.0) <= 1e-14
 
     def test_mode_validation(self):
         psi = StateVector([1.0, 0.0])

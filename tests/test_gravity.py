@@ -7,13 +7,12 @@ import pytest
 from entropiclab import (
     RegionSpec,
     SourceDistribution,
+    WickFactor,
     laplacian_spot_check,
     load_source,
     mean_h,
     rasterize,
-    save_source,
     trace_potential,
-    wick_factor,
 )
 
 
@@ -118,7 +117,7 @@ class TestMeanH:
         region = RegionSpec.ball(center=[4.0, 0.0, 0.0], radius=0.5, samples=2000)
         strength = mean_h(source, region, seed=5)
         assert strength >= 0.0
-        assert abs(wick_factor(strength).epsilon + math.pi * strength / 2.0) <= 1e-12
+        assert abs(WickFactor(strength).epsilon + math.pi * strength / 2.0) <= 1e-12
 
     def test_box_region(self):
         source = point_mass_source()
@@ -187,9 +186,17 @@ class TestSourceIO:
         assert np.array_equal(source.trace, direct.trace)
 
     def test_binary_lattice_roundtrip(self, tmp_path):
+        # the documented format, written here without the package: a JSON
+        # header naming a raw little-endian float64 lattice in C order
         source = ball_source(8)
+        source.trace.astype("<f8").tofile(tmp_path / "lattice.bin")
         header = tmp_path / "lattice.json"
-        save_source(source, header)
+        header.write_text(json.dumps({
+            "spacing": source.spacing,
+            "origin": source.origin.tolist(),
+            "shape": list(source.trace.shape),
+            "data": "lattice.bin",
+        }))
         loaded = load_source(header)
         assert np.array_equal(loaded.trace, source.trace)
         assert loaded.spacing == source.spacing

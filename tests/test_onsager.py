@@ -8,10 +8,8 @@ from entropiclab import (
     OnsagerSystem,
     entropy_rate,
     forces,
-    harmonic_hamiltonian,
     reciprocity_check,
     relax,
-    wick_map,
 )
 
 
@@ -115,23 +113,6 @@ class TestEntropyRate:
             assert abs(rate.via_velocities - rate.via_forces) <= 1e-12 * scale
 
 
-class TestHarmonicHamiltonian:
-    def test_equilibrium(self):
-        system = OnsagerSystem(np.eye(2), np.eye(2), np.zeros(2))
-        assert harmonic_hamiltonian(system, np.zeros(2)) == 0.0
-
-    def test_scalar_case(self):
-        system = OnsagerSystem([[2.0]], [[1.0]], [1.0])
-        assert abs(harmonic_hamiltonian(system, [1.0]) - 2.0) <= 1e-14
-
-    def test_positive_away_from_equilibrium(self):
-        rng = np.random.default_rng(6)
-        system = random_spd_system(rng, 6)
-        for _ in range(20):
-            y = rng.standard_normal(6)
-            assert harmonic_hamiltonian(system, y) > 0.0
-
-
 class TestReciprocity:
     def test_symmetric_matrix(self):
         report = reciprocity_check(np.array([[2.0, 0.5], [0.5, 1.0]]))
@@ -153,13 +134,6 @@ class TestReciprocity:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             reciprocity_check(np.ones((2, 3)))
-
-
-class TestWickMap:
-    def test_values(self):
-        assert wick_map(0.0) == 0.0
-        assert wick_map(1.0) == 1j
-        assert wick_map(-2.0) == -2j
 
 
 class TestSystemValidation:
