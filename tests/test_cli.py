@@ -494,6 +494,22 @@ class TestFailureModes:
 
 
 class TestCheckAll:
+    def test_runs_clean_and_deterministic(self, tmp_path):
+        for name in ("one", "two"):
+            result = run_cli(
+                "check-all", "--seed", "7", "--outdir", str(tmp_path / name), cwd=str(tmp_path)
+            )
+            assert result.returncode == 0, result.stderr
+            assert "PASS" in result.stdout
+        rec_a = json.loads((tmp_path / "one/record.json").read_text())
+        rec_b = json.loads((tmp_path / "two/record.json").read_text())
+        rec_a.pop("wall_clock_s")
+        rec_b.pop("wall_clock_s")
+        assert rec_a == rec_b
+        assert (tmp_path / "one/summary.csv").read_bytes() == (
+            tmp_path / "two/summary.csv"
+        ).read_bytes()
+
     def test_config_file_form(self, tmp_path):
         config = write_config(tmp_path / "cfg.json", {
             "scenario": "check-all", "seed": 7, "check_all": {"workers": 2},
