@@ -54,7 +54,6 @@ from .gravity import (
     RegionSpec,
     SourceDistribution,
     laplacian_spot_check,
-    load_source,
     mean_h,
     rasterize,
     trace_potential,
@@ -80,7 +79,6 @@ from .operators import (
     spectral_decompose,
     uncertainty,
 )
-from .report import ReportSummary, emit_report
 from .suite import CheckResult, criterion_names, run_all
 
 __version__ = "0.1.0"

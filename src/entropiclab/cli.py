@@ -55,7 +55,6 @@ from .fluctuations import (
 from .gravity import laplacian_spot_check, mean_h, trace_potential
 from .onsager import entropy_rate, reciprocity_check, relax
 from .operators import spectral_decompose
-from .report import emit_report
 from .suite import CheckResult, fitted_order, monotonicity_violation, run_all, semigroup_gap
 
 __all__ = ["main"]
@@ -268,15 +267,14 @@ def _run_fluct(config: dict, base_dir: Path):
     if len(samples) >= 1000:
         report = covariance_report(samples, reference, constants)
         outputs["covariance"] = report.to_dict()
-        for name, statistic, target in (
-            ("fluct-ds-dt", report.ds_dt_over_kBT, 1.0),
-            ("fluct-dp-dv", report.dp_dv_over_kBT, -1.0),
-            ("fluct-ds-dtau", report.ds_dtau_over_kB, 1.0),
-            ("fluct-dt-dv-uncorrelated", report.dt_dv_correlation, 0.0),
+        z = report.standardized_deviations()
+        for name, statistic in (
+            ("fluct-ds-dt", "ds_dt_over_kBT"),
+            ("fluct-dp-dv", "dp_dv_over_kBT"),
+            ("fluct-ds-dtau", "ds_dtau_over_kB"),
+            ("fluct-dt-dv-uncorrelated", "dt_dv_correlation"),
         ):
-            verdicts.append(
-                CheckResult.bounded(name, statistic.standardized_deviation(target), 3.0)
-            )
+            verdicts.append(CheckResult.bounded(name, z[statistic], 3.0))
     return outputs, verdicts, table
 
 
@@ -384,13 +382,28 @@ def _write_artifacts(csv_path: Path, table, record_path: Path, config, outputs, 
     return 0
 
 
+def _verdict_table(results) -> str:
+    """check-all's verdict table: a row per criterion, then the pass and fail counts."""
+    rows = [("scenario", "check", "tolerance", "measured", "verdict")] + [
+        ("check-all", r.name, f"{r.tolerance:.3e}", f"{r.measured:.3e}",
+         "PASS" if r.passed else "FAIL") for r in results
+    ]
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    lines = ["  ".join(cell.ljust(width) for cell, width in zip(row, widths)) for row in rows]
+    lines.insert(1, "  ".join("-" * width for width in widths))
+    passes = sum(bool(r.passed) for r in results)
+    return "\n".join(lines + [f"{passes} passed, {len(results) - passes} failed"])
+
+
 def _command(args) -> int:
     try:
         if args.config:
+            if getattr(args, "seed", None) is not None:  # check-all alone has --seed
+                raise ConfigError("--seed cannot be combined with --config, which sets the seed")
             config = load_config(args.config)
             base_dir = Path(args.config).resolve().parent
         else:  # check-all's flag form
-            config = {"scenario": "check-all", "seed": args.seed}
+            config = {"scenario": "check-all", "seed": args.seed or 0}
             validate_config(config)
             base_dir = Path.cwd()
         scenario = config["scenario"]
@@ -430,8 +443,7 @@ def _command(args) -> int:
     )
     if code or args.command != "check-all":
         return code
-    record = {"config": config, "verdicts": [result.verdict() for result in verdicts]}
-    print(emit_report([record]).text)
+    print(_verdict_table(verdicts))
     return 0 if all(result.passed for result in verdicts) else 4
 
 
@@ -450,7 +462,7 @@ def main(argv=None) -> int:
 
     check = subparsers.add_parser("check-all", help="run the full invariant suite")
     check.add_argument("--config", help="optional check-all configuration JSON")
-    check.add_argument("--seed", type=int, default=0, help="master seed (ignored with --config)")
+    check.add_argument("--seed", type=int, help="master seed, 0 if not given (not with --config)")
     check.add_argument("--outdir", default="check_all_artifacts",
                        help="directory for summary.csv and record.json")
 

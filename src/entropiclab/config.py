@@ -1,9 +1,9 @@
 """Run configuration: JSON schema validation and object builders.
 
-Configurations are plain JSON documents validated against the schema
-shipped with the package (``runconfig.schema.json``); unknown keys are
-rejected everywhere.  The builders below turn validated blocks into the
-package's domain objects.
+Configurations, and the source and system files they name, are plain JSON
+documents validated against the schema shipped with the package
+(``runconfig.schema.json``); unknown keys are rejected everywhere.  The
+builders below turn validated blocks into the package's domain objects.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from .fluctuations import (
     rectangle_patch,
     two_plane_patch,
 )
-from .gravity import RegionSpec, SourceDistribution, _descriptor_to_source, load_source
+from .gravity import RegionSpec, SourceDistribution, _descriptor_to_source
 from .onsager import OnsagerSystem
 from .operators import HermitianOperator, StateVector, build_hamiltonian
 
@@ -65,30 +65,42 @@ _Validator = jsonschema.validators.extend(
 )
 
 
-def validate_config(config: dict) -> None:
-    validator = _Validator(schema())
-    errors = sorted(validator.iter_errors(config), key=lambda e: list(e.absolute_path))
+def _validate(document: dict, definition: str | None, what: str) -> None:
+    target = schema()
+    if definition is not None:
+        target = {"$defs": target["$defs"], "$ref": f"#/$defs/{definition}"}
+    errors = sorted(_Validator(target).iter_errors(document), key=lambda e: list(e.absolute_path))
     if errors:
         lines = []
         for error in errors:
             where = "/".join(str(part) for part in error.absolute_path) or "<root>"
             lines.append(f"  at {where}: {error.message}")
-        raise ConfigError("configuration failed schema validation:\n" + "\n".join(lines))
+        raise ConfigError(f"{what} failed schema validation:\n" + "\n".join(lines))
+
+
+def validate_config(config: dict) -> None:
+    _validate(config, None, "configuration")
+
+
+def _read_json(path, definition: str | None, what: str) -> dict:
+    """The JSON object in the file at ``path``, validated against the shipped
+    schema: its root when ``definition`` is None, else ``$defs/<definition>``.
+    This is the package's one JSON file reader; ``what`` names the file in errors."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            document = json.load(handle)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(document, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    _validate(document, definition, what)
+    return document
 
 
 def load_config(path) -> dict:
-    path = Path(path)
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            config = json.load(handle)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(config, dict):
-        raise ConfigError("config must be a JSON object")
-    validate_config(config)
-    return config
+    return _read_json(path, None, "configuration")
 
 
 def constants_from(config: dict) -> Constants:
@@ -174,27 +186,29 @@ def region_from(block: dict) -> RegionSpec:
         raise ConfigError(f"bad region block: {exc}") from exc
 
 
+def _block_or_file(value, base_dir: Path, definition: str, what: str):
+    """An inline block as it is, or the validated file that the string ``value``
+    names relative to ``base_dir``; with the directory its own paths resolve against."""
+    if not isinstance(value, str):
+        return value, base_dir
+    path = base_dir / value
+    return _read_json(path, definition, what), path.parent
+
+
 def source_from(value, base_dir: Path) -> SourceDistribution:
+    descriptor, base_dir = _block_or_file(value, base_dir, "source_descriptor", "source file")
     try:
-        if isinstance(value, str):
-            path = Path(value)
-            if not path.is_absolute():
-                path = base_dir / path
-            return load_source(path)
-        return _descriptor_to_source(value, base_dir)
+        return _descriptor_to_source(descriptor, base_dir)
+    # the schema does not require a point's position
     except (OSError, KeyError, ValueError) as exc:
         raise ConfigError(f"bad source: {exc}") from exc
 
 
 def system_from(value, base_dir: Path) -> OnsagerSystem:
+    system, _ = _block_or_file(value, base_dir, "onsager_system", "system file")
     try:
-        if isinstance(value, str):
-            path = Path(value)
-            if not path.is_absolute():
-                path = base_dir / path
-            return OnsagerSystem.from_json(path)
-        return OnsagerSystem.from_dict(value)
-    except (OSError, ValueError) as exc:
+        return OnsagerSystem.from_dict(system)
+    except ValueError as exc:
         raise ConfigError(f"bad system: {exc}") from exc
 
 

@@ -202,6 +202,15 @@ class CovarianceReport:
     ds_dtau_over_kB: Statistic
     n: int
 
+    def standardized_deviations(self) -> dict:
+        """Each statistic's distance from its sharp value, in standard errors, by name."""
+        return {
+            "ds_dt_over_kBT": self.ds_dt_over_kBT.standardized_deviation(1.0),
+            "dp_dv_over_kBT": self.dp_dv_over_kBT.standardized_deviation(-1.0),
+            "dt_dv_correlation": self.dt_dv_correlation.standardized_deviation(0.0),
+            "ds_dtau_over_kB": self.ds_dtau_over_kB.standardized_deviation(1.0),
+        }
+
     def to_dict(self) -> dict:
         def stat(s: Statistic) -> dict:
             return {"mean": s.mean, "stderr": s.stderr}

@@ -8,7 +8,6 @@ Static sources only: no retardation, no tensor structure.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,7 +21,6 @@ __all__ = [
     "RegionSpec",
     "SourceDistribution",
     "laplacian_spot_check",
-    "load_source",
     "mean_h",
     "rasterize",
     "trace_potential",
@@ -291,9 +289,9 @@ def rasterize(primitives, shape, spacing: float, origin=(0.0, 0.0, 0.0)) -> Sour
 
 
 def _descriptor_to_source(descriptor: dict, base_dir: Path) -> SourceDistribution:
-    for key in ("spacing", "origin", "shape"):
-        if key not in descriptor:
-            raise ValueError(f"source descriptor is missing {key!r}")
+    """Build a source from a schema-valid descriptor: ``spacing``, ``origin``,
+    ``shape`` and either a ``primitives`` list or a ``data`` entry naming a raw
+    little-endian float64 lattice (C order), resolved relative to ``base_dir``."""
     spacing = descriptor["spacing"]
     origin = descriptor["origin"]
     shape = descriptor["shape"]
@@ -309,19 +307,3 @@ def _descriptor_to_source(descriptor: dict, base_dir: Path) -> SourceDistributio
     if "primitives" in descriptor:
         return rasterize(descriptor["primitives"], shape, spacing, origin)
     raise ValueError("source descriptor needs either 'primitives' or 'data'")
-
-
-def load_source(path) -> SourceDistribution:
-    """Read a source from a JSON descriptor.
-
-    The descriptor holds ``spacing``, ``origin``, ``shape`` and either a
-    ``primitives`` list or a ``data`` entry naming a raw little-endian
-    float64 lattice (C order), resolved relative to the descriptor file.
-    """
-    path = Path(path)
-    with open(path, "r", encoding="utf-8") as handle:
-        descriptor = json.load(handle)
-    if not isinstance(descriptor, dict):
-        raise ValueError("source descriptor must be a JSON object")
-    return _descriptor_to_source(descriptor, path.parent)
-

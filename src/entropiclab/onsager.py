@@ -9,9 +9,7 @@ and flagged by the reciprocity check rather than rejected.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -116,11 +114,6 @@ class OnsagerSystem:
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"bad system descriptor: {exc}") from exc
         return cls(L, G, y0)
-
-    @classmethod
-    def from_json(cls, path) -> "OnsagerSystem":
-        with open(Path(path), "r", encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
 
 
 @dataclass(frozen=True)

@@ -362,11 +362,10 @@ def check_fluctuation_covariance(seed: int) -> CheckResult:
     ref = ThermoReference.ideal_gas(1.0, 1.0, 1.0)
     samples = gaussian_sample(ref, 10**6, seed=seed)
     report = covariance_report(samples, ref)
-    z_dt = report.ds_dt_over_kBT.standardized_deviation(1.0)
-    z_dtau = report.ds_dtau_over_kB.standardized_deviation(1.0)
+    z = report.standardized_deviations()
     return CheckResult.bounded(
         "fluctuation-covariance",
-        float(max(z_dt, z_dtau)),
+        float(max(z["ds_dt_over_kBT"], z["ds_dtau_over_kB"])),
         3.0,
         requirement="<dS dT>/(kB T) and <dS dtau>/kB within 3 standard errors of 1 at n = 1e6",
         details={

@@ -15,7 +15,6 @@ from entropiclab import (
     OnsagerSystem,
     ThermoReference,
     boundary_action,
-    emit_report,
     entropy_operator,
     evolve_h,
     evolve_s,
@@ -62,6 +61,19 @@ EVOLVE_S_CONFIG = {
         "temperature": 1.0,
         "epsilon": -0.1,
     },
+}
+
+GRAVITY_SOURCE = {
+    "spacing": 0.5, "origin": [0.0, 0.0, 0.0], "shape": [3, 3, 3],
+    "primitives": [{"kind": "point", "position": [0.75, 0.75, 0.75], "mass": 2.0}],
+}
+ONSAGER_SYSTEM = {"N": 2, "L": [2.0, 1.0, 1.0, 2.0], "G": [1.0, 0.0, 0.0, 1.0], "y0": [1.0, 0.0]}
+# each config reads its source or system from input.json beside it
+FILE_INPUT_CONFIGS = {
+    "gravity": {"scenario": "gravity", "gravity": {"source": "input.json", "probes": [[3, 1, 0]]}},
+    "onsager": {"scenario": "onsager", "onsager": {
+        "system": "input.json", "grid": {"start": 0.0, "stop": 1.0, "num": 3},
+    }},
 }
 
 FLUCT_REFERENCE = ThermoReference.ideal_gas(1.0, 1.0, 1.0)
@@ -198,6 +210,19 @@ class TestScenarioRuns:
         h = float(out.read_text().strip().splitlines()[1].split(",")[-1])
         assert h == pytest.approx(record["outputs"]["total_mass"], rel=1e-12)  # 4 M / r, r = 4
 
+    def test_source_file_matches_inline_source(self, tmp_path):
+        (tmp_path / "input.json").write_text(json.dumps(GRAVITY_SOURCE))
+        outputs = []
+        for name, source in (("inline", GRAVITY_SOURCE), ("file", "input.json")):
+            payload = json.loads(json.dumps(FILE_INPUT_CONFIGS["gravity"]))
+            payload["gravity"]["source"] = source
+            config = write_config(tmp_path / f"{name}.json", payload)
+            out = tmp_path / f"{name}.csv"
+            assert main(["gravity", "--config", config, "--out", str(out)]) == 0
+            record = json.loads((tmp_path / f"{name}.csv.record.json").read_text())
+            outputs.append((out.read_bytes(), record["outputs"], record["verdicts"]))
+        assert outputs[0] == outputs[1]
+
     def test_onsager_run(self, tmp_path):
         config = write_config(tmp_path / "cfg.json", {
             "scenario": "onsager",
@@ -332,6 +357,21 @@ class TestFailureModes:
         assert result.returncode == 2
         assert "config error" in result.stderr
         assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("scenario, document", [
+        ("gravity", {**GRAVITY_SOURCE, "spacing": "x"}),
+        ("gravity", {**GRAVITY_SOURCE, "origin": None}),
+        ("gravity", {**GRAVITY_SOURCE, "primitives": 5}),
+        ("gravity", {**GRAVITY_SOURCE, "primitives": [5]}),
+        ("onsager", {**ONSAGER_SYSTEM, "mystery": 1}),
+    ], ids=["spacing-string", "origin-null", "primitives-number", "primitive-number",
+            "system-unknown-key"])
+    def test_malformed_input_file_exits_2(self, tmp_path, capsys, scenario, document):
+        (tmp_path / "input.json").write_text(json.dumps(document))
+        config = write_config(tmp_path / "cfg.json", FILE_INPUT_CONFIGS[scenario])
+        assert main([scenario, "--config", config, "--out", str(tmp_path / "o.csv")]) == 2
+        assert "file failed schema validation" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "input.json"]
 
     def test_out_directory_exits_5(self, tmp_path):
         config = write_config(tmp_path / "cfg.json", EVOLVE_S_CONFIG)
@@ -480,6 +520,13 @@ class TestFailureModes:
             "config declares scenario 'evolve-s' but was passed to 'check-all'"
             in capsys.readouterr().err
         )
+
+    def test_check_all_seed_with_config_exits_2(self, tmp_path, capsys):
+        config = write_config(tmp_path / "cfg.json", {"scenario": "check-all", "seed": 7})
+        out = tmp_path / "out"
+        assert main(["check-all", "--config", config, "--seed", "3", "--outdir", str(out)]) == 2
+        assert "--seed cannot be combined with --config" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_check_all_failure_maps_to_exit_4(self, tmp_path, monkeypatch):
         import entropiclab.cli as cli_module
@@ -734,45 +781,24 @@ class TestCsvFormat:
         assert (tmp_path / "summary.csv").read_bytes() == expected.encode("utf-8")
 
 
-class TestEmitReport:
-    PASSING = {
-        "config": {"scenario": "evolve-s"},
-        "verdicts": [
-            {"name": "s-unitary-norms", "tolerance": 1e-12, "measured": 1e-15, "passed": True},
-        ],
-    }
-    FAILING = {
-        "config": {"scenario": "onsager"},
-        "verdicts": [
-            {"name": "entropy-forms-agree", "tolerance": 1e-12, "measured": 0.5, "passed": False},
-        ],
-    }
+class TestVerdictTable:
+    def test_check_all_prints_failures(self, tmp_path, monkeypatch, capsys):
+        import entropiclab.cli as cli_module
 
-    def test_single_passing_record(self):
-        summary = emit_report([self.PASSING])
-        assert summary.data["counts"] == {"pass": 1, "fail": 0}
-        assert "PASS" in summary.text and "FAIL" not in summary.text
-
-    def test_failing_row_is_flagged_without_raising(self):
-        summary = emit_report([self.FAILING])
-        assert summary.data["counts"]["fail"] == 1
-        assert "FAIL" in summary.text
-
-    def test_mixed_counts_match_recount(self):
-        records = [self.PASSING, self.FAILING, self.PASSING]
-        summary = emit_report(records)
-        expected_pass = sum(
-            1 for r in records for v in r["verdicts"] if v["passed"]
-        )
-        assert summary.data["counts"]["pass"] == expected_pass
-        assert summary.data["counts"]["fail"] == len(summary.data["rows"]) - expected_pass
-        assert list(summary.data["columns"]) == [
-            "scenario", "check", "tolerance", "measured", "verdict",
+        results = [
+            CheckResult.bounded("unitary-limit", 3.4e-17, 1e-12),
+            CheckResult("stokes-identity", 1.9, 1.76, False),
         ]
-
-    def test_empty_input_rejected(self):
-        with pytest.raises(ValueError):
-            emit_report([])
+        monkeypatch.setattr(cli_module, "run_all", lambda seed: results)
+        assert main(["check-all", "--outdir", str(tmp_path)]) == 4
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split() == ["scenario", "check", "tolerance", "measured", "verdict"]
+        assert lines[3].split() == [
+            "check-all", "stokes-identity", "1.900e+00", "1.760e+00", "FAIL",
+        ]
+        assert lines[-1] == "1 passed, 1 failed"
+        # the flag form without --seed runs and records seed 0
+        assert json.loads((tmp_path / "record.json").read_text())["config"]["seed"] == 0
 
 
 class TestConfigLoading:

@@ -9,11 +9,11 @@ from entropiclab import (
     SourceDistribution,
     WickFactor,
     laplacian_spot_check,
-    load_source,
     mean_h,
     rasterize,
     trace_potential,
 )
+from entropiclab.config import source_from
 
 
 def point_mass_source(mass=1.0, spacing=0.1):
@@ -178,7 +178,7 @@ class TestSourceIO:
         }
         path = tmp_path / "source.json"
         path.write_text(json.dumps(descriptor))
-        source = load_source(path)
+        source = source_from(path.name, tmp_path)
         direct = rasterize(
             descriptor["primitives"], descriptor["shape"],
             descriptor["spacing"], descriptor["origin"],
@@ -197,7 +197,7 @@ class TestSourceIO:
             "shape": list(source.trace.shape),
             "data": "lattice.bin",
         }))
-        loaded = load_source(header)
+        loaded = source_from(header.name, tmp_path)
         assert np.array_equal(loaded.trace, source.trace)
         assert loaded.spacing == source.spacing
         assert np.array_equal(loaded.origin, source.origin)
@@ -215,10 +215,10 @@ class TestSourceIO:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"spacing": 0.1, "origin": [0, 0, 0], "shape": [2, 2, 2]}))
         with pytest.raises(ValueError, match="primitives"):
-            load_source(path)
+            source_from(path.name, tmp_path)
         path.write_text(json.dumps({"spacing": 0.1}))
-        with pytest.raises(ValueError, match="missing"):
-            load_source(path)
+        with pytest.raises(ValueError, match="is a required property"):
+            source_from(path.name, tmp_path)
 
     def test_wrong_size_binary_rejected(self, tmp_path):
         (tmp_path / "lattice.bin").write_bytes(np.zeros(5).astype("<f8").tobytes())
@@ -227,7 +227,7 @@ class TestSourceIO:
             "spacing": 0.1, "origin": [0, 0, 0], "shape": [2, 2, 2], "data": "lattice.bin",
         }))
         with pytest.raises(ValueError, match="expected 8"):
-            load_source(header)
+            source_from(header.name, tmp_path)
 
     def test_point_outside_lattice_rejected(self):
         with pytest.raises(ValueError, match="outside"):

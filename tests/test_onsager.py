@@ -11,6 +11,7 @@ from entropiclab import (
     reciprocity_check,
     relax,
 )
+from entropiclab.config import system_from
 
 
 def random_spd_system(rng, n):
@@ -166,7 +167,7 @@ class TestSystemValidation:
             "G": [[1.0, 0.0], [0.0, 1.0]],
             "y0": [1.0, 0.0],
         }))
-        system = OnsagerSystem.from_json(path)
+        system = system_from(path.name, tmp_path)
         np.testing.assert_allclose(system.kinetic, [[2.0, 1.0], [1.0, 2.0]])
         with pytest.raises(ValueError, match="descriptor"):
             OnsagerSystem.from_dict({"N": 2, "L": [1.0], "G": [], "y0": []})

@@ -4,7 +4,8 @@ The walk is static: it starts from the names that ``cli.py``, ``config.py``
 and ``suite.py`` reference, and follows each one to its top-level
 definition in the package, then on to the names that definition references.
 A public name outside that closure is code that no claim and no command
-uses.
+uses.  A second walk finds each function that parses an input file format,
+so that a second parser of one format cannot come back unseen.
 """
 import ast
 import inspect
@@ -69,3 +70,24 @@ def test_every_export_is_reached():
     unreached = {name for name, origin in exported().items() if origin not in reached}
     assert unreached == PENDING | EXTERNAL
 
+
+def functions_using(module_name: str, attributes):
+    """``module.function`` of each package function whose body names one of
+    ``module_name``'s ``attributes``, such as ``json.load``."""
+    found = set()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for function in ast.walk(tree):
+            if isinstance(function, ast.FunctionDef) and any(
+                isinstance(node, ast.Attribute) and node.attr in attributes
+                and isinstance(node.value, ast.Name) and node.value.id == module_name
+                for node in ast.walk(function)
+            ):
+                found.add(f"{path.stem}.{function.name}")
+    return found
+
+
+def test_one_parser_per_input_format():
+    # schema() parses the package's own schema, the one the reader validates against
+    assert functions_using("json", {"load", "loads"}) == {"config._read_json", "config.schema"}
+    assert functions_using("np", {"fromfile"}) == {"gravity._descriptor_to_source"}
