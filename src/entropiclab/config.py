@@ -74,7 +74,9 @@ def _validate(document: dict, definition: str | None, what: str) -> None:
         lines = []
         for error in errors:
             where = "/".join(str(part) for part in error.absolute_path) or "<root>"
-            lines.append(f"  at {where}: {error.message}")
+            # a failed oneOf says why each of its branches failed
+            reasons = "; ".join(sorted({branch.message for branch in error.context}))
+            lines.append(f"  at {where}: {error.message}" + (f" ({reasons})" if reasons else ""))
         raise ConfigError(f"{what} failed schema validation:\n" + "\n".join(lines))
 
 
@@ -182,7 +184,7 @@ def region_from(block: dict) -> RegionSpec:
                 center=block["center"], radius=block["radius"], samples=block["samples"]
             )
         return RegionSpec.box(bounds=block["bounds"], samples=block["samples"])
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad region block: {exc}") from exc
 
 
@@ -199,8 +201,7 @@ def source_from(value, base_dir: Path) -> SourceDistribution:
     descriptor, base_dir = _block_or_file(value, base_dir, "source_descriptor", "source file")
     try:
         return _descriptor_to_source(descriptor, base_dir)
-    # the schema does not require a point's position
-    except (OSError, KeyError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"bad source: {exc}") from exc
 
 

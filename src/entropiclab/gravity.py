@@ -15,7 +15,9 @@ import numpy as np
 
 from .seeding import block_generator, block_ranges
 
-_POINT_CHUNK = 256
+# probe-cell pairs per block of the direct sum: a fixed budget, so that
+# memory stays O(budget) (or one row of cells, when a row alone is larger)
+_PAIR_BUDGET = 1 << 17
 
 __all__ = [
     "RegionSpec",
@@ -89,12 +91,11 @@ class SourceDistribution:
         positions, _ = self.cell_data()
         if positions.shape[0] == 0:
             return np.full(pts.shape[0], np.inf)
-        smallest = np.full(pts.shape[0], np.inf)
-        for start in range(0, pts.shape[0], _POINT_CHUNK):
-            chunk = pts[start : start + _POINT_CHUNK]
-            d = np.linalg.norm(chunk[:, None, :] - positions[None, :, :], axis=-1)
-            smallest[start : start + _POINT_CHUNK] = d.min(axis=1)
-        return smallest
+        nearest = np.empty(pts.shape[0], dtype=np.intp)
+        for rows, d in _squared_distance_blocks(self, pts):
+            nearest[rows] = d.argmin(axis=1)
+        # the exact distance to the cell that the blocked kernel found nearest
+        return np.linalg.norm(pts - positions[nearest], axis=1)
 
 
 @dataclass(frozen=True)
@@ -136,6 +137,32 @@ class RegionSpec:
         return cls(shape="box", samples=samples, bounds=bounds)
 
 
+def _squared_distance_blocks(source: SourceDistribution, points: np.ndarray):
+    """Squared distances from the points to the occupied cells, in row blocks.
+
+    Yields ``(rows, d)`` with ``d[i, j] = |points[rows][i] - cell_j|^2``,
+    formed as ``|p|^2 + |c|^2 - 2 p.c`` with one matmul per block of at most
+    ``_PAIR_BUDGET`` pairs (one row, if a row alone is larger).  Points and
+    cells are first centred on the lattice centre, so that the cancellation
+    is bounded by the lattice's own size wherever the lattice lies: each
+    entry is off by a few ulps of ``|p - anchor|^2 + |c - anchor|^2``.
+    """
+    positions, _ = source.cell_data()
+    anchor = source.origin + source.spacing * np.array(source.trace.shape) / 2.0
+    cells = positions - anchor
+    cell_norms = np.einsum("ij,ij->i", cells, cells)
+    pts = np.atleast_2d(points) - anchor
+    point_norms = np.einsum("ij,ij->i", pts, pts)
+    step = max(1, _PAIR_BUDGET // cells.shape[0])
+    for start in range(0, pts.shape[0], step):
+        rows = slice(start, start + step)
+        d = pts[rows] @ cells.T
+        d *= -2.0
+        d += cell_norms
+        d += point_norms[rows, None]
+        yield rows, d
+
+
 def _potential_at(source: SourceDistribution, points: np.ndarray) -> np.ndarray:
     """Potential 4 * sum(mass / distance) at points known to be off-support."""
     pts = np.atleast_2d(points)
@@ -143,10 +170,10 @@ def _potential_at(source: SourceDistribution, points: np.ndarray) -> np.ndarray:
     if positions.shape[0] == 0:
         return np.zeros(pts.shape[0])
     out = np.empty(pts.shape[0])
-    for start in range(0, pts.shape[0], _POINT_CHUNK):
-        chunk = pts[start : start + _POINT_CHUNK]
-        d = np.linalg.norm(chunk[:, None, :] - positions[None, :, :], axis=-1)
-        out[start : start + _POINT_CHUNK] = 4.0 * (masses[None, :] / d).sum(axis=1)
+    for rows, d in _squared_distance_blocks(source, pts):
+        np.sqrt(d, out=d)
+        np.reciprocal(d, out=d)
+        out[rows] = 4.0 * (d @ masses)
     return out
 
 
@@ -290,7 +317,7 @@ def rasterize(primitives, shape, spacing: float, origin=(0.0, 0.0, 0.0)) -> Sour
 
 def _descriptor_to_source(descriptor: dict, base_dir: Path) -> SourceDistribution:
     """Build a source from a schema-valid descriptor: ``spacing``, ``origin``,
-    ``shape`` and either a ``primitives`` list or a ``data`` entry naming a raw
+    ``shape`` and exactly one of a ``primitives`` list or a ``data`` entry naming a raw
     little-endian float64 lattice (C order), resolved relative to ``base_dir``."""
     spacing = descriptor["spacing"]
     origin = descriptor["origin"]
@@ -304,6 +331,4 @@ def _descriptor_to_source(descriptor: dict, base_dir: Path) -> SourceDistributio
                 f"lattice file {data_path} holds {lattice.size} values, expected {expected}"
             )
         return SourceDistribution(lattice.reshape(shape), spacing, origin)
-    if "primitives" in descriptor:
-        return rasterize(descriptor["primitives"], shape, spacing, origin)
-    raise ValueError("source descriptor needs either 'primitives' or 'data'")
+    return rasterize(descriptor["primitives"], shape, spacing, origin)

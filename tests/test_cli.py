@@ -358,6 +358,61 @@ class TestFailureModes:
         assert "config error" in result.stderr
         assert not (tmp_path / "o.csv").exists()
 
+    def test_source_with_data_and_primitives_exits_2(self, tmp_path, capsys):
+        # before the schema made them exclusive, the data won and the
+        # primitives were dropped without a word
+        np.zeros(27).astype("<f8").tofile(tmp_path / "lattice.bin")
+        config = write_config(tmp_path / "cfg.json", {
+            "scenario": "gravity",
+            "gravity": {"source": {**GRAVITY_SOURCE, "data": "lattice.bin"}, "probes": [[3, 1, 0]]},
+        })
+        assert main(["gravity", "--config", config, "--out", str(tmp_path / "o.csv")]) == 2
+        assert "is valid under each of" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "lattice.bin"]
+
+    @pytest.mark.parametrize("kind, changes, message", [
+        ("ball-region", {"bounds": [[3, 3, 3], [4, 4, 4]]}, "'bounds' is not one of"),
+        ("ball-region", {"center": None}, "'center' is a required property"),
+        ("ball-region", {"radius": None}, "'radius' is a required property"),
+        ("box-region", {"center": [3, 1, 0]}, "'center' is not one of"),
+        ("box-region", {"bounds": None}, "'bounds' is a required property"),
+        ("ball", {"center": None}, "'center' is a required property"),
+        ("ball", {"position": [0.75, 0.75, 0.75]}, "'position' is not one of"),
+        ("point", {"mass": None}, "'mass' is a required property"),
+        ("point", {"trace": 1.0}, "'trace' is not one of"),
+        ("box", {"trace": None}, "'trace' is a required property"),
+        ("box", {"radius": 0.5}, "'radius' is not one of"),
+    ], ids=["ball-region-bounds", "ball-region-no-center", "ball-region-no-radius",
+            "box-region-center", "box-region-no-bounds", "ball-no-center", "ball-position",
+            "point-no-mass", "point-trace", "box-no-trace", "box-radius"])
+    def test_keys_of_another_kind_exit_2(self, tmp_path, capsys, kind, changes, message):
+        # each region shape and primitive kind requires its own keys and
+        # rejects the others' (a change to None drops the key); before, a ball
+        # region ignored its bounds and a ball without a center exited 2 with
+        # the bare message 'center'
+        blocks = {
+            "ball-region": {"shape": "ball", "samples": 10, "center": [3, 1, 0], "radius": 0.2},
+            "box-region": {"shape": "box", "samples": 10, "bounds": [[3, 1, 0], [4, 2, 1]]},
+            "point": {"kind": "point", "position": [0.75, 0.75, 0.75], "mass": 2.0},
+            "ball": {"kind": "ball", "center": [0.75, 0.75, 0.75], "radius": 0.3, "trace": 1.0},
+            "box": {"kind": "box", "bounds": [[0, 0, 0], [1, 1, 1]], "trace": 1.0},
+        }
+        block = blocks[kind]
+        for key, value in changes.items():
+            if value is None:
+                del block[key]
+            else:
+                block[key] = value
+        gravity = {"source": dict(GRAVITY_SOURCE)}
+        if kind.endswith("-region"):
+            gravity["region"] = block
+        else:
+            gravity["source"]["primitives"] = [block]
+        config = write_config(tmp_path / "cfg.json", {"scenario": "gravity", "gravity": gravity})
+        assert main(["gravity", "--config", config, "--out", str(tmp_path / "o.csv")]) == 2
+        assert message in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
     @pytest.mark.parametrize("scenario, document", [
         ("gravity", {**GRAVITY_SOURCE, "spacing": "x"}),
         ("gravity", {**GRAVITY_SOURCE, "origin": None}),

@@ -1,13 +1,17 @@
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from conftest import cli_env
 
 from entropiclab import (
     RegionSpec,
     SourceDistribution,
     WickFactor,
+    gravity,
     laplacian_spot_check,
     mean_h,
     rasterize,
@@ -139,6 +143,104 @@ class TestMeanH:
             RegionSpec.ball(center=[0, 0, 0], radius=1.0, samples=0)
         with pytest.raises(ValueError, match="bounds"):
             RegionSpec.box(bounds=[[1, 0, 0], [0, 1, 1]], samples=10)
+
+
+class TestBlockedKernel:
+    """The blocked sum against a pairwise ``np.linalg.norm`` reference.
+
+    The kernel forms ``|p'|^2 + |c'|^2 - 2 p'.c'`` for points and cells
+    centred on the lattice centre.  Rounding the centring, the three norms,
+    the dot product and the two additions puts each squared distance off by
+    at most about 14 u = 7 eps of ``|p'|^2 + |c'|^2``.  Every cell centre lies
+    within the half-diagonal R of the anchor and ``|p'| <= d + R``, so a
+    pair at distance d has relative squared-distance error at most
+    ``8 eps ((d + R)^2 + R^2) / d^2``.  The potential adds half of that, a
+    rounding each for sqrt, reciprocal and mass product, and the error of
+    summing n positive terms in any order, in the kernel and the reference
+    alike.  The worst pair is a probe one spacing outside a face of a
+    lattice far from the origin.
+    """
+
+    EPS = np.finfo(float).eps
+
+    @staticmethod
+    def far_lattice():
+        # a fully occupied 32^3 lattice whose origin is far from the origin
+        rng = np.random.default_rng(4)
+        # a spacing of 0.03 makes coordinates with long binary expansions, so
+        # that the cancellation is not exact by accident
+        return SourceDistribution(rng.uniform(0.5, 1.5, (32, 32, 32)), 0.03, (1e3, 1e3, 1e3))
+
+    @staticmethod
+    def face_probes(source):
+        # one spacing outside the x = origin face, beside the first layer of
+        # cell centres: a corner, the middle of the face, an edge, and two
+        # points between cells; then one probe well away from the lattice
+        h = source.spacing
+        x = source.origin[0] - 0.5 * h
+        offsets = [(0.5, 0.5), (16.5, 16.5), (31.5, 8.5), (7.0, 20.0), (24.25, 3.75)]
+        probes = [[x, source.origin[1] + a * h, source.origin[2] + b * h] for a, b in offsets]
+        return np.array(probes + [(source.origin + 3.0).tolist()])
+
+    def reference(self, source, points):
+        positions, masses = source.cell_data()
+        d = np.linalg.norm(points[:, None, :] - positions[None, :, :], axis=-1)
+        return d, 4.0 * (masses[None, :] / d).sum(axis=1)
+
+    def pair_bound(self, source, d):
+        half_diagonal = 0.5 * source.spacing * np.linalg.norm(source.trace.shape)
+        return 8.0 * self.EPS * ((d + half_diagonal) ** 2 + half_diagonal**2) / d**2
+
+    @pytest.mark.parametrize("rows", [1, 5, None], ids=["one-row", "uneven", "default"])
+    def test_matches_pairwise_reference(self, monkeypatch, rows):
+        source = self.far_lattice()
+        cells = source.cell_data()[0].shape[0]
+        if rows is not None:
+            monkeypatch.setattr(gravity, "_PAIR_BUDGET", rows * cells + cells // 2)
+        probes = self.face_probes(source)
+        distances, expected = self.reference(source, probes)
+        assert distances.min() == pytest.approx(source.spacing, rel=1e-12)
+
+        covered = []
+        for block_rows, squared in gravity._squared_distance_blocks(source, probes):
+            covered.extend(range(*block_rows.indices(len(probes))))
+            assert squared.size <= max(gravity._PAIR_BUDGET, cells)
+            exact = distances[block_rows] ** 2
+            bound = self.pair_bound(source, distances[block_rows]) * exact
+            assert np.all(np.abs(squared - exact) <= bound)
+        assert covered == list(range(len(probes)))
+
+        pair = self.pair_bound(source, distances.min())
+        relative = 0.5 * pair + 3.0 * self.EPS + 2.0 * cells * self.EPS
+        assert relative < 1e-10  # the bound itself says something
+        got = gravity._potential_at(source, probes)
+        assert np.all(np.abs(got - expected) <= relative * expected)
+
+        nearest = distances.min(axis=1)
+        found = source.support_distance(probes)
+        assert np.all(np.abs(found - nearest) <= (0.5 * pair + 2.0 * self.EPS) * nearest)
+
+    def test_support_distance_on_the_support(self):
+        # a cell centre is at distance zero, whatever the cancellation does
+        source = self.far_lattice()
+        positions = source.cell_data()[0]
+        assert np.array_equal(source.support_distance(positions[[0, 1000, -1]]), np.zeros(3))
+
+    def test_mean_h_memory_is_bounded(self):
+        # a fully occupied 64^3 lattice, where a (256 x cells x 3) difference
+        # tensor would take about 1.6 GB
+        script = (
+            "import resource\n"
+            "import numpy as np\n"
+            "from entropiclab import RegionSpec, SourceDistribution, mean_h\n"
+            "source = SourceDistribution(np.ones((64, 64, 64)), 1.0 / 64)\n"
+            "region = RegionSpec.ball(center=[2.5, 0.5, 0.5], radius=0.4, samples=256)\n"
+            "assert mean_h(source, region, seed=3) > 0.0\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                text=True, env=cli_env(), check=True)
+        assert int(result.stdout) / 1024.0 < 200.0
 
 
 class TestLaplacianSpotCheck:
