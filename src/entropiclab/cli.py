@@ -207,12 +207,12 @@ def _run_gravity(config: dict, base_dir: Path):
     source = source_from(block["source"], base_dir)
     seed = config.get("seed", 0)
     probes = np.asarray(block.get("probes", []), dtype=float).reshape(-1, 3)
-    potentials = [trace_potential(source, probe) for probe in probes]
+    potentials = trace_potential(source, probes)
     table = _csv_lines(["x", "y", "z", "h"], *probes.T, potentials)
     outputs = {"total_mass": float(source.total_mass)}
     verdicts = []
-    if potentials:
-        lowest = float(min(potentials))
+    if potentials.size:
+        lowest = float(potentials.min())
         verdicts.append(
             CheckResult("potential-nonnegative", 0.0, min(lowest, 0.0), lowest >= 0.0)
         )

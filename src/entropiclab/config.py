@@ -141,7 +141,7 @@ def state_from(block: dict, dim: int) -> StateVector:
         raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         return StateVector(raw / np.linalg.norm(raw))
     if kind == "amplitudes":
-        re = np.asarray(block.get("re", []), dtype=float)
+        re = np.asarray(block["re"], dtype=float)
         im = np.asarray(block.get("im", np.zeros_like(re)), dtype=float)
         if re.size != dim or im.size != dim:
             raise ConfigError(
@@ -228,6 +228,6 @@ def patch_from(block: dict) -> SymplecticPatch:
                 modes=block.get("modes", 2),
                 amplitude=block.get("amplitude", 0.08),
             )
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad patch block: {exc}") from exc
     raise ConfigError(f"unknown patch kind {kind!r}")

@@ -220,8 +220,11 @@ def evolve_s(
         refined = None
         while substeps <= 2**max_refinements:
             fine = _ordered_product(current, generator, a, b, substeps, z_rate, dim)
-            gap = float(np.linalg.norm(fine.amplitudes - coarse.amplitudes))
-            if gap <= interval_rtol * max(fine.norm(), _TINY):
+            # squares overflow past about 1e154; a row that overflows raises in eigenbasis_rows
+            with np.errstate(over="ignore"):
+                gap = float(np.linalg.norm(fine.amplitudes - coarse.amplitudes))
+                converged = gap <= interval_rtol * max(fine.norm(), _TINY)
+            if converged:
                 refined = fine
                 break
             coarse = fine

@@ -177,34 +177,36 @@ def _potential_at(source: SourceDistribution, points: np.ndarray) -> np.ndarray:
     return out
 
 
-def trace_potential(source: SourceDistribution, point) -> float:
-    """Potential of the source at one exterior point.
+def trace_potential(source: SourceDistribution, points):
+    """Potential of the source at exterior points.
 
-    Points closer than one cell spacing to the occupied support are
-    rejected (the kernel is singular there and the lattice sum meaningless).
+    ``points`` is one point or an ``(n, 3)`` array; the result has shape
+    ``points.shape[:-1]``, a float for one point.  All rows go through one
+    support check and one sum.  Points closer than one cell spacing to the
+    occupied support are rejected (the kernel is singular there and the
+    lattice sum meaningless).
     """
-    p = np.asarray(point, dtype=float)
-    if p.shape != (3,) or not np.all(np.isfinite(p)):
-        raise ValueError("point must be three finite coordinates")
-    if float(source.support_distance(p[None, :])[0]) < source.spacing:
-        raise ValueError("evaluation point lies inside or on the source support")
-    return float(_potential_at(source, p[None, :])[0])
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 0 or pts.shape[-1] != 3 or not np.all(np.isfinite(pts)):
+        raise ValueError("points must be finite coordinates of shape (3,) or (n, 3)")
+    rows = pts.reshape(-1, 3)
+    if np.any(source.support_distance(rows) < source.spacing):
+        raise ValueError(
+            "evaluation point lies within one cell of the source support; move it into vacuum"
+        )
+    return _potential_at(source, rows).reshape(pts.shape[:-1])[()]
 
 
 def _check_region_clear(source: SourceDistribution, region: RegionSpec) -> None:
-    positions, _ = source.cell_data()
-    if positions.shape[0] == 0:
-        return
     if region.shape == "ball":
-        d = np.linalg.norm(positions - region.center[None, :], axis=1)
-        if float(d.min()) < region.radius + source.spacing:
-            raise ValueError("region is not separated from the source support by a cell")
+        touches = source.support_distance(region.center)[0] < region.radius + source.spacing
     else:
+        positions, _ = source.cell_data()
         low = region.bounds[0] - source.spacing
         high = region.bounds[1] + source.spacing
-        inside = np.all((positions >= low) & (positions <= high), axis=1)
-        if bool(inside.any()):
-            raise ValueError("region is not separated from the source support by a cell")
+        touches = np.all((positions >= low) & (positions <= high), axis=1).any()
+    if touches:
+        raise ValueError("region is not separated from the source support by a cell")
 
 
 def _sample_region(region: RegionSpec, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -253,10 +255,7 @@ def laplacian_spot_check(source: SourceDistribution, point, step: float | None =
     for axis in range(3):
         offsets[1 + 2 * axis, axis] = step
         offsets[2 + 2 * axis, axis] = -step
-    stencil = p[None, :] + offsets
-    if float(source.support_distance(stencil).min()) < source.spacing:
-        raise ValueError("stencil touches the source support; move the probe into vacuum")
-    values = _potential_at(source, stencil)
+    values = trace_potential(source, p + offsets)
     return float((values[1:].sum() - 6.0 * values[0]) / step**2)
 
 

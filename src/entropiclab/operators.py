@@ -23,8 +23,6 @@ RECONSTRUCTION_RTOL = 1e-10
 ORTHONORMALITY_ATOL = 1e-12
 UNIT_LABELS = ("energy", "entropy", "dimensionless")
 
-# exp() overflows double precision just above this exponent
-_MAX_EXPONENT = 709.0
 _TINY = np.finfo(float).tiny
 
 __all__ = [
@@ -321,29 +319,29 @@ def eigenbasis_rows(decomposition: SpectralDecomposition, exponents, state: Stat
     ``exponents`` is an ``(n, dim)`` array in the eigenbasis of
     ``decomposition``: row k carries ``state`` by the operator whose
     eigenvalues are ``e_k``.  ``V* state`` is projected once; each row is
-    then one matrix-vector product.  Exponents whose real part exceeds the
-    double-precision range raise ``OverflowError`` instead of saturating,
-    and a nonzero state whose image underflows to zero weight raises
-    ``FloatingPointError`` instead of being returned as the zero vector.
+    then one matrix-vector product.  A row that overflows the double range,
+    whether in one exponential or in the product, raises ``OverflowError``
+    instead of saturating, and a nonzero state whose image underflows to
+    zero weight raises ``FloatingPointError`` instead of being returned as
+    the zero vector.
     """
     vectors = decomposition.eigenvectors
     if vectors.shape[0] != state.dim:
         raise ValueError(f"dimension mismatch: operator {vectors.shape[0]} vs state {state.dim}")
     exponents = np.asarray(exponents, dtype=complex)
-    largest = float(exponents.real.max())
-    if largest > _MAX_EXPONENT:
+    coefficients = vectors.conj().T @ state.amplitudes
+    with np.errstate(over="ignore", invalid="ignore"):
+        # one matrix-vector product per row, not one matrix product for all
+        # rows, so that every row equals the one-row case bit for bit
+        rows = np.array([vectors @ (np.exp(row) * coefficients) for row in exponents])
+        # a row's weight is zero exactly when every squared part underflows; a
+        # square that overflows still counts as weight
+        weights = (rows.view(float) ** 2).sum(axis=1)
+    if not np.isfinite(rows).all():
         raise OverflowError(
-            f"exp({largest:.3e}) exceeds the representable double range; "
+            "the evolved state overflowed the double range; "
             "rescale the generator or shorten the evolution interval"
         )
-    coefficients = vectors.conj().T @ state.amplitudes
-    # one matrix-vector product per row, not one matrix product for all rows,
-    # so that every row equals the one-row case bit for bit
-    rows = np.array([vectors @ (np.exp(row) * coefficients) for row in exponents])
-    # a row's weight is zero exactly when every squared part underflows; a
-    # square that overflows still counts as weight
-    with np.errstate(over="ignore"):
-        weights = (rows.view(float) ** 2).sum(axis=1)
     if not weights.all() and state.norm() > 0.0:
         raise FloatingPointError(
             "the evolved state underflowed to zero weight; "

@@ -412,13 +412,10 @@ def check_gravity_falloff(seed: int) -> CheckResult:
         origin=(-0.8, -0.8, -0.8),
     )
     mass = source.total_mass
-    worst_falloff = 0.0
     directions = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 1.0] / np.sqrt(3.0)])
-    for factor in (10.0, 15.0, 20.0):
-        r = factor * radius
-        for direction in directions:
-            h = trace_potential(source, r * direction)
-            worst_falloff = max(worst_falloff, abs(h * r / (4.0 * mass) - 1.0))
+    r = np.array([10.0, 15.0, 20.0])[:, None] * radius
+    h = trace_potential(source, r[:, :, None] * directions)
+    worst_falloff = float(np.abs(h * r / (4.0 * mass) - 1.0).max())
 
     probe = np.array([2.0, 0.6, -0.4])
     residuals = [abs(laplacian_spot_check(source, probe, step)) for step in (0.4, 0.2, 0.1)]

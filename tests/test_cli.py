@@ -327,6 +327,32 @@ class TestFailureModes:
         assert result.returncode == 3
         assert "numerical failure" in result.stderr
 
+    @pytest.mark.filterwarnings("error")
+    def test_chart_overflow_exits_3(self, tmp_path, capsys):
+        # every substep's exponent fits the double range, but their product
+        # does not; the overflow must exit 3 without a NumPy warning
+        payload = json.loads(json.dumps(EVOLVE_S_CONFIG))
+        payload["evolve_s"].update({
+            "grid": {"start": 0.0, "stop": 2.0, "num": 21},
+            "epsilon": -0.5,
+            "schedule": "chart",
+            "reference_temperature": 0.0003,
+        })
+        del payload["evolve_s"]["temperature"]
+        config = write_config(tmp_path / "cfg.json", payload)
+        assert main(["evolve-s", "--config", config, "--out", str(tmp_path / "o.csv")]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    def test_probe_on_the_support_exits_2(self, tmp_path, capsys):
+        # one probe on the support fails the whole probe set before anything is written
+        config = write_config(tmp_path / "cfg.json", {"scenario": "gravity", "gravity": {
+            "source": GRAVITY_SOURCE, "probes": [[3, 1, 0], [0.75, 0.75, 0.75], [0, 0, 4]],
+        }})
+        assert main(["gravity", "--config", config, "--out", str(tmp_path / "o.csv")]) == 2
+        assert "source support" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
     def test_underflow_exits_3(self, tmp_path, capsys):
         payload = json.loads(json.dumps(EVOLVE_S_CONFIG))
         payload["evolve_s"].update({
@@ -382,20 +408,38 @@ class TestFailureModes:
         ("point", {"trace": 1.0}, "'trace' is not one of"),
         ("box", {"trace": None}, "'trace' is a required property"),
         ("box", {"radius": 0.5}, "'radius' is not one of"),
+        ("rectangle", {"radius": 0.5}, "'radius' is not one of"),
+        ("rectangle", {"p1_extent": None}, "'p1_extent' is a required property"),
+        ("disk", {"radius": None}, "'radius' is a required property"),
+        ("two_plane", {"area2": None}, "'area2' is a required property"),
+        ("fourier", {"area1": 1.0}, "'area1' is not one of"),
+        ("basis", {"seed": 3}, "'seed' is not one of"),
+        ("basis", {"re": [1.0, 0.0]}, "'re' is not one of"),
+        ("uniform", {"index": 1}, "'index' is not one of"),
+        ("amplitudes", {"re": None}, "'re' is a required property"),
     ], ids=["ball-region-bounds", "ball-region-no-center", "ball-region-no-radius",
             "box-region-center", "box-region-no-bounds", "ball-no-center", "ball-position",
-            "point-no-mass", "point-trace", "box-no-trace", "box-radius"])
+            "point-no-mass", "point-trace", "box-no-trace", "box-radius", "rectangle-radius",
+            "rectangle-no-p1-extent", "disk-no-radius", "two-plane-no-area2", "fourier-area1",
+            "basis-seed", "basis-re", "uniform-index", "amplitudes-no-re"])
     def test_keys_of_another_kind_exit_2(self, tmp_path, capsys, kind, changes, message):
-        # each region shape and primitive kind requires its own keys and
-        # rejects the others' (a change to None drops the key); before, a ball
-        # region ignored its bounds and a ball without a center exited 2 with
-        # the bare message 'center'
+        # each region shape, primitive, patch and state kind requires its own
+        # keys and rejects the others' (a change to None drops the key);
+        # before, a ball region ignored its bounds and a ball without a center
+        # exited 2 with the bare message 'center'
         blocks = {
             "ball-region": {"shape": "ball", "samples": 10, "center": [3, 1, 0], "radius": 0.2},
             "box-region": {"shape": "box", "samples": 10, "bounds": [[3, 1, 0], [4, 2, 1]]},
             "point": {"kind": "point", "position": [0.75, 0.75, 0.75], "mass": 2.0},
             "ball": {"kind": "ball", "center": [0.75, 0.75, 0.75], "radius": 0.3, "trace": 1.0},
             "box": {"kind": "box", "bounds": [[0, 0, 0], [1, 1, 1]], "trace": 1.0},
+            "rectangle": {"kind": "rectangle", "q1_extent": 1.0, "p1_extent": 1.0},
+            "disk": {"kind": "disk", "radius": 0.8},
+            "two_plane": {"kind": "two_plane", "area1": 1.0, "area2": 1.0},
+            "fourier": {"kind": "fourier", "seed": 4},
+            "basis": {"kind": "basis", "index": 1},
+            "uniform": {"kind": "uniform"},
+            "amplitudes": {"kind": "amplitudes", "re": [1.0, 0.0]},
         }
         block = blocks[kind]
         for key, value in changes.items():
@@ -403,13 +447,22 @@ class TestFailureModes:
                 del block[key]
             else:
                 block[key] = value
-        gravity = {"source": dict(GRAVITY_SOURCE)}
-        if kind.endswith("-region"):
-            gravity["region"] = block
+        if kind in ("rectangle", "disk", "two_plane", "fourier"):
+            payload = {"scenario": "stokes",
+                       "stokes": {"patch": block, "resolutions": [16, 32, 64]}}
+        elif kind in ("basis", "uniform", "amplitudes"):
+            payload = json.loads(json.dumps(EVOLVE_S_CONFIG))
+            payload["evolve_s"]["state"] = block
         else:
-            gravity["source"]["primitives"] = [block]
-        config = write_config(tmp_path / "cfg.json", {"scenario": "gravity", "gravity": gravity})
-        assert main(["gravity", "--config", config, "--out", str(tmp_path / "o.csv")]) == 2
+            gravity = {"source": dict(GRAVITY_SOURCE)}
+            if kind.endswith("-region"):
+                gravity["region"] = block
+            else:
+                gravity["source"]["primitives"] = [block]
+            payload = {"scenario": "gravity", "gravity": gravity}
+        config = write_config(tmp_path / "cfg.json", payload)
+        out = str(tmp_path / "o.csv")
+        assert main([payload["scenario"], "--config", config, "--out", out]) == 2
         assert message in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
@@ -732,7 +785,7 @@ def gravity_case(probes):
     }
     source = source_from(block["source"], None)
     coordinates = np.asarray(probes, dtype=float).reshape(-1, 3)
-    potentials = [trace_potential(source, probe) for probe in probes]
+    potentials = trace_potential(source, coordinates)
     return ({"scenario": "gravity", "gravity": block}, ["x", "y", "z", "h"],
             [*coordinates.T, potentials])
 

@@ -18,6 +18,7 @@ from entropiclab import (
     trace_potential,
 )
 from entropiclab.config import source_from
+from entropiclab.seeding import BLOCK_SAMPLES
 
 
 def point_mass_source(mass=1.0, spacing=0.1):
@@ -129,6 +130,34 @@ class TestMeanH:
         value = mean_h(source, region, seed=1)
         assert 4.0 / 3.5 <= value <= 4.0 / 1.5
 
+    @pytest.mark.parametrize("shape", ["ball", "box"])
+    def test_one_kernel_pass_per_sample_block(self, monkeypatch, shape):
+        # the region is cleared once, geometrically; its samples go straight
+        # to the sum, not through trace_potential's per-point check
+        calls = {"blocks": 0, "support": 0}
+        blocks = gravity._squared_distance_blocks
+        support = SourceDistribution.support_distance
+
+        def counted_blocks(*args):
+            calls["blocks"] += 1
+            return blocks(*args)
+
+        def counted_support(*args):
+            calls["support"] += 1
+            return support(*args)
+
+        monkeypatch.setattr(gravity, "_squared_distance_blocks", counted_blocks)
+        monkeypatch.setattr(SourceDistribution, "support_distance", counted_support)
+        samples = 3 * BLOCK_SAMPLES + 1
+        if shape == "ball":
+            region = RegionSpec.ball(center=[3.0, 0.0, 0.0], radius=0.5, samples=samples)
+        else:
+            region = RegionSpec.box(bounds=[[2.0, -0.5, -0.5], [3.0, 0.5, 0.5]], samples=samples)
+        mean_h(point_mass_source(), region, seed=2)
+        # a ball's clearance is one support_distance call, itself one pass
+        checks = 1 if shape == "ball" else 0
+        assert calls == {"blocks": 4 + checks, "support": checks}
+
     def test_region_touching_support_rejected(self):
         source = point_mass_source()
         center = source.cell_data()[0][0]
@@ -191,6 +220,11 @@ class TestBlockedKernel:
         half_diagonal = 0.5 * source.spacing * np.linalg.norm(source.trace.shape)
         return 8.0 * self.EPS * ((d + half_diagonal) ** 2 + half_diagonal**2) / d**2
 
+    def potential_bound(self, source, distances):
+        cells = source.cell_data()[0].shape[0]
+        pair = self.pair_bound(source, distances.min())
+        return 0.5 * pair + 3.0 * self.EPS + 2.0 * cells * self.EPS
+
     @pytest.mark.parametrize("rows", [1, 5, None], ids=["one-row", "uneven", "default"])
     def test_matches_pairwise_reference(self, monkeypatch, rows):
         source = self.far_lattice()
@@ -211,7 +245,7 @@ class TestBlockedKernel:
         assert covered == list(range(len(probes)))
 
         pair = self.pair_bound(source, distances.min())
-        relative = 0.5 * pair + 3.0 * self.EPS + 2.0 * cells * self.EPS
+        relative = self.potential_bound(source, distances)
         assert relative < 1e-10  # the bound itself says something
         got = gravity._potential_at(source, probes)
         assert np.all(np.abs(got - expected) <= relative * expected)
@@ -219,6 +253,36 @@ class TestBlockedKernel:
         nearest = distances.min(axis=1)
         found = source.support_distance(probes)
         assert np.all(np.abs(found - nearest) <= (0.5 * pair + 2.0 * self.EPS) * nearest)
+
+    def test_many_probes_in_one_checked_call(self, monkeypatch):
+        # 40 probes, 1.5 to 4 spacings off a random face, in blocks of 7
+        # rows and a remainder: one support pass and one sum for them all
+        source = self.far_lattice()
+        cells = source.cell_data()[0].shape[0]
+        monkeypatch.setattr(gravity, "_PAIR_BUDGET", 7 * cells + cells // 2)
+        passes = []
+        blocks = gravity._squared_distance_blocks
+
+        def counted_blocks(*args):
+            passes.append(args)
+            return blocks(*args)
+
+        monkeypatch.setattr(gravity, "_squared_distance_blocks", counted_blocks)
+        rng = np.random.default_rng(5)
+        count = 40
+        side = source.spacing * np.array(source.trace.shape)
+        probes = source.origin + rng.random((count, 3)) * side
+        axes = rng.integers(0, 3, count)
+        gaps = rng.uniform(1.5, 4.0, count) * source.spacing
+        beyond = np.where(rng.random(count) < 0.5, side[axes] + gaps, -gaps)
+        probes[np.arange(count), axes] = source.origin[axes] + beyond
+        distances, expected = self.reference(source, probes)
+
+        got = trace_potential(source, probes)
+        assert got.shape == (count,)
+        assert len(passes) == 2
+        relative = self.potential_bound(source, distances)
+        assert np.all(np.abs(got - expected) <= relative * expected)
 
     def test_support_distance_on_the_support(self):
         # a cell centre is at distance zero, whatever the cancellation does
