@@ -62,22 +62,6 @@ __all__ = ["main"]
 _NUMERICAL_ERRORS = (OverflowError, ConvergenceError, ArithmeticError, np.linalg.LinAlgError)
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {key: _jsonable(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(item) for item in value]
-    if isinstance(value, (bool, str)) or value is None:
-        return value
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return [_jsonable(item) for item in value.tolist()]
-    return value
-
-
 def _csv_lines(header, *columns):
     """CSV lines, each ending in CRLF: ``header``, then one row per index of ``columns``.
 
@@ -352,12 +336,14 @@ def _write_csv(path: Path, lines) -> None:
 def _write_record(path: Path, config: dict, outputs: dict, verdicts, wall_clock: float) -> None:
     record = {
         "version": __version__,
-        "config": _jsonable(config),
-        "outputs": _jsonable(outputs),
+        "config": config,
+        "outputs": outputs,
         "verdicts": [result.verdict() for result in verdicts],
         "wall_clock_s": wall_clock,
     }
-    _write_atomically(path, [json.dumps(record, indent=2, sort_keys=True), "\n"])
+    # NumPy scalars and arrays become the Python values of their tolist()
+    text = json.dumps(record, indent=2, sort_keys=True, default=lambda value: value.tolist())
+    _write_atomically(path, [text, "\n"])
 
 
 def _write_artifacts(csv_path: Path, table, record_path: Path, config, outputs, verdicts,

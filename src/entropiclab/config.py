@@ -109,10 +109,7 @@ def constants_from(config: dict) -> Constants:
     block = config.get("constants")
     if not block:
         return NATURAL
-    try:
-        return Constants(hbar=block.get("hbar", 1.0), kB=block.get("kB", 1.0))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return Constants(hbar=block.get("hbar", 1.0), kB=block.get("kB", 1.0))
 
 
 def hamiltonian_from(block: dict, constants: Constants) -> HermitianOperator:
@@ -121,7 +118,7 @@ def hamiltonian_from(block: dict, constants: Constants) -> HermitianOperator:
     shift = params.pop("shift_nonnegative", False)
     try:
         return build_hamiltonian(kind, constants=constants, shift_nonnegative=shift, **params)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad hamiltonian block: {exc}") from exc
 
 
@@ -173,7 +170,7 @@ def reference_from(block: dict) -> ThermoReference:
                 heat_capacity_cv=params.pop("heat_capacity_cv", None),
             )
         return ThermoReference(**params)
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad thermodynamic reference: {exc}") from exc
 
 

@@ -32,6 +32,11 @@ from .operators import (
 
 _TINY = np.finfo(float).tiny
 
+# relative agreement of successive chart refinements over a whole grid, and
+# the most times a grid interval's step is halved to reach it
+_RTOL = 1e-8
+_MAX_REFINEMENTS = 14
+
 # |d<A>/dtau| below this is treated as a stationary probe observable
 STATIONARY_DERIVATIVE = 1e-14
 
@@ -172,8 +177,6 @@ def evolve_s(
     constants: Constants = NATURAL,
     *,
     allow_antidissipative: bool = False,
-    rtol: float = 1e-8,
-    max_refinements: int = 14,
 ) -> Trajectory:
     """Evolve under the entropy generator: psi(tau) = T-exp[(i - eps)/kB * Integral(S)] psi0.
 
@@ -181,10 +184,12 @@ def evolve_s(
     through its eigensystem) or a callable tau -> EntropyOperator, handled
     by ordered products of fourth-order commutator-free steps (two
     exponentials per step, the generator sampled at the two Gauss-Legendre
-    nodes) whose step is halved until two successive refinements agree
-    within ``rtol``; the agreement budget is divided across grid intervals
-    so the accumulated trajectory honours ``rtol`` as a whole.  A schedule
-    whose values share one ``source`` operator reuses its eigensystem.
+    nodes) whose step is halved, at most 14 times, until two successive
+    refinements agree within a relative 1e-8; the agreement budget is divided
+    across grid intervals so the accumulated trajectory honours 1e-8 as a
+    whole.  A refined state whose norm leaves the double range raises
+    ``OverflowError``.  A schedule whose values share one ``source``
+    operator reuses its eigensystem.
 
     ``epsilon > 0`` selects the contraction (norm-shrinking) branch, which
     is rejected unless ``allow_antidissipative`` is set explicitly; it is
@@ -213,28 +218,29 @@ def evolve_s(
     dim = psi0.dim
     rows = [psi0.amplitudes]
     current = psi0
-    interval_rtol = rtol / max(1, grid.size - 1)
+    interval_rtol = _RTOL / max(1, grid.size - 1)
     for a, b in zip(grid[:-1], grid[1:]):
         coarse = _ordered_product(current, generator, a, b, 1, z_rate, dim)
-        substeps = 2
-        refined = None
-        while substeps <= 2**max_refinements:
-            fine = _ordered_product(current, generator, a, b, substeps, z_rate, dim)
-            # squares overflow past about 1e154; a row that overflows raises in eigenbasis_rows
+        for level in range(1, _MAX_REFINEMENTS + 1):
+            fine = _ordered_product(current, generator, a, b, 2**level, z_rate, dim)
+            # squares overflow past about 1e154; the norm is then not finite and raises
             with np.errstate(over="ignore"):
+                norm = fine.norm()
                 gap = float(np.linalg.norm(fine.amplitudes - coarse.amplitudes))
-                converged = gap <= interval_rtol * max(fine.norm(), _TINY)
-            if converged:
-                refined = fine
+            if not math.isfinite(norm):
+                raise OverflowError(
+                    f"the evolved state's norm left the double range on tau interval "
+                    f"[{a:g}, {b:g}]; rescale the generator or shorten the evolution interval"
+                )
+            if gap <= interval_rtol * max(norm, _TINY):
                 break
             coarse = fine
-            substeps *= 2
-        if refined is None:
+        else:
             raise ConvergenceError(
-                f"ordered-product refinement stalled above rtol={rtol:g} "
+                f"ordered-product refinement stalled above rtol={_RTOL:g} "
                 f"on tau interval [{a:g}, {b:g}]"
             )
-        current = refined
+        current = fine
         rows.append(current.amplitudes)
     return Trajectory.from_amplitudes(
         grid, np.array(rows), lambda tau: _generator_at(generator, tau, dim).operator
@@ -324,29 +330,23 @@ def entropy_production_via_chart(
     wick: WickFactor,
     constants: Constants = NATURAL,
     *,
-    probe_time: float = 1.0,
-    step: float = 1e-4,
     first_order: bool = True,
 ) -> np.ndarray:
     """Independent route to the production rate: differentiate the chart.
 
     Along the time-temperature chart the generator is
     ``S(t) = (kB t / hbar) * (1/factor) * H``; this returns its central
-    finite difference at ``probe_time``.  With ``first_order`` the inverse
+    difference at t = 1 with step 1e-4.  With ``first_order`` the inverse
     factor is truncated to 1 - i*epsilon (the convention in which the
     closed-form rate is stated); otherwise the exact unit-modulus inverse
     is used and the quadratic gap between the two becomes visible.
     """
-    if not (np.isfinite(probe_time) and probe_time > 0.0):
-        raise ValueError("probe_time must be positive")
-    if not (np.isfinite(step) and 0.0 < step < probe_time):
-        raise ValueError("step must be positive and smaller than probe_time")
     inverse_factor = (1.0 - 1j * wick.epsilon) if first_order else 1.0 / wick.factor
 
     def chart_generator(t: float) -> np.ndarray:
         return (constants.kB * t / constants.hbar) * inverse_factor * hamiltonian.entries
 
-    return (chart_generator(probe_time + step) - chart_generator(probe_time - step)) / (2.0 * step)
+    return (chart_generator(1.0 + 1e-4) - chart_generator(1.0 - 1e-4)) / 2e-4
 
 
 @dataclass(frozen=True)
@@ -419,8 +419,6 @@ def picture_consistency(
     tau_grid,
     epsilon: float,
     constants: Constants = NATURAL,
-    *,
-    rtol: float = 1e-8,
 ) -> float:
     """Largest state deviation between matched evolutions in the two charts.
 
@@ -450,7 +448,7 @@ def picture_consistency(
     if mode == "real_C":
         if epsilon != 0.0:
             raise ValueError("real_C mode is defined for epsilon = 0")
-        s_side = evolve_s(psi0, chart_schedule, grid, 0.0, constants, rtol=rtol)
+        s_side = evolve_s(psi0, chart_schedule, grid, 0.0, constants)
         t_of_tau = constants.hbar / (constants.kB * reference_temperature * np.exp(grid))
         exponents = [-1j * (t - t_of_tau[0]) / constants.hbar for t in t_of_tau]
         reference = exponential_rows(hamiltonian, exponents, psi0)
@@ -461,7 +459,7 @@ def picture_consistency(
             mode, psi0, hamiltonian, reference_temperature, grid, epsilon, constants
         )
     elif mode == "chart_S":
-        s_side = evolve_s(psi0, chart_schedule, grid, epsilon, constants, rtol=rtol)
+        s_side = evolve_s(psi0, chart_schedule, grid, epsilon, constants)
         reference = _closed_form_rows(
             mode, psi0, hamiltonian, reference_temperature, grid, epsilon, constants
         )

@@ -318,14 +318,11 @@ class SymplecticPatch:
     ``chart(u, v)`` must broadcast over arrays and return the four
     coordinates; when no analytic ``jacobian`` is supplied the derivatives
     are taken by central differences, so the chart must tolerate a halo of
-    half a grid cell around the square.  ``boundary``, when given, replaces
-    the default square-edge loop: it maps arc parameters s in [0, 1] to the
-    four coordinates and must close (s = 0 and s = 1 coincide).
+    half a grid cell around the square.
     """
 
     chart: Callable
     jacobian: Callable | None = None
-    boundary: Callable | None = None
 
     def evaluate(self, u, v):
         q1, p1, q2, p2 = self.chart(u, v)
@@ -337,11 +334,6 @@ class SymplecticPatch:
         counterclockwise in (u, v)."""
         if segments_per_side < 1:
             raise ValueError("need at least one segment per side")
-        if self.boundary is not None:
-            s = np.linspace(0.0, 1.0, 4 * segments_per_side + 1)
-            q1, p1, q2, p2 = self.boundary(s)
-            return (np.asarray(q1, float), np.asarray(p1, float),
-                    np.asarray(q2, float), np.asarray(p2, float))
         s = np.linspace(0.0, 1.0, segments_per_side + 1)
         u = np.concatenate([s, np.ones_like(s[1:]), s[::-1][1:], np.zeros_like(s[1:])])
         v = np.concatenate([np.zeros_like(s), s[1:], np.ones_like(s[1:]), s[::-1][1:]])
@@ -366,16 +358,15 @@ def rectangle_patch(q1_extent: float, p1_extent: float) -> SymplecticPatch:
     return SymplecticPatch(chart=chart, jacobian=jacobian)
 
 
-def disk_patch(radius: float, center=(0.0, 0.0)) -> SymplecticPatch:
-    """Round disk of the given radius in the first canonical plane."""
-    cx, cy = center
+def disk_patch(radius: float) -> SymplecticPatch:
+    """Round disk of the given radius, centred on the origin of the first canonical plane."""
 
     def chart(u, v):
         u = np.asarray(u, float)
         v = np.asarray(v, float)
         rho = radius * u
         angle = 2.0 * math.pi * v
-        return cx + rho * np.sin(angle), cy + rho * np.cos(angle), np.zeros_like(u), np.zeros_like(v)
+        return rho * np.sin(angle), rho * np.cos(angle), np.zeros_like(u), np.zeros_like(v)
 
     return SymplecticPatch(chart=chart)
 
@@ -449,16 +440,11 @@ def boundary_action(patch: SymplecticPatch, resolution: int) -> float:
 
     Composite trapezoid rule with ``resolution`` segments per square side;
     corner nodes are included so each smooth side is integrated to second
-    order.  The loop must close to within 1e-9.
+    order.
     """
     if resolution < 1:
         raise ValueError("resolution must be a positive integer")
     q1, p1, q2, p2 = patch.boundary_samples(resolution)
-    closure = math.hypot(
-        q1[0] - q1[-1], p1[0] - p1[-1], q2[0] - q2[-1], p2[0] - p2[-1]
-    )
-    if closure > 1e-9:
-        raise ValueError(f"open boundary: endpoints differ by {closure:.3e}")
     term1 = 0.5 * (p1[:-1] + p1[1:]) @ np.diff(q1)
     term2 = 0.5 * (p2[:-1] + p2[1:]) @ np.diff(q2)
     return float(term1 + term2)

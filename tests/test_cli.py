@@ -417,16 +417,31 @@ class TestFailureModes:
         ("basis", {"re": [1.0, 0.0]}, "'re' is not one of"),
         ("uniform", {"index": 1}, "'index' is not one of"),
         ("amplitudes", {"re": None}, "'re' is a required property"),
+        ("ideal_gas", {"entropy_scale": 50, "compressibility_term": -9},
+         "'entropy_scale' is not one of"),
+        ("ideal_gas", {"volume": None}, "'volume' is a required property"),
+        ("explicit", {"entropy_scale": None}, "'entropy_scale' is a required property"),
+        ("two_level", {"levels": 3}, "'levels' is not one of"),
+        ("two_level", {"e1": None}, "'e1' is a required property"),
+        ("truncated_oscillator", {"dim": 2}, "'dim' is not one of"),
+        ("truncated_oscillator", {"levels": None}, "'levels' is a required property"),
+        ("random_hermitian", {"omega": 1.0}, "'omega' is not one of"),
+        ("random_hermitian", {"seed": None}, "'seed' is a required property"),
     ], ids=["ball-region-bounds", "ball-region-no-center", "ball-region-no-radius",
             "box-region-center", "box-region-no-bounds", "ball-no-center", "ball-position",
             "point-no-mass", "point-trace", "box-no-trace", "box-radius", "rectangle-radius",
             "rectangle-no-p1-extent", "disk-no-radius", "two-plane-no-area2", "fourier-area1",
-            "basis-seed", "basis-re", "uniform-index", "amplitudes-no-re"])
+            "basis-seed", "basis-re", "uniform-index", "amplitudes-no-re",
+            "ideal-gas-explicit-keys", "ideal-gas-no-volume", "explicit-no-entropy-scale",
+            "two-level-levels", "two-level-no-e1", "oscillator-dim", "oscillator-no-levels",
+            "random-hermitian-omega", "random-hermitian-no-seed"])
     def test_keys_of_another_kind_exit_2(self, tmp_path, capsys, kind, changes, message):
-        # each region shape, primitive, patch and state kind requires its own
-        # keys and rejects the others' (a change to None drops the key);
-        # before, a ball region ignored its bounds and a ball without a center
-        # exited 2 with the bare message 'center'
+        # each region shape, primitive, patch, state, hamiltonian kind and
+        # thermodynamic reference form requires its own keys and rejects the
+        # others' (a change to None drops the key); before, a ball region
+        # ignored its bounds, a ball without a center exited 2 with the bare
+        # message 'center', and the ideal_gas preset ignored entropy_scale
+        # and compressibility_term
         blocks = {
             "ball-region": {"shape": "ball", "samples": 10, "center": [3, 1, 0], "radius": 0.2},
             "box-region": {"shape": "box", "samples": 10, "bounds": [[3, 1, 0], [4, 2, 1]]},
@@ -440,6 +455,13 @@ class TestFailureModes:
             "basis": {"kind": "basis", "index": 1},
             "uniform": {"kind": "uniform"},
             "amplitudes": {"kind": "amplitudes", "re": [1.0, 0.0]},
+            "ideal_gas": dict(IDEAL_GAS),
+            "explicit": {"pressure": 1.0, "volume": 1.0, "temperature": 1.0,
+                         "entropy_scale": 1.0, "heat_capacity_cv": 1.5,
+                         "compressibility_term": -1.0},
+            "two_level": {"kind": "two_level", "e0": 0.0, "e1": 1.0},
+            "truncated_oscillator": {"kind": "truncated_oscillator", "levels": 3, "omega": 1.0},
+            "random_hermitian": {"kind": "random_hermitian", "dim": 2, "seed": 1},
         }
         block = blocks[kind]
         for key, value in changes.items():
@@ -453,6 +475,11 @@ class TestFailureModes:
         elif kind in ("basis", "uniform", "amplitudes"):
             payload = json.loads(json.dumps(EVOLVE_S_CONFIG))
             payload["evolve_s"]["state"] = block
+        elif kind in ("two_level", "truncated_oscillator", "random_hermitian"):
+            payload = json.loads(json.dumps(EVOLVE_S_CONFIG))
+            payload["evolve_s"]["hamiltonian"] = block
+        elif kind in ("ideal_gas", "explicit"):
+            payload = {"scenario": "fluct", "fluct": {"reference": block, "n": 10}}
         else:
             gravity = {"source": dict(GRAVITY_SOURCE)}
             if kind.endswith("-region"):
@@ -887,6 +914,72 @@ class TestCsvFormat:
              [r.measured for r in results], [str(r.passed).lower() for r in results]],
         )
         assert (tmp_path / "summary.csv").read_bytes() == expected.encode("utf-8")
+
+
+class TestRecordFormat:
+    def test_numpy_values_are_written_as_json(self, tmp_path):
+        import entropiclab.cli as cli_module
+
+        result = CheckResult(
+            "synthetic", 1e-3, np.float32(0.25), np.bool_(True),
+            details={"points": np.int64(9), "ok": np.bool_(False), "gap": np.float32(0.1),
+                     "orders": np.array([2.0, 1.5])},
+        )
+        outputs = {"count": np.int64(3), "flag": np.bool_(True), "ratio": np.float32(0.1),
+                   "rows": np.array([[1, 2], [3, 4]]), "criteria": [result.to_dict()]}
+        path = tmp_path / "record.json"
+        cli_module._write_record(path, {"scenario": "check-all", "seed": 0}, outputs, [result], 0.5)
+        expected = """{
+  "config": {
+    "scenario": "check-all",
+    "seed": 0
+  },
+  "outputs": {
+    "count": 3,
+    "criteria": [
+      {
+        "details": {
+          "gap": 0.10000000149011612,
+          "ok": false,
+          "orders": [
+            2.0,
+            1.5
+          ],
+          "points": 9
+        },
+        "measured": 0.25,
+        "name": "synthetic",
+        "passed": true,
+        "requirement": "",
+        "tolerance": 0.001
+      }
+    ],
+    "flag": true,
+    "ratio": 0.10000000149011612,
+    "rows": [
+      [
+        1,
+        2
+      ],
+      [
+        3,
+        4
+      ]
+    ]
+  },
+  "verdicts": [
+    {
+      "measured": 0.25,
+      "name": "synthetic",
+      "passed": true,
+      "tolerance": 0.001
+    }
+  ],
+  "version": "%s",
+  "wall_clock_s": 0.5
+}
+""" % cli_module.__version__
+        assert path.read_bytes() == expected.encode("utf-8")
 
 
 class TestVerdictTable:

@@ -25,6 +25,7 @@ from entropiclab import (
     spectral_decompose,
     uncertainty_product,
 )
+from entropiclab import entropy_picture
 from entropiclab.entropy_picture import _ordered_product
 from entropiclab.suite import fitted_order
 
@@ -196,15 +197,42 @@ class TestEvolveS:
         )
         assert worst <= 1e-8
 
-    def test_schedule_refinement_can_be_exhausted(self):
+    def test_schedule_refinement_can_be_exhausted(self, monkeypatch):
         h = build_hamiltonian("two_level", e0=0.0, e1=1.0)
         schedule = lambda tau: entropy_operator(h, 1.0 + 0.9 * math.sin(7.0 * tau))  # noqa: E731
         psi = StateVector([1.0, 1.0])
+        monkeypatch.setattr(entropy_picture, "_MAX_REFINEMENTS", 0)
         with pytest.raises(ConvergenceError):
-            evolve_s(psi, schedule, [0.0, 2.0], 0.0, max_refinements=0)
+            evolve_s(psi, schedule, [0.0, 2.0], 0.0)
         # a budget that enters the refinement loop and still runs out
+        monkeypatch.setattr(entropy_picture, "_MAX_REFINEMENTS", 3)
         with pytest.raises(ConvergenceError):
-            evolve_s(psi, schedule, [0.0, 2.0], 0.0, max_refinements=3)
+            evolve_s(psi, schedule, [0.0, 2.0], 0.0)
+
+    def test_no_interval_is_accepted_past_the_double_range(self, monkeypatch):
+        # the chart overflow config of the CLI tests: the state's norm leaves
+        # the double range part-way; before, an interval whose refined norm
+        # was inf passed its gap test as inf <= inf and was accepted
+        h = build_hamiltonian("two_level", e0=0.0, e1=1.0)
+        schedule = lambda tau: entropy_operator(h, 0.0003 * math.exp(tau))  # noqa: E731
+        products = []
+
+        def recorded(state, generator, a, b, substeps, z_rate, dim):
+            result = _ordered_product(state, generator, a, b, substeps, z_rate, dim)
+            with np.errstate(over="ignore"):
+                products.append((a, np.linalg.norm(result.amplitudes)))
+            return result
+
+        monkeypatch.setattr(entropy_picture, "_ordered_product", recorded)
+        psi = StateVector(np.full(2, 1.0 / math.sqrt(2.0)))
+        with pytest.raises(OverflowError, match="double range"):
+            evolve_s(psi, schedule, np.linspace(0.0, 2.0, 21), -0.5)
+        # the last product on each interval that the integrator left was accepted
+        accepted = [
+            products[k] for k in range(len(products) - 1) if products[k + 1][0] != products[k][0]
+        ]
+        assert accepted and all(math.isfinite(norm) for _, norm in accepted)
+        assert not math.isfinite(products[-1][1])
 
     def test_non_commuting_schedule(self):
         # S(tau) = (H0 + tau V) / T with [H0, V] != 0: no shared eigensystem,
@@ -374,7 +402,7 @@ class TestEntropyProduction:
         h = HermitianOperator(np.diag([2.0]), unit="energy")
         report = entropy_production(h, wick)
         assert abs(report.rates[0].imag - 0.1) <= 1e-12
-        derivative = entropy_production_via_chart(h, wick, step=1e-4)
+        derivative = entropy_production_via_chart(h, wick)
         assert abs(dissipative_part(derivative)[0, 0].real - 0.1) <= 1e-6
 
     def test_matrix_statement_matches_chart(self):
@@ -383,7 +411,7 @@ class TestEntropyProduction:
         wick = WickFactor(-2.0 * eps / math.pi)
         h = random_hermitian(rng, 5)
         report = entropy_production(h, wick)
-        derivative = entropy_production_via_chart(h, wick, step=1e-4)
+        derivative = entropy_production_via_chart(h, wick)
         assert np.linalg.norm(derivative - report.rate_operator) <= 1e-9 * np.linalg.norm(
             report.rate_operator
         )

@@ -191,12 +191,6 @@ class TestBoundaryAction:
         for ratio in ratios:
             assert 3.0 <= ratio <= 5.5
 
-    def test_open_boundary_rejected(self):
-        open_path = lambda s: (np.asarray(s, float),) * 4  # noqa: E731
-        patch = SymplecticPatch(chart=disk_patch(1.0).chart, boundary=open_path)
-        with pytest.raises(ValueError, match="open boundary"):
-            boundary_action(patch, 32)
-
 
 class TestStokesIdentity:
     def test_gap_shrinks_at_second_order(self):
