@@ -77,7 +77,6 @@ from .operators import (
     build_hamiltonian,
     expectation,
     spectral_decompose,
-    uncertainty,
 )
 from .suite import CheckResult, criterion_names, run_all
 

@@ -62,17 +62,34 @@ __all__ = ["main"]
 _NUMERICAL_ERRORS = (OverflowError, ConvergenceError, ArithmeticError, np.linalg.LinAlgError)
 
 
+# rows per block that _csv_lines turns into Python values at a time
+_CSV_BLOCK_ROWS = 65_536
+
+
 def _csv_lines(header, *columns):
     """CSV lines, each ending in CRLF: ``header``, then one row per index of ``columns``.
 
     A numeric cell is the ``repr`` of a ``tolist()`` value, the shortest string
     that reads back to the same double or integer; a ``str`` cell is written
     as it is.  No cell holds a comma, quote or line break, so none is quoted.
-    Lines are made lazily, as the writer takes them.
+    Lines are made lazily, as the writer takes them, and ``tolist()`` is
+    called per block of ``_CSV_BLOCK_ROWS`` rows, so at most one block of
+    Python values exists at a time.
     """
     arrays = [np.asarray(column) for column in columns]
-    cells = [a.tolist() if a.dtype.kind == "U" else map(repr, a.tolist()) for a in arrays]
-    return map("{}\r\n".format, map(",".join, itertools.chain([header], zip(*cells))))
+    rows = len(arrays[0]) if arrays else 0
+
+    def block_rows(start):
+        cells = [
+            block.tolist() if block.dtype.kind == "U" else map(repr, block.tolist())
+            for block in (a[start:start + _CSV_BLOCK_ROWS] for a in arrays)
+        ]
+        return zip(*cells)
+
+    body = itertools.chain.from_iterable(
+        map(block_rows, range(0, rows, _CSV_BLOCK_ROWS))
+    )
+    return map("{}\r\n".format, map(",".join, itertools.chain([header], body)))
 
 
 def _trajectory_table(label: str, expect_label: str, trajectory):

@@ -22,12 +22,15 @@ from .operators import (
     HermitianOperator,
     StateVector,
     Trajectory,
+    _check_hermitian,
+    _expectations,
+    _norms,
+    _rows,
+    _spreads,
     apply_exponential,
     eigenbasis_rows,
-    expectation,
     exponential_rows,
     spectral_decompose,
-    uncertainty,
 )
 
 _TINY = np.finfo(float).tiny
@@ -378,23 +381,41 @@ def uncertainty_product(
     difference.  A stationary probe (rate below 1e-14) yields an infinite
     delta_tau and no product.
     """
-    if not np.isfinite(tau_probe):
-        raise ValueError("tau_probe must be finite")
     if psi.dim != entropy_op.dim or psi.dim != observable.dim:
         raise ValueError("state, generator and observable dimensions must agree")
-    if psi.norm() == 0.0:
-        raise ValueError("state must be nonzero")
     s_matrix = entropy_op.operator
-    probe = apply_exponential(s_matrix, 1j * tau_probe / constants.kB, psi)
-    delta_s = uncertainty(s_matrix, probe)
-    delta_a = uncertainty(observable, probe)
-    commutator = observable.entries @ s_matrix.entries - s_matrix.entries @ observable.entries
-    clock_matrix = HermitianOperator((1j / constants.kB) * commutator, unit="dimensionless")
-    rate = expectation(clock_matrix, probe)
-    if abs(rate) < STATIONARY_DERIVATIVE:
-        return UncertaintyProduct(delta_s=delta_s, delta_tau=math.inf, product=None)
-    delta_tau = delta_a / abs(rate)
-    return UncertaintyProduct(delta_s=delta_s, delta_tau=delta_tau, product=delta_s * delta_tau)
+    decomposition = spectral_decompose(s_matrix)
+    delta_s, delta_tau = (float(value) for value in _uncertainty_products(
+        s_matrix.entries, decomposition.eigenvalues, decomposition.eigenvectors,
+        observable.entries, psi.amplitudes, tau_probe, constants,
+    ))
+    product = None if delta_tau == math.inf else delta_s * delta_tau
+    return UncertaintyProduct(delta_s=delta_s, delta_tau=delta_tau, product=product)
+
+
+def _uncertainty_products(s_entries, eigenvalues, eigenvectors, observables, states, taus,
+                          constants):
+    """``(delta_s, delta_tau)`` for stacks of generators ``(..., d, d)`` with their
+    eigensystems, observables ``(..., d, d)``, states ``(..., d)`` and probe points
+    ``(...)``; ``delta_tau`` is infinite for a stationary probe.  See
+    ``uncertainty_product``."""
+    taus = np.asarray(taus, dtype=float)
+    if not np.isfinite(taus).all():
+        raise ValueError("tau_probe must be finite")
+    if not (_norms(states) != 0.0).all():
+        raise ValueError("state must be nonzero")
+    z = np.asarray(1j * (taus / constants.kB))  # exp(z S) carries each state to its tau
+    exponents = z[..., None, None] * eigenvalues[..., None, :]
+    probes = _rows(eigenvectors, exponents, states)[..., 0, :]
+    delta_s = _spreads(s_entries, probes)
+    delta_a = _spreads(observables, probes)
+    commutator = observables @ s_entries - s_entries @ observables
+    clock_matrices = (1j / constants.kB) * commutator
+    _check_hermitian(clock_matrices)
+    speeds = np.abs(_expectations(clock_matrices, probes))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        delta_tau = np.where(speeds < STATIONARY_DERIVATIVE, math.inf, delta_a / speeds)
+    return delta_s, delta_tau
 
 
 def _closed_form_rows(mode, psi0, hamiltonian, reference_temperature, taus, epsilon, constants):

@@ -36,8 +36,142 @@ __all__ = [
     "build_hamiltonian",
     "expectation",
     "spectral_decompose",
-    "uncertainty",
 ]
+
+# The private kernels below take stacks: arrays whose leading axes index
+# independent matrices, states or rows.  One matrix is the stack with no
+# leading axes, so each one-object function here is the stacked kernel
+# called once.  Every entry of a stacked result equals the one-object
+# result bit for bit: products go through matmul one matrix or vector at a
+# time, and each dot product is a ``(..., 1, d) @ (..., d, 1)`` product,
+# which is the BLAS dot that ``np.vdot`` and ``np.linalg.norm`` call.
+
+
+def _dots(a, b):
+    # <a, b> per leading index, without conjugation; silent on overflow, as
+    # the BLAS dot behind np.vdot and np.linalg.norm is
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _norms(x):
+    """Euclidean norm of each row of ``x`` (last axis), as ``np.linalg.norm`` of that row."""
+    x = np.asarray(x)
+    if np.iscomplexobj(x):
+        return np.sqrt(_dots(x.real, x.real) + _dots(x.imag, x.imag))
+    return np.sqrt(_dots(x, x))
+
+
+def _frobenius(x):
+    """Frobenius norm of each matrix of a stack ``(..., n, n)``."""
+    return _norms(x.reshape(x.shape[:-2] + (-1,)))
+
+
+def _adjoint(x):
+    return x.conj().swapaxes(-1, -2)
+
+
+def _first(values, mask):
+    # the first entry of values where mask holds, in C order
+    return np.broadcast_to(values, mask.shape)[mask][0]
+
+
+def _check_hermitian(entries) -> None:
+    """Raise ``ValueError`` unless each matrix of ``entries`` ``(..., n, n)`` is
+    finite and Hermitian within ``HERMITICITY_RTOL`` (relative Frobenius norm)."""
+    if not (np.isfinite(entries.real).all() and np.isfinite(entries.imag).all()):
+        raise ValueError("operator entries must be finite")
+    defect = _frobenius(entries - _adjoint(entries))
+    failed = defect > HERMITICITY_RTOL * np.maximum(_frobenius(entries), _TINY)
+    if failed.any():
+        raise ValueError(
+            f"matrix is not Hermitian within relative tolerance {HERMITICITY_RTOL:g} "
+            f"(defect {_first(defect, failed):.3e})"
+        )
+
+
+def _checked_eigh(entries):
+    """``eigh`` of each Hermitian matrix of a stack, with the reconstruction and
+    orthonormality checks; raises ``LinAlgError`` when one fails."""
+    eigenvalues, eigenvectors = np.linalg.eigh(entries)
+    scale = np.maximum(_frobenius(entries), _TINY)
+    adjoint = _adjoint(eigenvectors)
+    recon = eigenvectors @ (eigenvalues[..., :, None] * adjoint)
+    if (_frobenius(recon - entries) > RECONSTRUCTION_RTOL * scale).any():
+        raise np.linalg.LinAlgError("spectral decomposition failed the reconstruction bound")
+    gram = adjoint @ eigenvectors
+    if (_frobenius(gram - np.eye(entries.shape[-1])) > ORTHONORMALITY_ATOL).any():
+        raise np.linalg.LinAlgError("eigenvector basis is not orthonormal")
+    return eigenvalues, eigenvectors
+
+
+def _rows(vectors, exponents, amplitudes):
+    """Rows ``V (exp(e_k) * V* psi)`` for stacks of eigenbases ``(..., d, d)``,
+    per-mode exponents ``(..., m, d)`` and states ``(..., d)``; see ``eigenbasis_rows``."""
+    coefficients = (_adjoint(vectors) @ amplitudes[..., :, None])[..., 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        # one matrix-vector product per row, so that every row equals the
+        # one-row case bit for bit
+        images = np.exp(exponents) * coefficients[..., None, :]
+        rows = (vectors[..., None, :, :] @ images[..., :, None])[..., 0]
+        # a row's weight is zero exactly when every squared part underflows; a
+        # square that overflows still counts as weight
+        weights = (rows.view(float) ** 2).sum(axis=-1)
+    if not np.isfinite(rows).all():
+        raise OverflowError(
+            "the evolved state overflowed the double range; "
+            "rescale the generator or shorten the evolution interval"
+        )
+    if ((weights == 0.0) & (_norms(amplitudes) > 0.0)[..., None]).any():
+        raise FloatingPointError(
+            "the evolved state underflowed to zero weight; "
+            "rescale the generator or shorten the evolution interval"
+        )
+    return rows
+
+
+def _quadratic_forms(entries, amplitudes):
+    # <a, A a>, <a, a> and A a for each matrix and state of the stacks
+    images = (entries @ amplitudes[..., :, None])[..., 0]
+    bras = amplitudes.conj()
+    return _dots(bras, images), _dots(bras, amplitudes).real, images
+
+
+def _expectations(entries, amplitudes):
+    """``<a, A a> / <a, a>`` per stack entry; see ``expectation``."""
+    forms, weights, _ = _quadratic_forms(entries, amplitudes)
+    if not weights.all():
+        raise ValueError("expectation of the zero vector is undefined")
+    # part by part, as Python's complex / float divides; NumPy's complex
+    # division would multiply by the reciprocal instead
+    real, imag = forms.real / weights, forms.imag / weights
+    complex_valued = np.abs(imag) > 1e-12 * np.maximum(1.0, np.abs(real))
+    if complex_valued.any():
+        value = complex(_first(real, complex_valued), _first(imag, complex_valued))
+        raise ArithmeticError(
+            f"quadratic form of a Hermitian operator came out complex ({value!r})"
+        )
+    return real
+
+
+def _spreads(entries, amplitudes):
+    """Standard deviation ``sqrt(<A^2> - <A>^2)`` of each ``A`` on each state.
+
+    A tiny negative variance (within -1e-12 of zero, rounding) is clamped
+    to zero; anything more negative is reported as an error.
+    """
+    forms, weights, images = _quadratic_forms(entries, amplitudes)
+    if not weights.all():
+        raise ValueError("uncertainty of the zero vector is undefined")
+    mean = forms.real / weights
+    second = _dots(images.conj(), images).real / weights
+    variance = second - mean * mean
+    beyond = variance < -1e-12 * np.maximum(1.0, second)
+    if beyond.any():
+        raise ArithmeticError(
+            f"variance {_first(variance, beyond):.3e} is negative beyond rounding"
+        )
+    return np.sqrt(np.where(variance < 0.0, 0.0, variance))
 
 
 class StateVector:
@@ -100,14 +234,16 @@ class Trajectory:
         callable grid point -> ``HermitianOperator``.  A norm or average
         past the double range raises ``OverflowError``.
         """
-        generator_at = generator if callable(generator) else (lambda point: generator)
         amplitudes.setflags(write=False)
         with np.errstate(over="ignore", invalid="ignore"):
-            norms = np.array([np.linalg.norm(row) for row in amplitudes])
-            averages = np.array([
-                expectation(generator_at(point), StateVector(row))
-                for point, row in zip(grid, amplitudes)
-            ])
+            norms = _norms(amplitudes)
+            if callable(generator):
+                averages = np.array([
+                    expectation(generator(point), StateVector(row))
+                    for point, row in zip(grid, amplitudes)
+                ])
+            else:  # one stacked product, each row as expectation() gives it
+                averages = _expectations(generator.entries, amplitudes)
         if not (np.isfinite(norms).all() and np.isfinite(averages).all()):
             raise OverflowError(
                 "the evolved state's norm or generator average exceeds the double range; "
@@ -136,14 +272,7 @@ class HermitianOperator:
         arr = np.array(entries, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise ValueError(f"operator entries must form a square matrix, got shape {arr.shape}")
-        if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
-            raise ValueError("operator entries must be finite")
-        defect = np.linalg.norm(arr - arr.conj().T)
-        if defect > HERMITICITY_RTOL * max(np.linalg.norm(arr), _TINY):
-            raise ValueError(
-                f"matrix is not Hermitian within relative tolerance {HERMITICITY_RTOL:g} "
-                f"(defect {defect:.3e})"
-            )
+        _check_hermitian(arr)
         if unit not in UNIT_LABELS:
             raise ValueError(f"unit must be one of {UNIT_LABELS}, got {unit!r}")
         arr.setflags(write=False)
@@ -236,15 +365,8 @@ def spectral_decompose(operator: HermitianOperator) -> SpectralDecomposition:
 
 
 def _decompose(operator: HermitianOperator) -> SpectralDecomposition:
-    # eigh plus the reconstruction and orthonormality checks; caches the result
-    eigenvalues, eigenvectors = np.linalg.eigh(operator.entries)
-    scale = max(operator.norm(), _TINY)
-    recon = eigenvectors @ (eigenvalues[:, None] * eigenvectors.conj().T)
-    if np.linalg.norm(recon - operator.entries) > RECONSTRUCTION_RTOL * scale:
-        raise np.linalg.LinAlgError("spectral decomposition failed the reconstruction bound")
-    gram = eigenvectors.conj().T @ eigenvectors
-    if np.linalg.norm(gram - np.eye(operator.dim)) > ORTHONORMALITY_ATOL:
-        raise np.linalg.LinAlgError("eigenvector basis is not orthonormal")
+    # the checked eigensystem of one operator, cached on it
+    eigenvalues, eigenvectors = _checked_eigh(operator.entries)
     eigenvalues.setflags(write=False)
     eigenvectors.setflags(write=False)
     decomposition = SpectralDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
@@ -328,26 +450,7 @@ def eigenbasis_rows(decomposition: SpectralDecomposition, exponents, state: Stat
     vectors = decomposition.eigenvectors
     if vectors.shape[0] != state.dim:
         raise ValueError(f"dimension mismatch: operator {vectors.shape[0]} vs state {state.dim}")
-    exponents = np.asarray(exponents, dtype=complex)
-    coefficients = vectors.conj().T @ state.amplitudes
-    with np.errstate(over="ignore", invalid="ignore"):
-        # one matrix-vector product per row, not one matrix product for all
-        # rows, so that every row equals the one-row case bit for bit
-        rows = np.array([vectors @ (np.exp(row) * coefficients) for row in exponents])
-        # a row's weight is zero exactly when every squared part underflows; a
-        # square that overflows still counts as weight
-        weights = (rows.view(float) ** 2).sum(axis=1)
-    if not np.isfinite(rows).all():
-        raise OverflowError(
-            "the evolved state overflowed the double range; "
-            "rescale the generator or shorten the evolution interval"
-        )
-    if not weights.all() and state.norm() > 0.0:
-        raise FloatingPointError(
-            "the evolved state underflowed to zero weight; "
-            "rescale the generator or shorten the evolution interval"
-        )
-    return rows
+    return _rows(vectors, np.asarray(exponents, dtype=complex), state.amplitudes)
 
 
 def exponential_rows(operator: HermitianOperator, exponents, state: StateVector):
@@ -376,36 +479,4 @@ def expectation(operator: HermitianOperator, state: StateVector) -> float:
     """Normalized quadratic form ``<state, operator state> / <state, state>``."""
     if operator.dim != state.dim:
         raise ValueError(f"dimension mismatch: operator {operator.dim} vs state {state.dim}")
-    amplitudes = state.amplitudes
-    weight = float(np.vdot(amplitudes, amplitudes).real)
-    if weight == 0.0:
-        raise ValueError("expectation of the zero vector is undefined")
-    value = complex(np.vdot(amplitudes, operator.entries @ amplitudes)) / weight
-    if abs(value.imag) > 1e-12 * max(1.0, abs(value.real)):
-        raise ArithmeticError(
-            f"quadratic form of a Hermitian operator came out complex ({value!r})"
-        )
-    return float(value.real)
-
-
-def uncertainty(operator: HermitianOperator, state: StateVector) -> float:
-    """Standard deviation sqrt(<A^2> - <A>^2) on the given state.
-
-    A tiny negative variance (within -1e-12 of zero, rounding) is clamped
-    to zero; anything more negative is reported as an error.
-    """
-    if operator.dim != state.dim:
-        raise ValueError(f"dimension mismatch: operator {operator.dim} vs state {state.dim}")
-    amplitudes = state.amplitudes
-    weight = float(np.vdot(amplitudes, amplitudes).real)
-    if weight == 0.0:
-        raise ValueError("uncertainty of the zero vector is undefined")
-    image = operator.entries @ amplitudes
-    mean = float(np.vdot(amplitudes, image).real) / weight
-    second = float(np.vdot(image, image).real) / weight
-    variance = second - mean * mean
-    if variance < 0.0:
-        if variance < -1e-12 * max(1.0, second):
-            raise ArithmeticError(f"variance {variance:.3e} is negative beyond rounding")
-        variance = 0.0
-    return float(np.sqrt(variance))
+    return float(_expectations(operator.entries, state.amplitudes))

@@ -17,6 +17,7 @@ from .energy_picture import evolve_h
 from .entropy_picture import (
     EigenSolutionSpec,
     WickFactor,
+    _uncertainty_products,
     dissipative_part,
     eigen_solution,
     entropy_operator,
@@ -36,8 +37,17 @@ from .fluctuations import (
     symplectic_area,
 )
 from .gravity import RegionSpec, laplacian_spot_check, mean_h, rasterize, trace_potential
-from .onsager import OnsagerSystem, entropy_rate, relax
-from .operators import HermitianOperator, StateVector, build_hamiltonian, spectral_decompose
+from .onsager import _check_systems, _forces, _rate_forms, _relative_gaps, _relaxations
+from .operators import (
+    HermitianOperator,
+    StateVector,
+    _adjoint,
+    _check_hermitian,
+    _checked_eigh,
+    _norms,
+    build_hamiltonian,
+    spectral_decompose,
+)
 
 __all__ = ["CheckResult", "criterion_names", "run_all"]
 
@@ -105,20 +115,23 @@ def _rng(seed: int, tag: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(tag)])
 
 
+def _complex_normal(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 def _random_state(rng, dim) -> StateVector:
-    raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    raw = _complex_normal(rng, dim)
     return StateVector(raw / np.linalg.norm(raw))
 
 
 def _random_hermitian(rng, dim, unit="energy") -> HermitianOperator:
-    raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    raw = _complex_normal(rng, (dim, dim))
     return HermitianOperator((raw + raw.conj().T) / 2.0, unit=unit)
 
 
 def _random_spectrum_operator(rng, dim, low, high, unit="energy") -> HermitianOperator:
     """Hermitian matrix with eigenvalues drawn uniformly from [low, high]."""
-    raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, _ = np.linalg.qr(raw)
+    q, _ = np.linalg.qr(_complex_normal(rng, (dim, dim)))
     levels = np.sort(rng.uniform(low, high, dim))
     matrix = q @ (levels[:, None] * q.conj().T)
     return HermitianOperator((matrix + matrix.conj().T) / 2.0, unit=unit)
@@ -280,6 +293,49 @@ def check_picture_consistency(seed: int) -> CheckResult:
     )
 
 
+# systems per stack in the randomized criteria: large enough that the
+# per-call overhead is spread thin, small enough that the draws waiting for
+# their stack stay a few hundred kB
+_STACK = 128
+
+
+def _draw_by_dim(rng, count: int, low: int, high: int, draw):
+    """Yield ``count`` draws as stacks, one dimension per stack.
+
+    Each draw is a dimension from ``rng.integers(low, high)`` followed by
+    ``draw(rng, dim)``'s arrays, in stream order.  The draws of one
+    dimension fill per-part arrays of ``_STACK`` rows; a full stack is
+    yielded at once, and the partly filled ones after the last draw.  The
+    caller computes between draws, which leaves the stream unchanged.
+    """
+    stacks, sizes = {}, {}
+    for _ in range(count):
+        dim = int(rng.integers(low, high))
+        parts = draw(rng, dim)
+        if dim not in stacks:
+            stacks[dim] = [np.empty((_STACK,) + np.shape(part), np.result_type(part))
+                           for part in parts]
+            sizes[dim] = 0
+        for stack, part in zip(stacks[dim], parts):
+            stack[sizes[dim]] = part
+        sizes[dim] += 1
+        if sizes[dim] == _STACK:
+            del sizes[dim]
+            yield tuple(stacks.pop(dim))
+    for dim, parts in stacks.items():
+        yield tuple(stack[:sizes[dim]] for stack in parts)
+
+
+def _uncertainty_draw(rng, dim):
+    # the stream of _random_spectrum_operator, _random_state, _random_hermitian
+    # and the probe point, in that order
+    basis = _complex_normal(rng, (dim, dim))
+    levels = rng.uniform(0.0, 2.0, dim)
+    state = _complex_normal(rng, dim)
+    observable = _complex_normal(rng, (dim, dim))
+    return basis, levels, state, observable, rng.uniform(0.1, 2.0)
+
+
 def check_uncertainty_bound(seed: int) -> CheckResult:
     """Generator-spread times observable clock time never undershoots kB/2."""
     rng = _rng(seed, 7)
@@ -287,17 +343,25 @@ def check_uncertainty_bound(seed: int) -> CheckResult:
     half_kb = constants.kB / 2.0
     min_margin = math.inf
     evaluated = 0
-    for _ in range(1000):
-        dim = int(rng.integers(2, 9))
-        generator = entropy_operator(_random_spectrum_operator(rng, dim, 0.0, 2.0), 1.0)
-        psi = _random_state(rng, dim)
-        observable = _random_hermitian(rng, dim, unit="dimensionless")
-        tau_probe = float(rng.uniform(0.1, 2.0))
-        record = uncertainty_product(psi, generator, observable, tau_probe)
-        if record.product is None:
-            continue
-        evaluated += 1
-        min_margin = min(min_margin, record.product - half_kb)
+    # 1000 draws as _random_spectrum_operator, _random_state and
+    # _random_hermitian make them, computed in stacks of one dimension
+    for basis, levels, states, raw, taus in _draw_by_dim(rng, 1000, 2, 9, _uncertainty_draw):
+        q, _ = np.linalg.qr(basis)
+        matrices = q @ (np.sort(levels, axis=-1)[..., :, None] * _adjoint(q))
+        hamiltonians = (matrices + _adjoint(matrices)) / 2.0
+        _check_hermitian(hamiltonians)
+        eigenvalues, eigenvectors = _checked_eigh(hamiltonians)
+        states = states / _norms(states)[:, None]
+        observables = (raw + _adjoint(raw)) / 2.0
+        _check_hermitian(observables)
+        # at temperature 1 the generator S = H / T is H itself, eigensystem included
+        delta_s, delta_tau = _uncertainty_products(
+            hamiltonians, eigenvalues, eigenvectors, observables, states, taus, constants
+        )
+        moving = delta_tau != math.inf
+        evaluated += int(moving.sum())
+        if moving.any():
+            min_margin = min(min_margin, float((delta_s * delta_tau)[moving].min() - half_kb))
 
     # saturating two-level configuration: projector probe on an equal superposition
     generator = entropy_operator(
@@ -326,24 +390,27 @@ def check_uncertainty_bound(seed: int) -> CheckResult:
     )
 
 
+def _onsager_draw(rng, dim):
+    return rng.standard_normal((dim, dim)), rng.standard_normal((dim, dim)), rng.standard_normal(dim)
+
+
 def check_onsager_forms(seed: int) -> CheckResult:
     """Velocity and force quadratic forms agree; production stays nonnegative."""
     rng = _rng(seed, 8)
     grid = np.linspace(0.0, 2.0, 9)
     worst_gap = 0.0
     worst_rate = 0.0
-    for _ in range(1000):
-        n = int(rng.integers(2, 9))
-        a = rng.standard_normal((n, n))
-        b = rng.standard_normal((n, n))
-        system = OnsagerSystem(
-            a @ a.T + 0.5 * np.eye(n),
-            b @ b.T + 0.5 * np.eye(n),
-            rng.standard_normal(n),
-        )
-        worst_gap = max(worst_gap, entropy_rate(system, system.y0).relative_gap())
-        trajectory = relax(system, grid)
-        worst_rate = max(worst_rate, float(np.max(-trajectory.entropy_rates)))
+    # 1000 random SPD systems, checked and relaxed in stacks of one dimension
+    for a, b, y0 in _draw_by_dim(rng, 1000, 2, 9, _onsager_draw):
+        identity = 0.5 * np.eye(a.shape[-1])
+        kinetic = a @ a.swapaxes(-1, -2) + identity
+        hessian = b @ b.swapaxes(-1, -2) + identity
+        _check_systems(kinetic, hessian, y0)
+        resistance = np.linalg.inv(kinetic)
+        gaps = _relative_gaps(*_rate_forms(kinetic, resistance, _forces(hessian, y0)))
+        _, rates = _relaxations(kinetic, resistance, hessian, y0, grid)
+        worst_gap = max(worst_gap, float(gaps.max()))
+        worst_rate = max(worst_rate, float((-rates).max()))
     passed = worst_gap <= 1e-12 and worst_rate <= 1e-12
     return CheckResult(
         name="onsager-forms",

@@ -344,6 +344,20 @@ class TestFailureModes:
         assert "numerical failure" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
+    @pytest.mark.filterwarnings("error")
+    def test_relax_overflow_exits_3(self, tmp_path, capsys):
+        # y(t) = (e^t, e^-t): the production rate passes the double range at
+        # t = 500 and the coordinates at t = 750
+        config = write_config(tmp_path / "cfg.json", {"scenario": "onsager", "onsager": {
+            "system": {"N": 2, "L": [-1.0, 0.0, 0.0, 1.0], "G": [1.0, 0.0, 0.0, 1.0],
+                       "y0": [1.0, 1.0]},
+            "grid": {"start": 0.0, "stop": 1000.0, "num": 5},
+        }})
+        assert main(["onsager", "--config", config, "--out", str(tmp_path / "o.csv")]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical failure: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
     def test_probe_on_the_support_exits_2(self, tmp_path, capsys):
         # one probe on the support fails the whole probe set before anything is written
         config = write_config(tmp_path / "cfg.json", {"scenario": "gravity", "gravity": {
@@ -914,6 +928,19 @@ class TestCsvFormat:
              [r.measured for r in results], [str(r.passed).lower() for r in results]],
         )
         assert (tmp_path / "summary.csv").read_bytes() == expected.encode("utf-8")
+
+    @pytest.mark.parametrize("rows", [0, 1, 6, 7, 8, 14, 20])
+    def test_blocks_join_without_a_seam(self, monkeypatch, rows):
+        # 7-row blocks put block boundaries inside the table
+        import entropiclab.cli as cli_module
+
+        monkeypatch.setattr(cli_module, "_CSV_BLOCK_ROWS", 7)
+        rng = np.random.default_rng(rows)
+        columns = [np.arange(rows), rng.standard_normal(rows), np.exp(rng.uniform(-700, 700, rows)),
+                   np.array([f"label{k}" for k in range(rows)], dtype=str)]
+        header = ["step", "x", "wide", "label"]
+        text = "".join(cli_module._csv_lines(header, *columns))
+        assert text.encode("utf-8") == csv_writer_text(header, columns).encode("utf-8")
 
 
 class TestRecordFormat:
