@@ -13,7 +13,8 @@ from flags instead of a file, and it also prints the verdict table.
 from __future__ import annotations
 
 import argparse
-import itertools
+import collections
+import contextlib
 import json
 import math
 import os
@@ -62,34 +63,69 @@ __all__ = ["main"]
 _NUMERICAL_ERRORS = (OverflowError, ConvergenceError, ArithmeticError, np.linalg.LinAlgError)
 
 
-# rows per block that _csv_lines turns into Python values at a time
-_CSV_BLOCK_ROWS = 65_536
+# cells (rows × columns) per block that _csv_lines formats at a time
+_CSV_BLOCK_CELLS = 1 << 16
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _format_block(columns) -> str:
+    """The CSV lines of one block of equally long, non-empty ``columns``, joined."""
+    cells = [c.tolist() if c.dtype.kind == "U" else map(repr, c.tolist()) for c in columns]
+    return "\r\n".join(map(",".join, zip(*cells))) + "\r\n"
 
 
 def _csv_lines(header, *columns):
-    """CSV lines, each ending in CRLF: ``header``, then one row per index of ``columns``.
+    """CSV text, each line ending in CRLF: ``header``, then one row per index of ``columns``.
 
     A numeric cell is the ``repr`` of a ``tolist()`` value, the shortest string
     that reads back to the same double or integer; a ``str`` cell is written
     as it is.  No cell holds a comma, quote or line break, so none is quoted.
-    Lines are made lazily, as the writer takes them, and ``tolist()`` is
-    called per block of ``_CSV_BLOCK_ROWS`` rows, so at most one block of
-    Python values exists at a time.
+    The text is made lazily, as the writer takes it: the header line, then
+    one string per block of about ``_CSV_BLOCK_CELLS`` cells (at least one
+    row), so at most one block of Python values exists at a time per
+    process.  When there are two blocks or more and this process may run on
+    two CPUs or more, the blocks are formatted in forked worker processes,
+    one per CPU but no more than there are blocks, with at most one block
+    per worker in flight; the strings are yielded in row order, so the text
+    is the same at any CPU count.  Closing the generator shuts the workers
+    down.
     """
     arrays = [np.asarray(column) for column in columns]
     rows = len(arrays[0]) if arrays else 0
+    step = max(1, _CSV_BLOCK_CELLS // max(1, len(arrays)))
+    blocks = ([a[start:start + step] for a in arrays] for start in range(0, rows, step))
+    yield ",".join(header) + "\r\n"
+    workers = min(_cpus(), math.ceil(rows / step))
+    if workers < 2 or not hasattr(os, "fork"):
+        yield from map(_format_block, blocks)
+        return
+    # fork, not spawn: a worker starts without importing NumPy again.  It
+    # runs nothing but tolist() and repr(), so the BLAS threads and locks
+    # it inherits are never used
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
-    def block_rows(start):
-        cells = [
-            block.tolist() if block.dtype.kind == "U" else map(repr, block.tolist())
-            for block in (a[start:start + _CSV_BLOCK_ROWS] for a in arrays)
-        ]
-        return zip(*cells)
-
-    body = itertools.chain.from_iterable(
-        map(block_rows, range(0, rows, _CSV_BLOCK_ROWS))
-    )
-    return map("{}\r\n".format, map(",".join, itertools.chain([header], body)))
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(workers, mp_context=context) as pool:
+        in_flight = collections.deque()
+        try:
+            for block in blocks:
+                if len(in_flight) == workers:
+                    yield in_flight.popleft().result()
+                in_flight.append(pool.submit(_format_block, block))
+            while in_flight:
+                yield in_flight.popleft().result()
+        except BrokenProcessPool as exc:
+            # a worker that only formats numbers dies when the kernel kills it for memory
+            raise MemoryError(f"a CSV formatting worker died: {exc}") from exc
 
 
 def _trajectory_table(label: str, expect_label: str, trajectory):
@@ -326,22 +362,25 @@ def _write_atomically(path: Path, text) -> None:
 
     A failed write removes the temp file and leaves ``path`` as it was.  A
     target that exists and is not a regular file, such as ``/dev/null``, is
-    written in place and never replaced.
+    written in place and never replaced.  A ``text`` that can be closed, such
+    as the generator of ``_csv_lines``, is closed on every exit, which also
+    stops its formatting workers.
     """
-    path = Path(os.path.realpath(path))
-    path.parent.mkdir(parents=True, exist_ok=True)
-    if path.exists() and not path.is_file():
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            handle.writelines(text)
-        return
-    temp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
-    try:
-        with open(temp, "x", newline="", encoding="utf-8") as handle:
-            handle.writelines(text)
-        os.replace(temp, path)
-    except BaseException:
-        temp.unlink(missing_ok=True)
-        raise
+    with contextlib.closing(text) if hasattr(text, "close") else contextlib.nullcontext():
+        path = Path(os.path.realpath(path))
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if path.exists() and not path.is_file():
+            with open(path, "w", newline="", encoding="utf-8") as handle:
+                handle.writelines(text)
+            return
+        temp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+        try:
+            with open(temp, "x", newline="", encoding="utf-8") as handle:
+                handle.writelines(text)
+            os.replace(temp, path)
+        except BaseException:
+            temp.unlink(missing_ok=True)
+            raise
 
 
 # _write_csv and _write_record keep their own names and a path as their
@@ -365,7 +404,8 @@ def _write_record(path: Path, config: dict, outputs: dict, verdicts, wall_clock:
 
 def _write_artifacts(csv_path: Path, table, record_path: Path, config, outputs, verdicts,
                      wall_clock: float) -> int:
-    """Write the CSV, then its run record; 0 on success, 5 on an I/O failure.
+    """Write the CSV, then its run record; 0 on success, 5 on an I/O failure,
+    3 when formatting or writing runs out of memory.
 
     Each file appears only once it is complete, and a CSV whose record
     could not be written is removed, so a failed write leaves neither a
@@ -375,13 +415,16 @@ def _write_artifacts(csv_path: Path, table, record_path: Path, config, outputs, 
         _write_csv(csv_path, table)
         try:
             _write_record(record_path, config, outputs, verdicts, wall_clock)
-        except OSError:
+        except BaseException:
             if csv_path.is_file():  # never a device such as /dev/null
                 csv_path.unlink()
             raise
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 5
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
+        return 3
     return 0
 
 

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 
@@ -284,6 +285,46 @@ class TestScenarioRuns:
         assert record["outputs"]["convergence_order"] >= 1.9
 
 
+class DiskFullFile:
+    """A text file that takes its first write, then fails as a full disk does."""
+
+    def __init__(self, handle):
+        self._handle = handle
+        self._writes = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._handle.close()
+
+    def write(self, text):
+        if self._writes:
+            raise OSError(28, "No space left on device")
+        self._writes += 1
+        return self._handle.write(text)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+
+def disk_full_open(*args, **kwargs):
+    import builtins
+
+    return DiskFullFile(builtins.open(*args, **kwargs))
+
+
+# stand-ins for cli._format_block, defined at module level so that they can
+# be sent to a formatting worker
+def exhausted_block(columns):
+    raise MemoryError("Unable to allocate 1.00 GiB")
+
+
+def killed_block(columns):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
 class TestFailureModes:
     def test_malformed_json_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -542,40 +583,77 @@ class TestFailureModes:
         assert not out.exists()
 
     def test_failed_csv_write_leaves_no_file(self, tmp_path, monkeypatch):
-        import builtins
-
         import entropiclab.cli as cli_module
-
-        class DiskFullFile:
-            """A text file that takes its first write, then fails as a full disk does."""
-
-            def __init__(self, handle):
-                self._handle = handle
-                self._writes = 0
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                self._handle.close()
-
-            def write(self, text):
-                if self._writes:
-                    raise OSError(28, "No space left on device")
-                self._writes += 1
-                return self._handle.write(text)
-
-            def writelines(self, lines):
-                for line in lines:
-                    self.write(line)
-
-        def disk_full_open(*args, **kwargs):
-            return DiskFullFile(builtins.open(*args, **kwargs))
 
         monkeypatch.setattr(cli_module, "open", disk_full_open, raising=False)
         config = write_config(tmp_path / "cfg.json", EVOLVE_S_CONFIG)
         out = tmp_path / "part.csv"
         assert main(["evolve-s", "--config", config, "--out", str(out)]) == 5
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_failed_parallel_csv_write_stops_the_workers(self, tmp_path, monkeypatch):
+        # the disk fills after the header, while blocks are in flight
+        import multiprocessing
+
+        import entropiclab.cli as cli_module
+
+        monkeypatch.setattr(cli_module, "open", disk_full_open, raising=False)
+        monkeypatch.setattr(cli_module, "_CSV_BLOCK_CELLS", 28)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        config = write_config(tmp_path / "cfg.json", EVOLVE_S_CONFIG)
+        assert main(["evolve-s", "--config", config, "--out", str(tmp_path / "part.csv")]) == 5
+        assert multiprocessing.active_children() == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+        # the writer closes the table itself, while its caller still holds it
+        table = cli_module._csv_lines(["x", "y"], np.arange(40), np.arange(40.0))
+        with pytest.raises(OSError):
+            cli_module._write_atomically(tmp_path / "part.csv", table)
+        assert multiprocessing.active_children() == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_out_of_memory_while_formatting_exits_3(self, tmp_path, monkeypatch, capsys, cpus):
+        # with two CPUs the MemoryError is raised in a worker and re-raised here
+        import multiprocessing
+
+        import entropiclab.cli as cli_module
+
+        monkeypatch.setattr(cli_module, "_format_block", exhausted_block)
+        monkeypatch.setattr(cli_module, "_CSV_BLOCK_CELLS", 28)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        config = write_config(tmp_path / "cfg.json", EVOLVE_S_CONFIG)
+        assert main(["evolve-s", "--config", config, "--out", str(tmp_path / "o.csv")]) == 3
+        assert "out of memory: Unable to allocate 1.00 GiB" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_out_of_memory_while_writing_the_record_removes_the_csv(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import entropiclab.cli as cli_module
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 1.00 GiB")
+
+        monkeypatch.setattr(cli_module, "_write_record", exhausted)
+        config = write_config(tmp_path / "cfg.json", EVOLVE_S_CONFIG)
+        assert main(["evolve-s", "--config", config, "--out", str(tmp_path / "o.csv")]) == 3
+        assert "out of memory: Unable to allocate 1.00 GiB" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="formatting workers need fork")
+    def test_dead_formatting_worker_exits_3(self, tmp_path, monkeypatch, capsys):
+        import multiprocessing
+
+        import entropiclab.cli as cli_module
+
+        monkeypatch.setattr(cli_module, "_format_block", killed_block)
+        monkeypatch.setattr(cli_module, "_CSV_BLOCK_CELLS", 28)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        config = write_config(tmp_path / "cfg.json", EVOLVE_S_CONFIG)
+        assert main(["evolve-s", "--config", config, "--out", str(tmp_path / "o.csv")]) == 3
+        assert "out of memory: a CSV formatting worker died" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     def test_norm_overflow_exits_3(self, tmp_path, capsys):
@@ -931,16 +1009,53 @@ class TestCsvFormat:
 
     @pytest.mark.parametrize("rows", [0, 1, 6, 7, 8, 14, 20])
     def test_blocks_join_without_a_seam(self, monkeypatch, rows):
-        # 7-row blocks put block boundaries inside the table
+        # 28 cells over 4 columns put a block boundary after every 7th row;
+        # one CPU formats in process, two in forked workers
         import entropiclab.cli as cli_module
 
-        monkeypatch.setattr(cli_module, "_CSV_BLOCK_ROWS", 7)
+        monkeypatch.setattr(cli_module, "_CSV_BLOCK_CELLS", 28)
         rng = np.random.default_rng(rows)
         columns = [np.arange(rows), rng.standard_normal(rows), np.exp(rng.uniform(-700, 700, rows)),
                    np.array([f"label{k}" for k in range(rows)], dtype=str)]
         header = ["step", "x", "wide", "label"]
+        expected = csv_writer_text(header, columns).encode("utf-8")
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+            text = "".join(cli_module._csv_lines(header, *columns))
+            assert text.encode("utf-8") == expected, f"{cpus} CPU(s)"
+
+    def test_wide_table_is_cut_into_blocks(self, monkeypatch):
+        # 1,200 columns: blocks of a few rows each, not one block of all rows
+        import entropiclab.cli as cli_module
+
+        blocks = []
+        format_block = cli_module._format_block
+
+        def counting(columns):
+            blocks.append(len(columns[0]))
+            return format_block(columns)
+
+        monkeypatch.setattr(cli_module, "_format_block", counting)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        rng = np.random.default_rng(3)
+        columns = list(rng.standard_normal((1_200, 120)))
+        header = [f"c{k}" for k in range(len(columns))]
         text = "".join(cli_module._csv_lines(header, *columns))
+        assert len(blocks) > 1 and sum(blocks) == 120
+        assert max(blocks) * len(columns) <= cli_module._CSV_BLOCK_CELLS
         assert text.encode("utf-8") == csv_writer_text(header, columns).encode("utf-8")
+
+    def test_workers_end_with_the_command(self, tmp_path, monkeypatch):
+        import multiprocessing
+
+        import entropiclab.cli as cli_module
+
+        monkeypatch.setattr(cli_module, "_CSV_BLOCK_CELLS", 1_000)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        out, header, columns = run_case(tmp_path, fluct_case)
+        assert out.read_bytes() == csv_writer_text(header, columns).encode("utf-8")
+        assert multiprocessing.active_children() == []
+        assert not list(tmp_path.glob("*.tmp"))
 
 
 class TestRecordFormat:
