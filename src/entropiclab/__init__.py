@@ -17,7 +17,6 @@ identity machine-checkable:
 from .constants import NATURAL, Constants
 from .energy_picture import evolve_h, evolve_h_perturbed, noether_energy_drift
 from .entropy_picture import (
-    ConvergenceError,
     EigenSolutionSpec,
     EntropyOperator,
     EntropyProductionReport,
@@ -73,9 +72,7 @@ from .operators import (
     SpectralDecomposition,
     StateVector,
     Trajectory,
-    apply_exponential,
     build_hamiltonian,
-    expectation,
     spectral_decompose,
 )
 from .suite import CheckResult, criterion_names, run_all

@@ -12,7 +12,7 @@ and the consistency map back to evolution in laboratory time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .operators import (
     _norms,
     _rows,
     _spreads,
-    apply_exponential,
     eigenbasis_rows,
     exponential_rows,
     spectral_decompose,
@@ -35,16 +34,10 @@ from .operators import (
 
 _TINY = np.finfo(float).tiny
 
-# relative agreement of successive chart refinements over a whole grid, and
-# the most times a grid interval's step is halved to reach it
-_RTOL = 1e-8
-_MAX_REFINEMENTS = 14
-
 # |d<A>/dtau| below this is treated as a stationary probe observable
 STATIONARY_DERIVATIVE = 1e-14
 
 __all__ = [
-    "ConvergenceError",
     "EigenSolutionSpec",
     "EntropyOperator",
     "EntropyProductionReport",
@@ -59,10 +52,6 @@ __all__ = [
     "picture_consistency",
     "uncertainty_product",
 ]
-
-
-class ConvergenceError(RuntimeError):
-    """Raised when the ordered-product integrator fails to refine to tolerance."""
 
 
 def dissipative_part(matrix: np.ndarray) -> np.ndarray:
@@ -134,71 +123,37 @@ def entropy_operator(hamiltonian: HermitianOperator, temperature: float) -> Entr
     return EntropyOperator(hamiltonian, temperature)
 
 
-def _generator_at(generator, tau: float, dim: int) -> EntropyOperator:
-    value = generator(tau)
-    if not isinstance(value, EntropyOperator):
-        raise TypeError(f"generator schedule must return EntropyOperator, got {type(value)!r}")
-    if value.dim != dim:
-        raise ValueError("generator schedule changed dimension along the way")
-    return value
-
-
-# two-point Gauss-Legendre nodes and the weights of the fourth-order
-# commutator-free step (Blanes & Moan, Appl. Numer. Math. 56, 2006)
-_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
-_ALPHA = (0.25 + math.sqrt(3.0) / 6.0, 0.25 - math.sqrt(3.0) / 6.0)
-
-
-def _combined(first: EntropyOperator, second: EntropyOperator, w1: float, w2: float):
-    # w1 * first + w2 * second; a multiple of a shared source inherits its eigensystem
-    if first.source is second.source:
-        return first.source.scaled(w1 / first.temperature + w2 / second.temperature, unit="entropy")
-    return HermitianOperator(
-        w1 * first.operator.entries + w2 * second.operator.entries, unit="entropy"
-    )
-
-
-def _ordered_product(state, generator, a, b, substeps, z_rate, dim):
-    # one fourth-order commutator-free step per substep, applied in tau
-    # order (later factors act later):
-    # exp(z w (a2 S1 + a1 S2)) exp(z w (a1 S1 + a2 S2)), S_k = S at node k
-    width = (b - a) / substeps
-    current = state
-    for j in range(substeps):
-        start = a + j * width
-        first, second = (_generator_at(generator, start + c * width, dim) for c in _NODES)
-        for w1, w2 in (_ALPHA, _ALPHA[::-1]):
-            current = apply_exponential(_combined(first, second, w1, w2), z_rate * width, current)
-    return current
-
-
 def evolve_s(
     psi0: StateVector,
-    generator,
+    generator: EntropyOperator,
     tau_grid,
     epsilon: float,
     constants: Constants = NATURAL,
     *,
+    schedule: str = "frozen",
     allow_antidissipative: bool = False,
 ) -> Trajectory:
     """Evolve under the entropy generator: psi(tau) = T-exp[(i - eps)/kB * Integral(S)] psi0.
 
-    ``generator`` is either a constant ``EntropyOperator`` (solved exactly
-    through its eigensystem) or a callable tau -> EntropyOperator, handled
-    by ordered products of fourth-order commutator-free steps (two
-    exponentials per step, the generator sampled at the two Gauss-Legendre
-    nodes) whose step is halved, at most 14 times, until two successive
-    refinements agree within a relative 1e-8; the agreement budget is divided
-    across grid intervals so the accumulated trajectory honours 1e-8 as a
-    whole.  A refined state whose norm leaves the double range raises
-    ``OverflowError``.  A schedule whose values share one ``source``
-    operator reuses its eigensystem.
+    ``generator`` is the ``EntropyOperator`` ``S0 = H / T0``, and ``schedule``
+    says how the generator depends on tau: ``"frozen"`` holds ``S = S0``,
+    ``"chart"`` gives ``S(tau) = S0 exp(-tau)``, the generator carried by
+    the chart ``t(tau) = hbar / (kB T0 exp(tau))``.  Either way ``S(tau)`` is
+    ``S0`` times a scalar, so the ordered exponential is exact in closed
+    form, ``exp[(i - eps)/kB * S0 * g(tau)]`` with ``g(tau) = tau`` or
+    ``1 - exp(-tau)``: one eigenbasis product on ``S0``'s eigensystem per
+    grid point, and the chart averages are ``exp(-tau) <S0>``.  A row or a
+    norm past the double range raises ``OverflowError``.
 
     ``epsilon > 0`` selects the contraction (norm-shrinking) branch, which
     is rejected unless ``allow_antidissipative`` is set explicitly; it is
     needed to test the contraction property but describes no physical
     dissipation.
     """
+    if not isinstance(generator, EntropyOperator):
+        raise TypeError(f"generator must be an EntropyOperator, got {type(generator)!r}")
+    if schedule not in ("frozen", "chart"):
+        raise ValueError(f"unknown schedule {schedule!r}; expected frozen or chart")
     grid = evolution_grid(tau_grid, "tau_grid")
     if not np.isfinite(epsilon):
         raise ValueError("epsilon must be finite")
@@ -211,43 +166,12 @@ def evolve_s(
         raise ValueError("initial state must be nonzero")
     z_rate = (1j - epsilon) / constants.kB
 
-    if isinstance(generator, EntropyOperator):
-        amplitudes = exponential_rows(generator.operator, [z_rate * tau for tau in grid], psi0)
-        return Trajectory.from_amplitudes(grid, amplitudes, generator.operator)
-    if not callable(generator):
-        raise TypeError(
-            "generator must be an EntropyOperator or a callable tau -> EntropyOperator"
-        )
-    dim = psi0.dim
-    rows = [psi0.amplitudes]
-    current = psi0
-    interval_rtol = _RTOL / max(1, grid.size - 1)
-    for a, b in zip(grid[:-1], grid[1:]):
-        coarse = _ordered_product(current, generator, a, b, 1, z_rate, dim)
-        for level in range(1, _MAX_REFINEMENTS + 1):
-            fine = _ordered_product(current, generator, a, b, 2**level, z_rate, dim)
-            # squares overflow past about 1e154; the norm is then not finite and raises
-            with np.errstate(over="ignore"):
-                norm = fine.norm()
-                gap = float(np.linalg.norm(fine.amplitudes - coarse.amplitudes))
-            if not math.isfinite(norm):
-                raise OverflowError(
-                    f"the evolved state's norm left the double range on tau interval "
-                    f"[{a:g}, {b:g}]; rescale the generator or shorten the evolution interval"
-                )
-            if gap <= interval_rtol * max(norm, _TINY):
-                break
-            coarse = fine
-        else:
-            raise ConvergenceError(
-                f"ordered-product refinement stalled above rtol={_RTOL:g} "
-                f"on tau interval [{a:g}, {b:g}]"
-            )
-        current = fine
-        rows.append(current.amplitudes)
-    return Trajectory.from_amplitudes(
-        grid, np.array(rows), lambda tau: _generator_at(generator, tau, dim).operator
-    )
+    elapsed = grid if schedule == "frozen" else -np.expm1(-grid)
+    amplitudes = exponential_rows(generator.operator, [z_rate * g for g in elapsed], psi0)
+    trajectory = Trajectory.from_amplitudes(grid, amplitudes, generator.operator)
+    if schedule == "frozen":
+        return trajectory
+    return replace(trajectory, expectations=np.exp(-grid) * trajectory.expectations)
 
 
 @dataclass(frozen=True)
@@ -443,49 +367,39 @@ def picture_consistency(
 ) -> float:
     """Largest state deviation between matched evolutions in the two charts.
 
-    ``real_C``   -- epsilon = 0 only: laboratory-time evolution evaluated at
-                    t(tau) = hbar / (kB T0 exp(tau)) against the adaptive
-                    thermal-time integration driven by the chart generator
-                    S(tau) = H exp(-tau) / T0.  Both sides use H's own
-                    eigensystem: the laboratory side takes exp(-i H t /
-                    hbar) over the whole grid in one eigenbasis product,
-                    the thermal side steps through multiples of H; they
-                    share no integrator code.
-    ``frozen_S`` -- generator held at H / T0; integration against the
-                    closed-form spectral solution exp[(i-eps) (h/T0) tau / kB].
-    ``chart_S``  -- generator carrying the chart's tau dependence; adaptive
-                    integration against the closed form with the integrated
-                    exponent (i-eps)(h / (kB T0))(1 - exp(-tau)).
+    The thermal side is ``evolve_s`` on ``S0 = H / T0`` with the schedule
+    the mode names; the reference shares no code with it past H's
+    eigensystem.
+
+    ``real_C``   -- epsilon = 0 only: the chart schedule
+                    S(tau) = H exp(-tau) / T0 against laboratory-time
+                    evolution exp(-i H t / hbar) evaluated at
+                    t(tau) = hbar / (kB T0 exp(tau)).  Both are closed
+                    forms, so this checks the chart identity itself.
+    ``frozen_S`` -- the frozen schedule against the spectral solution
+                    exp[(i-eps) (h/T0) tau / kB].
+    ``chart_S``  -- the chart schedule against the spectral solution with
+                    the integrated exponent (i-eps)(h / (kB T0))(1 - exp(-tau)).
     """
     if not (np.isfinite(reference_temperature) and reference_temperature > 0.0):
         raise ValueError("reference_temperature must be positive")
     grid = evolution_grid(tau_grid, "tau_grid")
     if psi0.norm() == 0.0:
         raise ValueError("initial state must be nonzero")
+    schedules = {"real_C": "chart", "frozen_S": "frozen", "chart_S": "chart"}
+    if mode not in schedules:
+        raise ValueError(f"unknown mode {mode!r}; expected real_C, frozen_S or chart_S")
+    if mode == "real_C" and epsilon != 0.0:
+        raise ValueError("real_C mode is defined for epsilon = 0")
 
-    def chart_schedule(tau: float) -> EntropyOperator:
-        return entropy_operator(hamiltonian, reference_temperature * math.exp(tau))
-
+    generator = entropy_operator(hamiltonian, reference_temperature)
+    s_side = evolve_s(psi0, generator, grid, epsilon, constants, schedule=schedules[mode])
     if mode == "real_C":
-        if epsilon != 0.0:
-            raise ValueError("real_C mode is defined for epsilon = 0")
-        s_side = evolve_s(psi0, chart_schedule, grid, 0.0, constants)
         t_of_tau = constants.hbar / (constants.kB * reference_temperature * np.exp(grid))
         exponents = [-1j * (t - t_of_tau[0]) / constants.hbar for t in t_of_tau]
         reference = exponential_rows(hamiltonian, exponents, psi0)
-    elif mode == "frozen_S":
-        frozen = entropy_operator(hamiltonian, reference_temperature)
-        s_side = evolve_s(psi0, frozen, grid, epsilon, constants)
-        reference = _closed_form_rows(
-            mode, psi0, hamiltonian, reference_temperature, grid, epsilon, constants
-        )
-    elif mode == "chart_S":
-        s_side = evolve_s(psi0, chart_schedule, grid, epsilon, constants)
-        reference = _closed_form_rows(
-            mode, psi0, hamiltonian, reference_temperature, grid, epsilon, constants
-        )
     else:
-        raise ValueError(f"unknown mode {mode!r}; expected real_C, frozen_S or chart_S")
-
+        reference = _closed_form_rows(
+            mode, psi0, hamiltonian, reference_temperature, grid, epsilon, constants
+        )
     return max(float(np.linalg.norm(a - b)) for a, b in zip(s_side.amplitudes, reference))
-

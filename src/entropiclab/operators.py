@@ -227,23 +227,17 @@ class Trajectory:
 
     @classmethod
     def from_amplitudes(cls, grid, amplitudes, generator) -> "Trajectory":
-        """Take the norm and the generator average of each amplitude row.
+        """Take the norm and the ``generator`` average of each amplitude row.
 
         ``amplitudes`` holds one row per grid point and is made read-only.
-        ``generator`` is one ``HermitianOperator``, or for a schedule a
-        callable grid point -> ``HermitianOperator``.  A norm or average
+        ``generator`` is one ``HermitianOperator``; each average is one
+        stacked product, as ``expectation`` gives it.  A norm or average
         past the double range raises ``OverflowError``.
         """
         amplitudes.setflags(write=False)
         with np.errstate(over="ignore", invalid="ignore"):
             norms = _norms(amplitudes)
-            if callable(generator):
-                averages = np.array([
-                    expectation(generator(point), StateVector(row))
-                    for point, row in zip(grid, amplitudes)
-                ])
-            else:  # one stacked product, each row as expectation() gives it
-                averages = _expectations(generator.entries, amplitudes)
+            averages = _expectations(generator.entries, amplitudes)
         if not (np.isfinite(norms).all() and np.isfinite(averages).all()):
             raise OverflowError(
                 "the evolved state's norm or generator average exceeds the double range; "

@@ -273,7 +273,7 @@ def check_entropy_production_oracle(seed: int) -> CheckResult:
 
 
 def check_picture_consistency(seed: int) -> CheckResult:
-    """Laboratory-time and thermal-time integrations match through the chart."""
+    """Laboratory-time and thermal-time evolutions match through the chart."""
     rng = _rng(seed, 6)
     grid = np.linspace(0.0, 1.0, 5)
     two_level = build_hamiltonian("two_level", e0=0.0, e1=1.0)
@@ -287,7 +287,7 @@ def check_picture_consistency(seed: int) -> CheckResult:
     return CheckResult.bounded(
         "picture-consistency",
         float(max(deviations)),
-        1e-8,
+        1e-10,
         requirement="real-factor chart deviation, two-level and dim-16 random generator",
         details={"deviations": [float(d) for d in deviations]},
     )

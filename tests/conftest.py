@@ -27,7 +27,7 @@ def cli_env():
 
 def assert_matches_per_point(trajectory, generator, psi, exponents):
     """The trajectory equals one ``apply_exponential`` per grid point, bit for bit."""
-    from entropiclab import apply_exponential, expectation
+    from entropiclab.operators import apply_exponential, expectation
 
     states = [apply_exponential(generator, z, psi) for z in exponents]
     assert np.array_equal(trajectory.amplitudes, np.array([s.amplitudes for s in states]))

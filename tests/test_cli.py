@@ -1,7 +1,6 @@
 import csv
 import io
 import json
-import math
 import os
 import signal
 import subprocess
@@ -153,7 +152,7 @@ class TestScenarioRuns:
         out = tmp_path / "compare.csv"
         assert main(["compare-pictures", "--config", config, "--out", str(out)]) == 0
         record = json.loads((tmp_path / "compare.csv.record.json").read_text())
-        assert record["outputs"]["max_deviation"] <= 1e-8
+        assert record["outputs"]["max_deviation"] <= 1e-10
 
     def test_gravity_run(self, tmp_path):
         config = write_config(tmp_path / "cfg.json", {
@@ -370,8 +369,9 @@ class TestFailureModes:
 
     @pytest.mark.filterwarnings("error")
     def test_chart_overflow_exits_3(self, tmp_path, capsys):
-        # every substep's exponent fits the double range, but their product
-        # does not; the overflow must exit 3 without a NumPy warning
+        # the closed-form exponent (1 - exp(-tau)) / (2 T0) on the upper
+        # level passes 709 from tau = 0.6; the overflow must exit 3 without a
+        # NumPy warning
         payload = json.loads(json.dumps(EVOLVE_S_CONFIG))
         payload["evolve_s"].update({
             "grid": {"start": 0.0, "stop": 2.0, "num": 21},
@@ -847,8 +847,8 @@ def evolve_s_case(schedule):
     grid = grid_from(block["grid"])
     if schedule == "chart":
         trajectory = evolve_s(
-            psi0, lambda tau: entropy_operator(hamiltonian, math.exp(tau)), grid, 0.1,
-            allow_antidissipative=True,
+            psi0, entropy_operator(hamiltonian, 1.0), grid, 0.1,
+            schedule="chart", allow_antidissipative=True,
         )
     else:
         trajectory = evolve_s(psi0, entropy_operator(hamiltonian, 1.0), grid, -0.1)

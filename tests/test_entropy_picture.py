@@ -7,13 +7,11 @@ from conftest import assert_matches_per_point
 
 from entropiclab import (
     Constants,
-    ConvergenceError,
     EigenSolutionSpec,
     EntropyOperator,
     HermitianOperator,
     StateVector,
     WickFactor,
-    apply_exponential,
     build_hamiltonian,
     dissipative_part,
     eigen_solution,
@@ -25,9 +23,7 @@ from entropiclab import (
     spectral_decompose,
     uncertainty_product,
 )
-from entropiclab import entropy_picture
-from entropiclab.entropy_picture import _ordered_product
-from entropiclab.suite import fitted_order
+from entropiclab.operators import apply_exponential, expectation
 
 
 def random_hermitian(rng, dim, unit="energy"):
@@ -41,8 +37,8 @@ def random_state(rng, dim):
 
 
 def midpoint_product(state, generator, a, b, substeps, z_rate):
-    # the second-order midpoint ordered product the integrator used before,
-    # kept here only as an independent reference
+    # a second-order midpoint ordered product of a schedule tau -> EntropyOperator,
+    # an independent reference for the closed-form chart schedule
     width = (b - a) / substeps
     for j in range(substeps):
         state = apply_exponential(generator(a + (j + 0.5) * width).operator, z_rate * width, state)
@@ -183,84 +179,32 @@ class TestEvolveS:
         assert np.all(np.diff(growing) >= -1e-12)
         assert np.all(np.diff(shrinking) <= 1e-12)
 
-    def test_piecewise_constant_schedule_matches_exact(self):
-        rng = np.random.default_rng(13)
-        h = spectrum_operator(rng, 4, 0.0, 2.0)
-        generator = entropy_operator(h, 1.0)
-        psi = random_state(rng, 4)
-        grid = np.linspace(0.0, 1.5, 4)
-        exact = evolve_s(psi, generator, grid, -0.1)
-        scheduled = evolve_s(psi, lambda tau: generator, grid, -0.1)
-        worst = max(
-            np.linalg.norm(a.amplitudes - b.amplitudes)
-            for a, b in zip(exact.states, scheduled.states)
-        )
-        assert worst <= 1e-8
-
-    def test_schedule_refinement_can_be_exhausted(self, monkeypatch):
-        h = build_hamiltonian("two_level", e0=0.0, e1=1.0)
-        schedule = lambda tau: entropy_operator(h, 1.0 + 0.9 * math.sin(7.0 * tau))  # noqa: E731
-        psi = StateVector([1.0, 1.0])
-        monkeypatch.setattr(entropy_picture, "_MAX_REFINEMENTS", 0)
-        with pytest.raises(ConvergenceError):
-            evolve_s(psi, schedule, [0.0, 2.0], 0.0)
-        # a budget that enters the refinement loop and still runs out
-        monkeypatch.setattr(entropy_picture, "_MAX_REFINEMENTS", 3)
-        with pytest.raises(ConvergenceError):
-            evolve_s(psi, schedule, [0.0, 2.0], 0.0)
-
-    def test_no_interval_is_accepted_past_the_double_range(self, monkeypatch):
-        # the chart overflow config of the CLI tests: the state's norm leaves
-        # the double range part-way; before, an interval whose refined norm
-        # was inf passed its gap test as inf <= inf and was accepted
-        h = build_hamiltonian("two_level", e0=0.0, e1=1.0)
-        schedule = lambda tau: entropy_operator(h, 0.0003 * math.exp(tau))  # noqa: E731
-        products = []
-
-        def recorded(state, generator, a, b, substeps, z_rate, dim):
-            result = _ordered_product(state, generator, a, b, substeps, z_rate, dim)
-            with np.errstate(over="ignore"):
-                products.append((a, np.linalg.norm(result.amplitudes)))
-            return result
-
-        monkeypatch.setattr(entropy_picture, "_ordered_product", recorded)
-        psi = StateVector(np.full(2, 1.0 / math.sqrt(2.0)))
-        with pytest.raises(OverflowError, match="double range"):
-            evolve_s(psi, schedule, np.linspace(0.0, 2.0, 21), -0.5)
-        # the last product on each interval that the integrator left was accepted
-        accepted = [
-            products[k] for k in range(len(products) - 1) if products[k + 1][0] != products[k][0]
-        ]
-        assert accepted and all(math.isfinite(norm) for _, norm in accepted)
-        assert not math.isfinite(products[-1][1])
-
-    def test_non_commuting_schedule(self):
-        # S(tau) = (H0 + tau V) / T with [H0, V] != 0: no shared eigensystem,
-        # so this exercises the generic path of the fourth-order step
+    def test_chart_closed_form_matches_ordered_product(self):
+        # S(tau) = H / (T0 e^tau) against a fine ordered product of it
+        constants = Constants(hbar=0.7, kB=1.3)
         rng = np.random.default_rng(15)
-        h0, v = random_hermitian(rng, 4).entries, random_hermitian(rng, 4).entries
-        assert np.linalg.norm(h0 @ v - v @ h0) > 1.0
-        schedule = lambda tau: entropy_operator(  # noqa: E731
-            HermitianOperator(h0 + tau * v, unit="energy"), 1.5
-        )
+        h = random_hermitian(rng, 4)
+        t0, eps = 1.5, -0.2
+        schedule = lambda tau: entropy_operator(h, t0 * math.exp(tau))  # noqa: E731
         psi = random_state(rng, 4)
-        eps = -0.2
-        z_rate = 1j - eps
+        z_rate = (1j - eps) / constants.kB
         # Richardson extrapolation of two fine midpoint runs; the midpoint
         # product is time-symmetric, so its error is even in the step
         coarse = midpoint_product(psi, schedule, 0.0, 1.0, 1024, z_rate).amplitudes
         fine = midpoint_product(psi, schedule, 0.0, 1.0, 2048, z_rate).amplitudes
         reference = (4.0 * fine - coarse) / 3.0
-        traj = evolve_s(psi, schedule, [0.0, 0.5, 1.0], eps)
-        assert np.linalg.norm(traj.amplitudes[-1] - reference) <= 1e-8
-        substeps = (2, 4, 8, 16)
-        gaps = [
-            np.linalg.norm(
-                _ordered_product(psi, schedule, 0.0, 1.0, n, z_rate, 4).amplitudes - reference
-            )
-            for n in substeps
+        grid = [0.0, 0.5, 1.0]
+        generator = entropy_operator(h, t0)
+        traj = evolve_s(psi, generator, grid, eps, constants, schedule="chart")
+        assert np.linalg.norm(traj.amplitudes[-1] - reference) <= 1e-10
+        # the frozen schedule is a different evolution, far from the reference
+        frozen = evolve_s(psi, generator, grid, eps, constants)
+        assert np.linalg.norm(frozen.amplitudes[-1] - reference) > 0.1
+        # each average is that of S(tau) at its own grid point
+        averages = [
+            expectation(schedule(tau).operator, state) for tau, state in zip(grid, traj.states)
         ]
-        assert fitted_order(substeps, gaps) >= 3.8
+        np.testing.assert_allclose(traj.expectations, averages, rtol=1e-14)
 
     def test_entropic_schroedinger_residual(self):
         # central difference of the trajectory against the generator image:
@@ -324,6 +268,10 @@ class TestEvolveS:
             evolve_s(StateVector([1.0, 0.0, 0.0]), generator, [0.0, 1.0], 0.0)
         with pytest.raises(TypeError):
             evolve_s(psi, np.eye(2), [0.0, 1.0], 0.0)
+        with pytest.raises(TypeError):
+            evolve_s(psi, lambda tau: generator, [0.0, 1.0], 0.0)
+        with pytest.raises(ValueError, match="unknown schedule"):
+            evolve_s(psi, generator, [0.0, 1.0], 0.0, schedule="linear")
 
 
 class TestEigenSolution:
@@ -474,7 +422,7 @@ class TestPictureConsistency:
         psi = StateVector(np.array([1.0, 1.0]) / np.sqrt(2.0))
         h = build_hamiltonian("two_level", e0=0.0, e1=1.0)
         deviation = picture_consistency(psi, h, 1.0, "real_C", np.linspace(0.0, 1.0, 5), 0.0)
-        assert deviation <= 1e-8
+        assert deviation <= 1e-10
 
     def test_frozen_generator_eigenstate(self):
         h = build_hamiltonian("two_level", e0=0.0, e1=1.0)
@@ -497,7 +445,7 @@ class TestPictureConsistency:
         deviation = picture_consistency(
             random_state(rng, 5), h, 1.5, "chart_S", np.linspace(0.0, 1.0, 5), -0.2
         )
-        assert deviation <= 1e-8
+        assert deviation <= 1e-10
 
     def test_mode_validation(self):
         psi = StateVector([1.0, 0.0])

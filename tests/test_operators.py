@@ -5,12 +5,15 @@ from entropiclab import (
     Constants,
     HermitianOperator,
     StateVector,
-    apply_exponential,
     build_hamiltonian,
-    expectation,
     spectral_decompose,
 )
-from entropiclab.operators import RECONSTRUCTION_RTOL, _spreads
+from entropiclab.operators import (
+    RECONSTRUCTION_RTOL,
+    _spreads,
+    apply_exponential,
+    expectation,
+)
 
 
 def spread(operator, state):
