@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _fanout
 from .config import (
     ConfigError,
     constants_from,
@@ -66,14 +66,6 @@ _NUMERICAL_ERRORS = (OverflowError, ArithmeticError, np.linalg.LinAlgError)
 _CSV_BLOCK_CELLS = 1 << 16
 
 
-def _cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _format_block(columns) -> str:
     """The CSV lines of one block of equally long, non-empty ``columns``, joined."""
     cells = [c.tolist() if c.dtype.kind == "U" else map(repr, c.tolist()) for c in columns]
@@ -101,30 +93,18 @@ def _csv_lines(header, *columns):
     step = max(1, _CSV_BLOCK_CELLS // max(1, len(arrays)))
     blocks = ([a[start:start + step] for a in arrays] for start in range(0, rows, step))
     yield ",".join(header) + "\r\n"
-    workers = min(_cpus(), math.ceil(rows / step))
-    if workers < 2 or not hasattr(os, "fork"):
+    workers = _fanout.workers(math.ceil(rows / step))
+    if workers < 2:
         yield from map(_format_block, blocks)
         return
-    # fork, not spawn: a worker starts without importing NumPy again.  It
-    # runs nothing but tolist() and repr(), so the BLAS threads and locks
-    # it inherits are never used
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(workers, mp_context=context) as pool:
+    with _fanout.forked_pool(workers, "CSV formatting") as pool:
         in_flight = collections.deque()
-        try:
-            for block in blocks:
-                if len(in_flight) == workers:
-                    yield in_flight.popleft().result()
-                in_flight.append(pool.submit(_format_block, block))
-            while in_flight:
+        for block in blocks:
+            if len(in_flight) == workers:
                 yield in_flight.popleft().result()
-        except BrokenProcessPool as exc:
-            # a worker that only formats numbers dies when the kernel kills it for memory
-            raise MemoryError(f"a CSV formatting worker died: {exc}") from exc
+            in_flight.append(pool.submit(_format_block, block))
+        while in_flight:
+            yield in_flight.popleft().result()
 
 
 def _trajectory_table(label: str, expect_label: str, trajectory):

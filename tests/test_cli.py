@@ -39,10 +39,10 @@ from entropiclab.constants import NATURAL
 from entropiclab.suite import CheckResult
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, preexec_fn=None):
     return subprocess.run(
         [sys.executable, "-m", "entropiclab.cli", *args],
-        capture_output=True, text=True, cwd=cwd, env=cli_env(),
+        capture_output=True, text=True, cwd=cwd, env=cli_env(), preexec_fn=preexec_fn,
     )
 
 
@@ -153,6 +153,30 @@ class TestScenarioRuns:
         assert main(["compare-pictures", "--config", config, "--out", str(out)]) == 0
         record = json.loads((tmp_path / "compare.csv.record.json").read_text())
         assert record["outputs"]["max_deviation"] <= 1e-10
+
+    @pytest.mark.parametrize("mode", ["frozen_S", "chart_S"])
+    def test_compare_pictures_dilating_run_is_within_rounding(self, tmp_path, mode):
+        # the norms reach 1e35 (frozen) and 5e14 (chart); the deviation is
+        # relative to them, so rounding stays far below the 1e-10 bound
+        config = write_config(tmp_path / "cfg.json", {
+            "scenario": "compare-pictures",
+            "compare_pictures": {
+                "hamiltonian": {"kind": "random_hermitian", "dim": 8, "seed": 1,
+                                "shift_nonnegative": True},
+                "state": {"kind": "uniform"},
+                "grid": {"start": 0.0, "stop": 2.0, "num": 9},
+                "reference_temperature": 0.1,
+                "mode": mode,
+                "epsilon": -0.5,
+            },
+        })
+        out = tmp_path / "compare.csv"
+        assert main(["compare-pictures", "--config", config, "--out", str(out)]) == 0
+        record = json.loads((tmp_path / "compare.csv.record.json").read_text())
+        assert record["outputs"]["max_deviation"] <= 1e-10
+        assert record["verdicts"] == [{"name": "picture-deviation", "tolerance": 1e-10,
+                                       "measured": record["outputs"]["max_deviation"],
+                                       "passed": True}]
 
     def test_gravity_run(self, tmp_path):
         config = write_config(tmp_path / "cfg.json", {
@@ -768,10 +792,16 @@ class TestFailureModes:
 
 
 class TestCheckAll:
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
     def test_runs_clean_and_deterministic(self, tmp_path):
-        for name in ("one", "two"):
+        # "one" is pinned to one CPU and runs the criteria in process; "two"
+        # may use every CPU of this process and runs them in forked workers
+        cpu = min(os.sched_getaffinity(0))
+        pinned = {"one": lambda: os.sched_setaffinity(0, {cpu}), "two": None}
+        for name, preexec_fn in pinned.items():
             result = run_cli(
-                "check-all", "--seed", "7", "--outdir", str(tmp_path / name), cwd=str(tmp_path)
+                "check-all", "--seed", "7", "--outdir", str(tmp_path / name), cwd=str(tmp_path),
+                preexec_fn=preexec_fn,
             )
             assert result.returncode == 0, result.stderr
             assert "PASS" in result.stdout
@@ -799,6 +829,76 @@ class TestCheckAll:
             main(["check-all", "--workers", "2", "--outdir", str(tmp_path / "out")])
         assert exit_info.value.code == 2
         assert not (tmp_path / "out").exists()
+
+    def test_results_are_the_same_at_any_cpu_count(self, monkeypatch):
+        from entropiclab.suite import criterion_names, run_all
+
+        runs = []
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+            runs.append([result.to_dict() for result in run_all(7)])
+        assert [entry["name"] for entry in runs[0]] == criterion_names()
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+    def test_closures_run_and_the_first_failure_in_order_is_raised(self, monkeypatch, cpus):
+        # closures cannot be pickled: a worker finds each by its index, and
+        # the first failure in criterion order wins over the first submitted
+        from entropiclab import suite
+
+        def passing(index):
+            return lambda seed: CheckResult.bounded(f"c{index}", float(seed + index), 100.0)
+
+        def failing(index):
+            def criterion(seed):
+                raise OverflowError(f"criterion {index} overflowed")
+            return criterion
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        criteria = [passing(index) for index in range(len(suite._CRITERIA))]
+        monkeypatch.setattr(suite, "_CRITERIA", tuple(criteria))
+        results = suite.run_all(7)
+        assert [(r.name, r.measured) for r in results] == [
+            (f"c{index}", 7.0 + index) for index in range(len(criteria))
+        ]
+        first_submitted = suite._SUBMISSION_ORDER[0]
+        assert first_submitted != 0
+        for index in (0, first_submitted):
+            criteria[index] = failing(index)
+        monkeypatch.setattr(suite, "_CRITERIA", tuple(criteria))
+        with pytest.raises(OverflowError, match="criterion 0 overflowed"):
+            suite.run_all(7)
+
+    def test_submission_order_covers_every_criterion_once(self):
+        from entropiclab import suite
+
+        assert sorted(suite._SUBMISSION_ORDER) == list(range(len(suite._CRITERIA)))
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="criterion workers need fork")
+    @pytest.mark.parametrize("failure, message", [
+        ("overflow", "numerical failure: criterion overflowed"),
+        ("death", "out of memory: a criterion worker died"),
+    ])
+    def test_failing_criterion_worker_exits_3_without_artifacts(
+        self, tmp_path, monkeypatch, capsys, failure, message
+    ):
+        import multiprocessing
+
+        from entropiclab import suite
+
+        def criterion(seed):
+            if failure == "overflow":
+                raise OverflowError("criterion overflowed")
+            os._exit(1)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        criteria = list(suite._CRITERIA)
+        criteria[suite._SUBMISSION_ORDER[-1]] = criterion
+        monkeypatch.setattr(suite, "_CRITERIA", tuple(criteria))
+        assert main(["check-all", "--seed", "7", "--outdir", str(tmp_path / "out")]) == 3
+        assert message in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+        assert list(tmp_path.iterdir()) == []
 
 
 def read_table(path):

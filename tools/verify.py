@@ -4,8 +4,9 @@
     python tools/verify.py artifacts 7:9 --out b.json    # seeds 7 and 8
     python tools/verify.py diff a.json a2.json           # lists the seeds whose digests differ
 
-``digest`` runs ``suite.run_all`` in process for each seed and records the
-sha256 of every criterion's ``to_dict()`` JSON.  ``artifacts`` builds the
+``digest`` calls ``suite.run_all`` for each seed, which runs the criteria
+in forked workers on two CPUs or more, and records the sha256 of every
+criterion's ``to_dict()`` JSON.  ``artifacts`` builds the
 ``bulk-output-gravity`` workload of ``perfbench/workloads.py`` for each seed
 in a temporary directory, adds a ``fluct`` of ``BIG_FLUCT`` samples, runs
 each operation through ``cli.main`` in process and records the sha256 of
