@@ -13,10 +13,8 @@ from flags instead of a file, and it also prints the verdict table.
 from __future__ import annotations
 
 import argparse
-import collections
 import contextlib
 import json
-import math
 import os
 import sys
 import time
@@ -80,31 +78,19 @@ def _csv_lines(header, *columns):
     as it is.  No cell holds a comma, quote or line break, so none is quoted.
     The text is made lazily, as the writer takes it: the header line, then
     one string per block of about ``_CSV_BLOCK_CELLS`` cells (at least one
-    row), so at most one block of Python values exists at a time per
-    process.  When there are two blocks or more and this process may run on
-    two CPUs or more, the blocks are formatted in forked worker processes,
-    one per CPU but no more than there are blocks, with at most one block
-    per worker in flight; the strings are yielded in row order, so the text
-    is the same at any CPU count.  Closing the generator shuts the workers
-    down.
+    row), formatted through ``_fanout.ordered``: in forked worker processes
+    when there are two blocks or more and this process may run on two CPUs
+    or more, one per CPU but no more than there are blocks, with at most two
+    blocks per worker in flight, and in process otherwise.  The strings are
+    yielded in row order, so the text is the same at any CPU count.  Closing
+    the generator shuts the workers down.
     """
     arrays = [np.asarray(column) for column in columns]
     rows = len(arrays[0]) if arrays else 0
     step = max(1, _CSV_BLOCK_CELLS // max(1, len(arrays)))
-    blocks = ([a[start:start + step] for a in arrays] for start in range(0, rows, step))
+    blocks = [([a[start:start + step] for a in arrays],) for start in range(0, rows, step)]
     yield ",".join(header) + "\r\n"
-    workers = _fanout.workers(math.ceil(rows / step))
-    if workers < 2:
-        yield from map(_format_block, blocks)
-        return
-    with _fanout.forked_pool(workers, "CSV formatting") as pool:
-        in_flight = collections.deque()
-        for block in blocks:
-            if len(in_flight) == workers:
-                yield in_flight.popleft().result()
-            in_flight.append(pool.submit(_format_block, block))
-        while in_flight:
-            yield in_flight.popleft().result()
+    yield from _fanout.ordered(_format_block, blocks, "CSV formatting")
 
 
 def _trajectory_table(label: str, expect_label: str, trajectory):

@@ -13,11 +13,29 @@ from pathlib import Path
 
 import numpy as np
 
-from .seeding import block_generator, block_ranges
+from . import _fanout
+from .seeding import BLOCK_SAMPLES, block_generator, block_ranges
 
 # probe-cell pairs per block of the direct sum: a fixed budget, so that
 # memory stays O(budget) (or one row of cells, when a row alone is larger)
 _PAIR_BUDGET = 1 << 17
+# probe-cell pairs from which a pass of the direct sum is split by rows
+# across forked workers.  Starting a pool took 8-19 ms on a 2-core x86-64
+# machine and a pair takes about 4 ns on one core, so a pool pays off from
+# a few million pairs.  At 2^24, Laplacian stencils, a few probes and the
+# check-all criteria stay in process, so no pool opens inside a check-all
+# worker.
+_FORK_PAIRS = 1 << 24
+# probe-cell pairs per worker task, some 30 ms on one core.  Each task pays
+# for centring the cells and for passing its result back: on the same
+# machine, the seed-7 bulk-output-gravity `gravity` command (2^27 pairs)
+# took a median of 0.39 s at 2^20 pairs per task, 0.34 s at 2^22, 0.31 s
+# at 2^23 and 2^24; smaller tasks balance better over more CPUs.
+_TASK_PAIRS = 1 << 23
+# sample blocks whose points mean_h draws before one pass sums them all:
+# one pool serves them, and memory stays bounded (some 10 MB of points and
+# potentials) whatever the number of samples
+_WAVE_BLOCKS = 64
 
 __all__ = [
     "RegionSpec",
@@ -91,9 +109,7 @@ class SourceDistribution:
         positions, _ = self.cell_data()
         if positions.shape[0] == 0:
             return np.full(pts.shape[0], np.inf)
-        nearest = np.empty(pts.shape[0], dtype=np.intp)
-        for rows, d in _squared_distance_blocks(self, pts):
-            nearest[rows] = d.argmin(axis=1)
+        nearest = _split_rows(_nearest_rows, self, pts)
         # the exact distance to the cell that the blocked kernel found nearest
         return np.linalg.norm(pts - positions[nearest], axis=1)
 
@@ -141,11 +157,11 @@ def _squared_distance_blocks(source: SourceDistribution, points: np.ndarray):
     """Squared distances from the points to the occupied cells, in row blocks.
 
     Yields ``(rows, d)`` with ``d[i, j] = |points[rows][i] - cell_j|^2``,
-    formed as ``|p|^2 + |c|^2 - 2 p.c`` with one matmul per block of at most
-    ``_PAIR_BUDGET`` pairs (one row, if a row alone is larger).  Points and
-    cells are first centred on the lattice centre, so that the cancellation
-    is bounded by the lattice's own size wherever the lattice lies: each
-    entry is off by a few ulps of ``|p - anchor|^2 + |c - anchor|^2``.
+    formed as ``|p|^2 + |c|^2 + (-2 p).c`` with one matmul per block of at
+    most ``_PAIR_BUDGET`` pairs (``_row_step`` rows).  Points and cells are
+    first centred on the lattice centre, so that the cancellation is
+    bounded by the lattice's own size wherever the lattice lies: each entry
+    is off by a few ulps of ``|p - anchor|^2 + |c - anchor|^2``.
     """
     positions, _ = source.cell_data()
     anchor = source.origin + source.spacing * np.array(source.trace.shape) / 2.0
@@ -153,28 +169,103 @@ def _squared_distance_blocks(source: SourceDistribution, points: np.ndarray):
     cell_norms = np.einsum("ij,ij->i", cells, cells)
     pts = np.atleast_2d(points) - anchor
     point_norms = np.einsum("ij,ij->i", pts, pts)
-    step = max(1, _PAIR_BUDGET // cells.shape[0])
+    # scaling by a power of two is exact, so (-2 p).c has the bits of
+    # -2 (p.c), without a pass over each block to scale it
+    pts *= -2.0
+    step = _row_step(cells.shape[0])
     for start in range(0, pts.shape[0], step):
         rows = slice(start, start + step)
         d = pts[rows] @ cells.T
-        d *= -2.0
         d += cell_norms
         d += point_norms[rows, None]
         yield rows, d
 
 
-def _potential_at(source: SourceDistribution, points: np.ndarray) -> np.ndarray:
-    """Potential 4 * sum(mass / distance) at points known to be off-support."""
-    pts = np.atleast_2d(points)
-    positions, masses = source.cell_data()
-    if positions.shape[0] == 0:
-        return np.zeros(pts.shape[0])
-    out = np.empty(pts.shape[0])
-    for rows, d in _squared_distance_blocks(source, pts):
+def _row_step(cells: int) -> int:
+    """Rows per block of ``_squared_distance_blocks`` for ``cells`` occupied
+    cells: ``_PAIR_BUDGET`` pairs' worth, or one row when a row alone holds more."""
+    return max(1, _PAIR_BUDGET // cells)
+
+
+def _potential_rows(source: SourceDistribution, points: np.ndarray) -> np.ndarray:
+    """4 * sum(mass / distance) at each of the points: one pass of the blocked kernel."""
+    _, masses = source.cell_data()
+    out = np.empty(points.shape[0])
+    for rows, d in _squared_distance_blocks(source, points):
         np.sqrt(d, out=d)
         np.reciprocal(d, out=d)
         out[rows] = 4.0 * (d @ masses)
     return out
+
+
+def _nearest_rows(source: SourceDistribution, points: np.ndarray) -> np.ndarray:
+    """Index of the occupied cell nearest each point: one pass of the blocked kernel."""
+    nearest = np.empty(points.shape[0], dtype=np.intp)
+    for rows, d in _squared_distance_blocks(source, points):
+        nearest[rows] = d.argmin(axis=1)
+    return nearest
+
+
+# (kernel, source, points) of the pass being split, set before the pool
+# forks: the workers inherit it, so no lattice is pickled per task
+_inherited = None
+
+
+def _inherited_rows(start: int, stop: int) -> np.ndarray:
+    """One task of a split pass, in a worker or, on one CPU, in process."""
+    kernel, source, points = _inherited
+    return kernel(source, points[start:stop])
+
+
+def _split_rows(kernel, source: SourceDistribution, points: np.ndarray, period: int = 0):
+    """``kernel(source, points[start:stop])`` over row ranges, joined in row order.
+
+    The rows are cut into runs of ``period`` rows (one run if 0), and each
+    run only at multiples of ``_row_step`` from its start, so every matmul
+    block holds the rows it would hold if the run were one call, and the
+    result has the same bits however the runs are split.  Below
+    ``_FORK_PAIRS`` probe-cell pairs each run is one call in process.  From
+    there on, the runs are cut into tasks of about ``_TASK_PAIRS`` pairs
+    for ``_fanout.ordered``, whose forked workers inherit the kernel, the
+    source and the points.  The source has at least one occupied cell.
+    """
+    count = points.shape[0]
+    cells = source.cell_data()[0].shape[0]
+    period = period or max(count, 1)
+    split = count * cells >= _FORK_PAIRS
+    if split:
+        step = _row_step(cells)
+        span = step * max(1, _TASK_PAIRS // (step * cells))
+    else:
+        span = period
+    ranges = [
+        (start, min(start + span, run + period, count))
+        for run in range(0, count, period)
+        for start in range(run, min(run + period, count), span)
+    ]
+    if not ranges:
+        return kernel(source, points)
+    if not split:
+        return np.concatenate([kernel(source, points[start:stop]) for start, stop in ranges])
+    global _inherited
+    _inherited = (kernel, source, points)
+    try:
+        return np.concatenate(list(_fanout.ordered(_inherited_rows, ranges, "gravity")))
+    finally:
+        _inherited = None
+
+
+def _potential_at(source: SourceDistribution, points: np.ndarray, period: int = 0) -> np.ndarray:
+    """Potential 4 * sum(mass / distance) at points known to be off-support.
+
+    ``period`` is that of ``_split_rows``.  Forked workers run
+    ``_potential_rows``, never this function.
+    """
+    pts = np.atleast_2d(points)
+    positions, _ = source.cell_data()
+    if positions.shape[0] == 0:
+        return np.zeros(pts.shape[0])
+    return _split_rows(_potential_rows, source, pts, period)
 
 
 def trace_potential(source: SourceDistribution, points):
@@ -225,14 +316,23 @@ def mean_h(source: SourceDistribution, region: RegionSpec, seed: int) -> float:
     """Monte Carlo average of the potential over the region.
 
     Deterministic given the seed: sample block b depends only on (seed, b)
-    (see :mod:`entropiclab.seeding`).
+    (see :mod:`entropiclab.seeding`).  Each block's potentials are summed
+    on their own and the block sums added in block order, so the result
+    has the same bits whether the direct sum runs in process or in workers.
     """
     _check_region_clear(source, region)
+    blocks = list(block_ranges(region.samples))
     total = 0.0
-    for block, start, stop in block_ranges(region.samples):
-        rng = block_generator(seed, block)
-        points = _sample_region(region, rng, stop - start)
-        total += float(_potential_at(source, points).sum())
+    for first in range(0, len(blocks), _WAVE_BLOCKS):
+        wave = blocks[first:first + _WAVE_BLOCKS]
+        points = np.concatenate([
+            _sample_region(region, block_generator(seed, block), stop - start)
+            for block, start, stop in wave
+        ])
+        potentials = _potential_at(source, points, BLOCK_SAMPLES)
+        offset = wave[0][1]
+        for _, start, stop in wave:
+            total += float(potentials[start - offset:stop - offset].sum())
     return total / region.samples
 
 

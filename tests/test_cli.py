@@ -36,6 +36,7 @@ from entropiclab.config import (
     validate_config,
 )
 from entropiclab.constants import NATURAL
+from entropiclab.seeding import BLOCK_SAMPLES
 from entropiclab.suite import CheckResult
 
 
@@ -74,6 +75,19 @@ FILE_INPUT_CONFIGS = {
     "onsager": {"scenario": "onsager", "onsager": {
         "system": "input.json", "grid": {"start": 0.0, "stop": 1.0, "num": 3},
     }},
+}
+
+# a region of two sample blocks: with the fork threshold patched down, its
+# sum is two row ranges, one per worker on two CPUs
+SPLIT_GRAVITY_CONFIG = {
+    "scenario": "gravity",
+    "seed": 3,
+    "gravity": {
+        "source": GRAVITY_SOURCE,
+        "probes": [[3.0, 1.0, 0.0]],
+        "region": {"shape": "ball", "center": [4.0, 0.5, 0.5], "radius": 0.5,
+                   "samples": BLOCK_SAMPLES + 1},
+    },
 }
 
 FLUCT_REFERENCE = ThermoReference.ideal_gas(1.0, 1.0, 1.0)
@@ -207,6 +221,26 @@ class TestScenarioRuns:
         record = json.loads((tmp_path / "probes.csv.record.json").read_text())
         assert 0.9 <= record["outputs"]["mean_h"] <= 1.1
         assert record["outputs"]["weak_field_epsilon"] < 0.0
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="gravity workers need fork")
+    def test_gravity_workers_end_with_the_command(self, tmp_path, monkeypatch):
+        import multiprocessing
+
+        from entropiclab import gravity
+
+        config = write_config(tmp_path / "cfg.json", SPLIT_GRAVITY_CONFIG)
+        runs = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(gravity, "_FORK_PAIRS", 1 if cpus == 2 else 1 << 24)
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
+            out = tmp_path / f"cpus{cpus}.csv"
+            assert main(["gravity", "--config", config, "--out", str(out)]) == 0
+            assert multiprocessing.active_children() == []
+            record = json.loads((tmp_path / f"cpus{cpus}.csv.record.json").read_text())
+            runs[cpus] = out.read_bytes(), record["outputs"]
+        assert runs[1] == runs[2]
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_gravity_inline_data_resolves_against_config_dir(self, tmp_path):
         config_dir = tmp_path / "configs"
@@ -677,6 +711,29 @@ class TestFailureModes:
         config = write_config(tmp_path / "cfg.json", EVOLVE_S_CONFIG)
         assert main(["evolve-s", "--config", config, "--out", str(tmp_path / "o.csv")]) == 3
         assert "out of memory: a CSV formatting worker died" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="gravity workers need fork")
+    def test_dead_gravity_worker_exits_3(self, tmp_path, monkeypatch, capsys):
+        import multiprocessing
+
+        from entropiclab import gravity
+
+        parent = os.getpid()
+        potential_rows = gravity._potential_rows
+
+        def killed_rows(source, points):
+            if os.getpid() != parent:
+                os._exit(1)
+            return potential_rows(source, points)
+
+        monkeypatch.setattr(gravity, "_potential_rows", killed_rows)
+        monkeypatch.setattr(gravity, "_FORK_PAIRS", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        config = write_config(tmp_path / "cfg.json", SPLIT_GRAVITY_CONFIG)
+        assert main(["gravity", "--config", config, "--out", str(tmp_path / "o.csv")]) == 3
+        assert "out of memory: a gravity worker died" in capsys.readouterr().err
         assert multiprocessing.active_children() == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -17,8 +18,9 @@ from entropiclab import (
     rasterize,
     trace_potential,
 )
+from entropiclab import _fanout
 from entropiclab.config import source_from
-from entropiclab.seeding import BLOCK_SAMPLES
+from entropiclab.seeding import BLOCK_SAMPLES, block_generator, block_ranges
 
 
 def point_mass_source(mass=1.0, spacing=0.1):
@@ -300,11 +302,94 @@ class TestBlockedKernel:
             "source = SourceDistribution(np.ones((64, 64, 64)), 1.0 / 64)\n"
             "region = RegionSpec.ball(center=[2.5, 0.5, 0.5], radius=0.4, samples=256)\n"
             "assert mean_h(source, region, seed=3) > 0.0\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+            "for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN):\n"
+            "    print(resource.getrusage(who).ru_maxrss)\n"
         )
         result = subprocess.run([sys.executable, "-c", script], capture_output=True,
                                 text=True, env=cli_env(), check=True)
-        assert int(result.stdout) / 1024.0 < 200.0
+        # 2^26 pairs: on two CPUs or more the sum runs in forked workers,
+        # whose peak the parent's own figure does not include
+        own, workers = (int(line) / 1024.0 for line in result.stdout.split())
+        assert own < 200.0 and workers < 200.0
+
+
+class TestRowSplit:
+    """The direct sum split by rows across forked workers keeps every bit.
+
+    The fork threshold is patched down and each task made one kernel block,
+    so that small sums split.  The lattice's 328 cells make blocks of 399
+    rows, which divide neither a sample block nor the 1,001 probes, so the
+    last range of each run is ragged.
+    """
+
+    @staticmethod
+    def source():
+        rng = np.random.default_rng(6)
+        trace = rng.uniform(0.5, 1.5, (8, 8, 8)) * (rng.random((8, 8, 8)) < 0.6)
+        return SourceDistribution(trace, 0.125, (0.1, -0.2, 0.3))
+
+    @staticmethod
+    def results(source):
+        rng = np.random.default_rng(7)
+        directions = rng.standard_normal((1001, 3))
+        probes = 0.6 + 4.0 * directions / np.linalg.norm(directions, axis=1)[:, None]
+        samples = 3 * BLOCK_SAMPLES + 1
+        ball = RegionSpec.ball([3.0, 0.5, 0.5], 0.4, samples)
+        box = RegionSpec.box([[2.5, 0.0, 0.0], [3.5, 1.0, 1.0]], samples)
+        return {
+            "trace_potential": trace_potential(source, probes),
+            "support_distance": source.support_distance(probes),
+            "mean_h ball": np.array([mean_h(source, ball, seed=4)]),
+            "mean_h box": np.array([mean_h(source, box, seed=4)]),
+            "no probes": trace_potential(source, np.empty((0, 3))),
+        }
+
+    def assert_same_bits(self, got, expected):
+        assert got.keys() == expected.keys()
+        for name, value in expected.items():
+            assert np.array_equal(got[name], value), name
+            assert [x.hex() for x in got[name].tolist()] == [x.hex() for x in value.tolist()], name
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_split_keeps_every_bit(self, monkeypatch, cpus):
+        source = self.source()
+        cells = source.cell_data()[0].shape[0]
+        assert cells == 328 and gravity._row_step(cells) == 399
+        expected = self.results(source)
+        pools = []
+        forked_pool = _fanout.forked_pool
+
+        def counted_pool(*args):
+            pools.append(args)
+            return forked_pool(*args)
+
+        monkeypatch.setattr(_fanout, "forked_pool", counted_pool)
+        monkeypatch.setattr(gravity, "_FORK_PAIRS", 1)
+        monkeypatch.setattr(gravity, "_TASK_PAIRS", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        self.assert_same_bits(self.results(source), expected)
+        # one pool per pass: trace_potential's support pass and sum, the
+        # support pass, one for each mean_h; a one-row pass and no probes
+        # need none
+        assert pools == ([] if cpus == 1 else [(2, "gravity")] * 5)
+
+    @pytest.mark.parametrize("wave", [1, 3, 64])
+    @pytest.mark.parametrize("shape", ["ball", "box"])
+    def test_each_sample_block_is_summed_on_its_own(self, monkeypatch, shape, wave):
+        # mean_h draws a wave of sample blocks at a time and sums it in one
+        # pass, with the bits of one kernel pass and one sum per block
+        source = self.source()
+        samples = 3 * BLOCK_SAMPLES + 1
+        if shape == "ball":
+            region = RegionSpec.ball([3.0, 0.5, 0.5], 0.4, samples)
+        else:
+            region = RegionSpec.box([[2.5, 0.0, 0.0], [3.5, 1.0, 1.0]], samples)
+        total = 0.0
+        for block, start, stop in block_ranges(samples):
+            points = gravity._sample_region(region, block_generator(9, block), stop - start)
+            total += float(gravity._potential_rows(source, points).sum())
+        monkeypatch.setattr(gravity, "_WAVE_BLOCKS", wave)
+        assert mean_h(source, region, seed=9).hex() == (total / samples).hex()
 
 
 class TestLaplacianSpotCheck:

@@ -31,12 +31,16 @@ def test_digest_diffed_against_itself_is_empty(tmp_path, capsys):
 
 def test_artifact_digests_diffed_against_themselves_are_empty(tmp_path, monkeypatch, capsys):
     tool = load_tool()
-    monkeypatch.setattr(tool, "BIG_FLUCT", 2_000)  # the large fluct's size does not matter here
+    # the large copies' sizes do not matter here
+    monkeypatch.setattr(tool, "BIG_FLUCT", 2_000)
+    monkeypatch.setattr(tool, "BIG_GRAVITY_PROBES", 5)
+    monkeypatch.setattr(tool, "BIG_GRAVITY_SAMPLES", 100)
     digest = tmp_path / "artifacts.json"
     assert tool.main(["artifacts", "3", "--out", str(digest)]) == 0
     table = json.loads(digest.read_text())
     assert sorted(table["3"]) == sorted(
-        f"{label}{suffix}" for label in ("fluct", "evolve-s", "gravity", "fluct-n2000")
+        f"{label}{suffix}"
+        for label in ("fluct", "evolve-s", "gravity", "fluct-n2000", "gravity-p5")
         for suffix in (".csv", ".record.json")
     )
     assert tool.main(["diff", str(digest), str(digest)]) == 0

@@ -8,11 +8,14 @@
 in forked workers on two CPUs or more, and records the sha256 of every
 criterion's ``to_dict()`` JSON.  ``artifacts`` builds the
 ``bulk-output-gravity`` workload of ``perfbench/workloads.py`` for each seed
-in a temporary directory, adds a ``fluct`` of ``BIG_FLUCT`` samples, runs
-each operation through ``cli.main`` in process and records the sha256 of
-every CSV and of every run record without its ``wall_clock_s``.  Run either
-once per checkout, with that checkout's ``src`` first on ``PYTHONPATH``,
-and ``diff`` the two files of one kind.  ``diff`` exits 0 when no seed
+in a temporary directory, adds a ``fluct`` of ``BIG_FLUCT`` samples and a
+``gravity`` of ``BIG_GRAVITY_PROBES`` probes and ``BIG_GRAVITY_SAMPLES``
+region samples, so that the digests cover the CSV blocks and the gravity
+row ranges that run in forked workers, runs each operation through
+``cli.main`` in process and records the sha256 of every CSV and of every
+run record without its ``wall_clock_s``.  Run either once per checkout,
+with that checkout's ``src`` first on ``PYTHONPATH``, and ``diff`` the two
+files of one kind.  ``diff`` exits 0 when no seed
 differs and 1 otherwise.
 """
 from __future__ import annotations
@@ -27,6 +30,9 @@ from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 BIG_FLUCT = 1_000_000
+BIG_GRAVITY_PROBES = 1_000
+# three whole sample blocks of seeding.BLOCK_SAMPLES and one sample more
+BIG_GRAVITY_SAMPLES = 3 * 4_096 + 1
 
 
 def _seeds(text: str) -> range:
@@ -55,18 +61,41 @@ def digest(seeds) -> dict:
     return table
 
 
-def _with_big_fluct(ops, work: Path) -> list:
-    """``ops`` and a copy of their ``fluct`` operation that draws ``BIG_FLUCT`` samples."""
-    fluct = next(op for op in ops if op.label == "fluct")
-    config = json.loads(Path(fluct.argv[2]).read_text(encoding="utf-8"))
-    config["fluct"]["n"] = BIG_FLUCT
-    label = f"fluct-n{BIG_FLUCT}"
+def _variant(op, work: Path, label: str, edit, csv_rows: int):
+    """A copy of operation ``op`` named ``label``, its config changed in place by ``edit``."""
+    config = json.loads(Path(op.argv[2]).read_text(encoding="utf-8"))
+    edit(config)
     config_path = work / f"{label}.json"
     config_path.write_text(json.dumps(config, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     out, record = work / f"{label}.csv", work / f"{label}.record.json"
-    argv = ["fluct", "--config", str(config_path), "--out", str(out), "--record", str(record)]
-    return ops + [dataclasses.replace(fluct, label=label, argv=argv, csv_path=out,
-                                      record_path=record, csv_rows=BIG_FLUCT)]
+    argv = [op.argv[0], "--config", str(config_path), "--out", str(out), "--record", str(record)]
+    return dataclasses.replace(op, label=label, argv=argv, csv_path=out, record_path=record,
+                               csv_rows=csv_rows)
+
+
+def _with_big_copies(ops, work: Path, seed: int) -> list:
+    """``ops``, a copy of their ``fluct`` that draws ``BIG_FLUCT`` samples, and a copy of
+    their ``gravity`` with ``BIG_GRAVITY_PROBES`` probes and ``BIG_GRAVITY_SAMPLES`` samples."""
+    import numpy as np
+
+    def big_fluct(config):
+        config["fluct"]["n"] = BIG_FLUCT
+
+    def big_gravity(config):
+        # 2 to 4 from the centre of the unit-cube lattice, whose half-diagonal is 0.87
+        rng = np.random.default_rng([seed, 3])
+        directions = rng.standard_normal((BIG_GRAVITY_PROBES, 3))
+        directions /= np.linalg.norm(directions, axis=1)[:, None]
+        probes = 0.5 + directions * rng.uniform(2.0, 4.0, (BIG_GRAVITY_PROBES, 1))
+        config["gravity"]["probes"] = probes.tolist()
+        config["gravity"]["region"]["samples"] = BIG_GRAVITY_SAMPLES
+
+    by_label = {op.label: op for op in ops}
+    return ops + [
+        _variant(by_label["fluct"], work, f"fluct-n{BIG_FLUCT}", big_fluct, BIG_FLUCT),
+        _variant(by_label["gravity"], work, f"gravity-p{BIG_GRAVITY_PROBES}", big_gravity,
+                 BIG_GRAVITY_PROBES),
+    ]
 
 
 def artifacts(seeds) -> dict:
@@ -80,7 +109,7 @@ def artifacts(seeds) -> dict:
     with tempfile.TemporaryDirectory() as scratch:
         for seed in seeds:
             work = Path(scratch) / str(seed)
-            ops = _with_big_fluct(workloads.build("bulk-output-gravity", seed, work), work)
+            ops = _with_big_copies(workloads.build("bulk-output-gravity", seed, work), work, seed)
             files = {}
             for op in ops:
                 problems = op.check(main(op.argv))
