@@ -182,7 +182,7 @@ def _run_evolve_s(config: dict, base_dir: Path):
     if schedule_kind == "frozen" and grid.size >= 2 and grid[-1] > 0:
         # the one-shot leg ends at grid[-1]: half + (grid[-1] - half) is exact
         half = 0.5 * grid[-1]
-        gap = semigroup_gap(psi0, generator, half, grid[-1] - half, epsilon, constants, allow)
+        gap = semigroup_gap(psi0, generator, half, grid[-1] - half, epsilon, constants)
         verdicts.append(CheckResult.bounded("s-semigroup-composition", gap, 1e-10))
     return outputs, verdicts, _trajectory_table("tau", "expect_S", trajectory)
 

@@ -36,7 +36,7 @@ def evolve_h(
     grid = evolution_grid(t_grid, "t_grid")
     if psi0.norm() == 0.0:
         raise ValueError("initial state must be nonzero")
-    amplitudes = exponential_rows(hamiltonian, [-1j * t / constants.hbar for t in grid], psi0)
+    amplitudes = exponential_rows(hamiltonian, -1j * (grid / constants.hbar), psi0)
     return Trajectory.from_amplitudes(grid, amplitudes, hamiltonian)
 
 
@@ -66,7 +66,7 @@ def evolve_h_perturbed(
         raise ValueError("initial state must be nonzero")
     scale = 1.0 / (1.0 + epsilon_prime**2) if mode == "exact" else 1.0
     rate = (epsilon_prime - 1j) * scale / constants.hbar
-    amplitudes = exponential_rows(hamiltonian, [rate * t for t in grid], psi0)
+    amplitudes = exponential_rows(hamiltonian, rate * grid, psi0)
     return Trajectory.from_amplitudes(grid, amplitudes, hamiltonian)
 
 

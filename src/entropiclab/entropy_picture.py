@@ -164,14 +164,35 @@ def evolve_s(
         )
     if psi0.norm() == 0.0:
         raise ValueError("initial state must be nonzero")
-    z_rate = (1j - epsilon) / constants.kB
+    if psi0.dim != generator.dim:
+        raise ValueError(f"dimension mismatch: operator {generator.dim} vs state {psi0.dim}")
 
+    decomposition = spectral_decompose(generator.operator)
     elapsed = grid if schedule == "frozen" else -np.expm1(-grid)
-    amplitudes = exponential_rows(generator.operator, [z_rate * g for g in elapsed], psi0)
+    amplitudes = _thermal_rows(decomposition.eigenvalues, decomposition.eigenvectors,
+                               psi0.amplitudes, elapsed, epsilon, constants.kB)
     trajectory = Trajectory.from_amplitudes(grid, amplitudes, generator.operator)
     if schedule == "frozen":
         return trajectory
     return replace(trajectory, expectations=np.exp(-grid) * trajectory.expectations)
+
+
+def _thermal_rows(eigenvalues, eigenvectors, states, elapsed, epsilons, kB):
+    """Rows ``exp[(i - eps)/kB * S0 * g] psi0``: ``evolve_s``'s amplitudes for stacks of
+    ``S0``'s eigensystems (eigenvalues ``(..., d)``, eigenvectors ``(..., d, d)``),
+    states ``(..., d)``, elapsed grids ``g`` ``(..., n)`` and epsilons ``(...)``.
+
+    The result ``(..., n, d)`` equals ``evolve_s`` on each system alone bit for bit.
+    An exponent past the double range raises ``ValueError``; a row that overflows
+    or underflows raises as in ``eigenbasis_rows``.
+    """
+    # part by part, as Python's complex (1j - eps) / kB divides; NumPy's complex
+    # division would multiply by the reciprocal of kB instead
+    rates = 1j / kB - np.asarray(epsilons, dtype=float)[..., None] / kB
+    z = rates * elapsed
+    if not np.isfinite(z).all():
+        raise ValueError("exponent must be finite")
+    return _rows(eigenvectors, z[..., None] * eigenvalues[..., None, :], states)
 
 
 @dataclass(frozen=True)
@@ -347,12 +368,11 @@ def _closed_form_rows(mode, psi0, hamiltonian, reference_temperature, taus, epsi
     decomposition = spectral_decompose(hamiltonian)
     h = decomposition.eigenvalues
     if mode == "frozen_S":
-        phases = [(1j - epsilon) * (h / reference_temperature) * tau / constants.kB for tau in taus]
+        phases = (1j - epsilon) * (h / reference_temperature) * taus[:, None] / constants.kB
     else:
-        phases = [
-            (1j - epsilon) * (h / (constants.kB * reference_temperature)) * (1.0 - math.exp(-tau))
-            for tau in taus
-        ]
+        # math.exp, not np.exp, whose SIMD kernel may round differently
+        elapsed = np.array([1.0 - math.exp(-tau) for tau in taus])
+        phases = (1j - epsilon) * (h / (constants.kB * reference_temperature)) * elapsed[:, None]
     return eigenbasis_rows(decomposition, phases, psi0)
 
 
@@ -398,7 +418,7 @@ def picture_consistency(
     s_side = evolve_s(psi0, generator, grid, epsilon, constants, schedule=schedules[mode])
     if mode == "real_C":
         t_of_tau = constants.hbar / (constants.kB * reference_temperature * np.exp(grid))
-        exponents = [-1j * (t - t_of_tau[0]) / constants.hbar for t in t_of_tau]
+        exponents = -1j * ((t_of_tau - t_of_tau[0]) / constants.hbar)
         reference = exponential_rows(hamiltonian, exponents, psi0)
     else:
         reference = _closed_form_rows(

@@ -394,12 +394,14 @@ def fourier_patch(seed: int, modes: int = 2, amplitude: float = 0.08) -> Symplec
         u = np.asarray(u, float)
         v = np.asarray(v, float)
         coords = [base[0] * v, base[0] * u, base[1] * v, base[1] * u]
-        for c in range(4):
-            for k in range(modes):
-                for l in range(modes):
-                    angle = math.pi * ((k + 1) * u + (l + 1) * v)
-                    coords[c] = coords[c] + coeffs[c, k, l, 0] * np.sin(angle) \
-                        + coeffs[c, k, l, 1] * np.cos(angle)
+        # each mode's sin and cos once, added to every coordinate in the
+        # same (k, l) order as one coordinate at a time
+        for k in range(modes):
+            for l in range(modes):
+                angle = math.pi * ((k + 1) * u + (l + 1) * v)
+                sin, cos = np.sin(angle), np.cos(angle)
+                for c in range(4):
+                    coords[c] = coords[c] + coeffs[c, k, l, 0] * sin + coeffs[c, k, l, 1] * cos
         return tuple(coords)
 
     return SymplecticPatch(chart=chart)

@@ -11,7 +11,6 @@ instead of by scaling-and-squaring.
 """
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -449,12 +448,12 @@ def eigenbasis_rows(decomposition: SpectralDecomposition, exponents, state: Stat
 
 def exponential_rows(operator: HermitianOperator, exponents, state: StateVector):
     """Rows ``exp(z_k * operator) state``, one per scalar exponent ``z_k``."""
-    exponents = [complex(z) for z in exponents]
-    if not all(cmath.isfinite(z) for z in exponents):
+    exponents = np.asarray(exponents, dtype=complex)
+    if not np.isfinite(exponents).all():
         raise ValueError("exponent must be finite")
     decomposition = spectral_decompose(operator)
     return eigenbasis_rows(
-        decomposition, [z * decomposition.eigenvalues for z in exponents], state
+        decomposition, np.multiply.outer(exponents, decomposition.eigenvalues), state
     )
 
 

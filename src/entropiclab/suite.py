@@ -7,6 +7,7 @@ fixed seed reproduces every number in every check.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -18,6 +19,7 @@ from .energy_picture import evolve_h
 from .entropy_picture import (
     EigenSolutionSpec,
     WickFactor,
+    _thermal_rows,
     _uncertainty_products,
     dissipative_part,
     eigen_solution,
@@ -82,26 +84,38 @@ class CheckResult:
         return {**self.verdict(), "requirement": self.requirement, "details": self.details}
 
 
-def semigroup_gap(psi0, generator, tau1, tau2, epsilon, constants, allow_antidissipative) -> float:
-    """Distance between evolving by tau1 then tau2 and by tau1 + tau2 at once."""
+def semigroup_gap(psi0, generator, tau1, tau2, epsilon, constants) -> float:
+    """Distance between evolving by tau1 then tau2 and by tau1 + tau2 at once.
 
-    def final(state, tau):
-        return evolve_s(
-            state, generator, [0.0, tau], epsilon, constants,
-            allow_antidissipative=allow_antidissipative,
-        ).amplitudes[-1]
-
-    two_step = final(StateVector(final(psi0, tau1)), tau2)
-    return float(np.linalg.norm(two_step - final(psi0, tau1 + tau2)))
+    The inputs are not validated again: the caller has run ``evolve_s`` on them."""
+    decomposition = spectral_decompose(generator.operator)
+    return float(_semigroup_gaps(decomposition.eigenvalues, decomposition.eigenvectors,
+                                 psi0.amplitudes, tau1, tau2, epsilon, constants.kB))
 
 
-def monotonicity_violation(norms, epsilon: float) -> float:
+def _semigroup_gaps(eigenvalues, eigenvectors, states, tau1, tau2, epsilons, kB):
+    # semigroup_gap for stacks of eigensystems (..., d, d), states (..., d) and
+    # tau1, tau2 and epsilons (...)
+    tau1, tau2 = np.asarray(tau1, dtype=float), np.asarray(tau2, dtype=float)
+    legs = _thermal_rows(eigenvalues, eigenvectors, states,
+                         np.stack([tau1, tau1 + tau2], axis=-1), epsilons, kB)
+    two_step = _thermal_rows(eigenvalues, eigenvectors, legs[..., 0, :], tau2[..., None],
+                             epsilons, kB)
+    return _norms(two_step[..., 0, :] - legs[..., 1, :])
+
+
+def monotonicity_violation(norms, epsilon) -> float:
     """Largest step against the branch: a norm drop for epsilon < 0 (dilatation),
-    a norm rise for epsilon > 0 (contraction); 0 when the norms are monotone."""
-    if len(norms) < 2:
+    a norm rise for epsilon > 0 (contraction); 0 when the norms are monotone.
+
+    ``norms`` may be a stack ``(..., n)`` with one epsilon per row ``(...)``;
+    the result is then the largest over all rows."""
+    norms = np.asarray(norms, dtype=float)
+    if norms.shape[-1] < 2:
         return 0.0
     steps = np.diff(norms)
-    return float(max(np.max(-steps) if epsilon < 0 else np.max(steps), 0.0))
+    against = np.where(np.asarray(epsilon)[..., None] < 0, -steps, steps)
+    return float(max(against.max(), 0.0))
 
 
 def fitted_order(resolutions, gaps) -> float:
@@ -130,12 +144,24 @@ def _random_hermitian(rng, dim, unit="energy") -> HermitianOperator:
     return HermitianOperator((raw + raw.conj().T) / 2.0, unit=unit)
 
 
-def _random_spectrum_operator(rng, dim, low, high, unit="energy") -> HermitianOperator:
-    """Hermitian matrix with eigenvalues drawn uniformly from [low, high]."""
-    q, _ = np.linalg.qr(_complex_normal(rng, (dim, dim)))
-    levels = np.sort(rng.uniform(low, high, dim))
-    matrix = q @ (levels[:, None] * q.conj().T)
-    return HermitianOperator((matrix + matrix.conj().T) / 2.0, unit=unit)
+def _spectrum_draw(rng, dim, high):
+    # the stream of a Hermitian matrix with eigenvalues uniform on [0, high]:
+    # a complex normal basis, then the levels
+    return _complex_normal(rng, (dim, dim)), rng.uniform(0.0, high, dim)
+
+
+def _spectrum_stack(basis, levels):
+    """Hamiltonians ``(k, d, d)`` with the sorted ``levels`` as eigenvalues, in the
+    QR of ``basis``, checked Hermitian, and their checked eigensystems."""
+    q, _ = np.linalg.qr(basis)
+    matrices = q @ (np.sort(levels, axis=-1)[..., :, None] * _adjoint(q))
+    hamiltonians = (matrices + _adjoint(matrices)) / 2.0
+    _check_hermitian(hamiltonians)
+    return (hamiltonians, *_checked_eigh(hamiltonians))
+
+
+def _unit_rows(states):
+    return states / _norms(states)[..., None]
 
 
 def check_unitary_limit(seed: int) -> CheckResult:
@@ -156,21 +182,22 @@ def check_unitary_limit(seed: int) -> CheckResult:
     )
 
 
+def _semigroup_draw(rng, dim):
+    return (*_spectrum_draw(rng, dim, 2.0), rng.uniform(-0.3, 0.0), rng.uniform(0.05, 1.5),
+            rng.uniform(0.05, 1.5), _complex_normal(rng, dim))
+
+
 def check_semigroup_law(seed: int) -> CheckResult:
     """Constant-generator evolution composes: step tau1 then tau2 = step tau1+tau2."""
     rng = _rng(seed, 2)
     worst = 0.0
-    for _ in range(100):
-        dim = int(rng.integers(2, 13))
-        generator = entropy_operator(_random_spectrum_operator(rng, dim, 0.0, 2.0), 1.0)
-        epsilon = float(rng.uniform(-0.3, 0.0))
-        tau1 = float(rng.uniform(0.05, 1.5))
-        tau2 = float(rng.uniform(0.05, 1.5))
-        psi0 = _random_state(rng, dim)
-        gap = semigroup_gap(
-            psi0, generator, tau1, tau2, epsilon, NATURAL, allow_antidissipative=False
-        )
-        worst = max(worst, gap)
+    # at temperature 1 the generator S = H / T is H itself, eigensystem included
+    for basis, levels, epsilons, tau1, tau2, states in _draw_by_dim(rng, 100, 2, 13,
+                                                                    _semigroup_draw):
+        _, eigenvalues, eigenvectors = _spectrum_stack(basis, levels)
+        gaps = _semigroup_gaps(eigenvalues, eigenvectors, _unit_rows(states), tau1, tau2,
+                               epsilons, NATURAL.kB)
+        worst = max(worst, float(gaps.max()))
     return CheckResult.bounded(
         "semigroup-law",
         worst,
@@ -184,16 +211,21 @@ def check_dilatation_contraction(seed: int) -> CheckResult:
     """Nonnegative generator: norms never shrink for eps < 0, never grow for eps > 0."""
     rng = _rng(seed, 3)
     grid = np.linspace(0.0, 2.0, 21)
+    runs = itertools.count()
+
+    def draw(rng, dim):
+        basis, levels = _spectrum_draw(rng, dim, 2.0)
+        state = _complex_normal(rng, dim)
+        epsilon = rng.uniform(0.05, 0.5)
+        # growth branch on even runs, contraction on odd
+        return basis, levels, state, -epsilon if next(runs) % 2 == 0 else epsilon
+
     worst = 0.0
-    for run in range(100):
-        dim = int(rng.integers(2, 9))
-        generator = entropy_operator(_random_spectrum_operator(rng, dim, 0.0, 2.0), 1.0)
-        psi0 = _random_state(rng, dim)
-        epsilon = float(rng.uniform(0.05, 0.5))
-        if run % 2 == 0:
-            epsilon = -epsilon  # growth branch on even runs, contraction on odd
-        norms = evolve_s(psi0, generator, grid, epsilon, allow_antidissipative=True).norms
-        worst = max(worst, monotonicity_violation(norms, epsilon))
+    for basis, levels, states, epsilons in _draw_by_dim(rng, 100, 2, 9, draw):
+        _, eigenvalues, eigenvectors = _spectrum_stack(basis, levels)
+        rows = _thermal_rows(eigenvalues, eigenvectors, _unit_rows(states), grid, epsilons,
+                             NATURAL.kB)
+        worst = max(worst, monotonicity_violation(_norms(rows), epsilons))
     return CheckResult.bounded(
         "dilatation-contraction",
         worst,
@@ -207,31 +239,29 @@ def check_eigen_solution_identity(seed: int) -> CheckResult:
     """Factorized eigen-solutions agree with the integrated propagator."""
     rng = _rng(seed, 4)
     constants = NATURAL
-    worst = 0.0
-    points = 0
-    for _ in range(10):
-        dim = 5
-        generator = entropy_operator(_random_spectrum_operator(rng, dim, 0.0, 2.5), 1.0)
-        decomposition = spectral_decompose(generator.operator)
-        for k in range(dim):
-            mode = StateVector(decomposition.eigenvectors[:, k])
+    taus, epsilons = (0.4, 1.3), (0.0, -0.35)
+    basis, levels = map(np.array, zip(*(_spectrum_draw(rng, 5, 2.5) for _ in range(10))))
+    hamiltonians, eigenvalues, eigenvectors = _spectrum_stack(basis, levels)
+    # every mode of every system under each epsilon: (system, mode, epsilon, tau, d)
+    modes = eigenvectors.swapaxes(-1, -2)
+    integrated = _thermal_rows(eigenvalues[:, None, None], eigenvectors[:, None, None],
+                               modes[:, :, None], taus, epsilons, constants.kB)
+    direct = np.empty_like(integrated)
+    for system, hamiltonian in enumerate(hamiltonians):
+        generator = entropy_operator(HermitianOperator(hamiltonian, unit="energy"), 1.0)
+        for k, mode in enumerate(modes[system]):
             spec = EigenSolutionSpec(
-                mode=mode,
-                entropic_eigenvalue=float(decomposition.eigenvalues[k]) / constants.kB,
+                mode=StateVector(mode),
+                entropic_eigenvalue=float(eigenvalues[system, k]) / constants.kB,
                 generator=generator,
             )
-            for tau in (0.4, 1.3):
-                for epsilon in (0.0, -0.35):
-                    direct = eigen_solution(spec, tau, epsilon)
-                    integrated = evolve_s(mode, generator, [0.0, tau], epsilon).states[-1]
-                    worst = max(
-                        worst,
-                        float(np.linalg.norm(direct.amplitudes - integrated.amplitudes)),
-                    )
-                    points += 1
+            for e, epsilon in enumerate(epsilons):
+                for t, tau in enumerate(taus):
+                    direct[system, k, e, t] = eigen_solution(spec, tau, epsilon).amplitudes
+    points = math.prod(direct.shape[:-1])
     return CheckResult.bounded(
         "eigen-solution-identity",
-        worst,
+        float(_norms(direct - integrated).max()),
         1e-10,
         requirement=f"factorized vs integrated solution over {points} (s, tau, eps) points",
         details={"points": points},
@@ -328,10 +358,8 @@ def _draw_by_dim(rng, count: int, low: int, high: int, draw):
 
 
 def _uncertainty_draw(rng, dim):
-    # the stream of _random_spectrum_operator, _random_state, _random_hermitian
-    # and the probe point, in that order
-    basis = _complex_normal(rng, (dim, dim))
-    levels = rng.uniform(0.0, 2.0, dim)
+    # a spectrum, a state, an observable and the probe point, in that order
+    basis, levels = _spectrum_draw(rng, dim, 2.0)
     state = _complex_normal(rng, dim)
     observable = _complex_normal(rng, (dim, dim))
     return basis, levels, state, observable, rng.uniform(0.1, 2.0)
@@ -344,15 +372,10 @@ def check_uncertainty_bound(seed: int) -> CheckResult:
     half_kb = constants.kB / 2.0
     min_margin = math.inf
     evaluated = 0
-    # 1000 draws as _random_spectrum_operator, _random_state and
-    # _random_hermitian make them, computed in stacks of one dimension
+    # 1000 draws, computed in stacks of one dimension
     for basis, levels, states, raw, taus in _draw_by_dim(rng, 1000, 2, 9, _uncertainty_draw):
-        q, _ = np.linalg.qr(basis)
-        matrices = q @ (np.sort(levels, axis=-1)[..., :, None] * _adjoint(q))
-        hamiltonians = (matrices + _adjoint(matrices)) / 2.0
-        _check_hermitian(hamiltonians)
-        eigenvalues, eigenvectors = _checked_eigh(hamiltonians)
-        states = states / _norms(states)[:, None]
+        hamiltonians, eigenvalues, eigenvectors = _spectrum_stack(basis, levels)
+        states = _unit_rows(states)
         observables = (raw + _adjoint(raw)) / 2.0
         _check_hermitian(observables)
         # at temperature 1 the generator S = H / T is H itself, eigensystem included
@@ -559,21 +582,21 @@ def criterion_names() -> list:
 
 
 # _CRITERIA's indices, costliest first, so that no long criterion starts
-# last while the other workers idle; medians of nine seed-7 runs in process
-# on a 2-core x86-64 machine, in seconds:
+# last while the other workers idle; medians over three rounds of 21 seed-7
+# calls each in process on a 2-core x86-64 machine, in milliseconds:
 _SUBMISSION_ORDER = (
-    8,   # fluctuation-covariance     0.122
-    9,   # stokes-identity            0.114
-    1,   # semigroup-law              0.092
-    6,   # uncertainty-bound          0.070
-    2,   # dilatation-contraction     0.063
-    7,   # onsager-forms              0.051
-    3,   # eigen-solution-identity    0.048
-    11,  # determinism                0.007
-    4,   # entropy-production-oracle  0.005
-    0,   # unitary-limit              0.003
-    5,   # picture-consistency        0.002
-    10,  # gravity-falloff            0.001
+    8,   # fluctuation-covariance     64.6
+    6,   # uncertainty-bound          32.0
+    7,   # onsager-forms              25.5
+    9,   # stokes-identity            17.5
+    1,   # semigroup-law               5.8
+    2,   # dilatation-contraction      3.6
+    3,   # eigen-solution-identity     3.3
+    11,  # determinism                 3.2
+    4,   # entropy-production-oracle   2.3
+    0,   # unitary-limit               1.4
+    5,   # picture-consistency         0.65
+    10,  # gravity-falloff             0.46
 )
 
 

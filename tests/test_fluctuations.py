@@ -203,6 +203,24 @@ class TestStokesIdentity:
             slope = np.polyfit(np.log2([16, 32, 64, 128]), np.log2(gaps), 1)[0]
             assert -slope >= 1.9
 
+    @pytest.mark.parametrize("seed", [0, 5, 51, 426, 566])
+    def test_fourier_chart_matches_per_coordinate_loop(self, seed):
+        # the chart as first written: every coordinate sums its own modes,
+        # so each mode's sin and cos are taken once per coordinate
+        rng = np.random.default_rng(seed)
+        coeffs = 0.08 * rng.standard_normal((4, 2, 2, 2))
+        base = 0.5 + 0.5 * rng.random(2)
+        u, v = np.meshgrid(np.linspace(-0.1, 1.1, 37), np.linspace(-0.2, 1.05, 29), indexing="ij")
+        expected = [base[0] * v, base[0] * u, base[1] * v, base[1] * u]
+        for c in range(4):
+            for k in range(2):
+                for l in range(2):
+                    angle = math.pi * ((k + 1) * u + (l + 1) * v)
+                    expected[c] = expected[c] + coeffs[c, k, l, 0] * np.sin(angle) \
+                        + coeffs[c, k, l, 1] * np.cos(angle)
+        chart = fourier_patch(seed).evaluate(u, v)
+        assert [a.tobytes() for a in chart] == [b.tobytes() for b in expected]
+
     def test_fourier_patch_is_seed_deterministic(self):
         a = fourier_patch(3)
         b = fourier_patch(3)

@@ -1,10 +1,11 @@
 """The stacked criteria and kernels against the one-object code they replace.
 
-``onsager-forms`` and ``uncertainty-bound`` draw their 1,000 random systems
-first and then compute one stack per dimension.  The references below are
-the per-object loops they replaced, written out in plain NumPy: one matrix,
-one state and one grid point at a time, with ``np.vdot``, ``np.linalg.norm``
-and Python's complex division.  Results must match them bit for bit.
+``onsager-forms``, ``uncertainty-bound``, ``semigroup-law``,
+``dilatation-contraction`` and ``eigen-solution-identity`` draw their random
+systems first and then compute one stack per dimension.  The references
+below are the per-object loops they replaced: one matrix, one state and one
+grid point at a time, with ``np.vdot``, ``np.linalg.norm``, Python's complex
+division and the public ``evolve_s``.  Results must match them bit for bit.
 """
 import json
 import math
@@ -12,21 +13,46 @@ import math
 import numpy as np
 import pytest
 
-from entropiclab import HermitianOperator, OnsagerSystem, relax
-from entropiclab.entropy_picture import entropy_operator
+from entropiclab import HermitianOperator, OnsagerSystem, StateVector, Trajectory, relax
+from entropiclab.constants import Constants
+from entropiclab.energy_picture import evolve_h, evolve_h_perturbed
+from entropiclab.entropy_picture import (
+    EigenSolutionSpec,
+    _closed_form_rows,
+    _thermal_rows,
+    eigen_solution,
+    entropy_operator,
+    evolve_s,
+)
 from entropiclab.onsager import _check_systems, _relaxations
-from entropiclab.operators import _check_hermitian, spectral_decompose
+from entropiclab.operators import (
+    _check_hermitian,
+    eigenbasis_rows,
+    exponential_rows,
+    spectral_decompose,
+)
 from entropiclab.suite import (
     CheckResult,
+    _complex_normal,
     _random_hermitian,
-    _random_spectrum_operator,
     _random_state,
     _rng,
+    check_dilatation_contraction,
+    check_eigen_solution_identity,
     check_onsager_forms,
+    check_semigroup_law,
     check_uncertainty_bound,
 )
 
 SEEDS = (1, 2, 7, 14, 20)  # 14 and 20 catch a complex division by a reciprocal
+
+
+def random_spectrum_operator(rng, dim, low, high):
+    """Hermitian matrix with eigenvalues drawn uniformly from [low, high]."""
+    q, _ = np.linalg.qr(_complex_normal(rng, (dim, dim)))
+    levels = np.sort(rng.uniform(low, high, dim))
+    matrix = q @ (levels[:, None] * q.conj().T)
+    return HermitianOperator((matrix + matrix.conj().T) / 2.0, unit="energy")
 
 
 def reference_spread(entries, amplitudes):
@@ -63,7 +89,7 @@ def reference_uncertainty_bound(seed):
     min_margin, evaluated = math.inf, 0
     for _ in range(1000):
         dim = int(rng.integers(2, 9))
-        generator = entropy_operator(_random_spectrum_operator(rng, dim, 0.0, 2.0), 1.0)
+        generator = entropy_operator(random_spectrum_operator(rng, dim, 0.0, 2.0), 1.0)
         psi = _random_state(rng, dim).amplitudes
         observable = _random_hermitian(rng, dim, unit="dimensionless").entries
         product = reference_product(psi, generator, observable, float(rng.uniform(0.1, 2.0)))
@@ -126,6 +152,72 @@ def reference_onsager_forms(seed):
     ).to_dict()
 
 
+def final_row(psi, generator, tau, epsilon):
+    return evolve_s(psi, generator, [0.0, tau], epsilon).amplitudes[-1]
+
+
+def reference_semigroup_law(seed):
+    rng = _rng(seed, 2)
+    worst = 0.0
+    for _ in range(100):
+        dim = int(rng.integers(2, 13))
+        generator = entropy_operator(random_spectrum_operator(rng, dim, 0.0, 2.0), 1.0)
+        epsilon = float(rng.uniform(-0.3, 0.0))
+        tau1, tau2 = float(rng.uniform(0.05, 1.5)), float(rng.uniform(0.05, 1.5))
+        psi = _random_state(rng, dim)
+        two_step = final_row(StateVector(final_row(psi, generator, tau1, epsilon)), generator,
+                             tau2, epsilon)
+        one_shot = final_row(psi, generator, tau1 + tau2, epsilon)
+        worst = max(worst, float(np.linalg.norm(two_step - one_shot)))
+    return CheckResult.bounded(
+        "semigroup-law", worst, 1e-10,
+        requirement="composition error over 100 randomized (tau1, tau2, S) triples",
+        details={"triples": 100},
+    ).to_dict()
+
+
+def reference_dilatation_contraction(seed):
+    rng = _rng(seed, 3)
+    grid = np.linspace(0.0, 2.0, 21)
+    worst = 0.0
+    for run in range(100):
+        dim = int(rng.integers(2, 9))
+        generator = entropy_operator(random_spectrum_operator(rng, dim, 0.0, 2.0), 1.0)
+        psi = _random_state(rng, dim)
+        epsilon = float(rng.uniform(0.05, 0.5))
+        if run % 2 == 0:
+            epsilon = -epsilon
+        steps = np.diff(evolve_s(psi, generator, grid, epsilon, allow_antidissipative=True).norms)
+        worst = max(worst, float(max(np.max(-steps) if epsilon < 0 else np.max(steps), 0.0)))
+    return CheckResult.bounded(
+        "dilatation-contraction", worst, 1e-12,
+        requirement="worst monotonicity violation over 100 randomized runs, both branches",
+        details={"runs": 100},
+    ).to_dict()
+
+
+def reference_eigen_solution_identity(seed):
+    rng = _rng(seed, 4)
+    worst, points = 0.0, 0
+    for _ in range(10):
+        generator = entropy_operator(random_spectrum_operator(rng, 5, 0.0, 2.5), 1.0)
+        decomposition = spectral_decompose(generator.operator)
+        for k in range(5):
+            mode = StateVector(decomposition.eigenvectors[:, k])
+            spec = EigenSolutionSpec(mode, float(decomposition.eigenvalues[k]), generator)
+            for tau in (0.4, 1.3):
+                for epsilon in (0.0, -0.35):
+                    direct = eigen_solution(spec, tau, epsilon).amplitudes
+                    gap = np.linalg.norm(direct - final_row(mode, generator, tau, epsilon))
+                    worst = max(worst, float(gap))
+                    points += 1
+    return CheckResult.bounded(
+        "eigen-solution-identity", worst, 1e-10,
+        requirement=f"factorized vs integrated solution over {points} (s, tau, eps) points",
+        details={"points": points},
+    ).to_dict()
+
+
 def exact(value):
     # JSON keeps every bit of a double, and the sign of zero
     return json.dumps(value, sort_keys=True)
@@ -139,6 +231,43 @@ def test_uncertainty_bound_matches_per_object_loop(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_onsager_forms_matches_per_object_loop(seed):
     assert exact(check_onsager_forms(seed).to_dict()) == exact(reference_onsager_forms(seed))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("check, reference", [
+    (check_semigroup_law, reference_semigroup_law),
+    (check_dilatation_contraction, reference_dilatation_contraction),
+    (check_eigen_solution_identity, reference_eigen_solution_identity),
+], ids=["semigroup-law", "dilatation-contraction", "eigen-solution-identity"])
+def test_thermal_time_criteria_match_per_system_evolve_s(seed, check, reference):
+    assert exact(check(seed).to_dict()) == exact(reference(seed))
+
+
+def same_trajectory(a, b):
+    return all(getattr(a, name).tobytes() == getattr(b, name).tobytes()
+               for name in ("grid", "amplitudes", "norms", "expectations"))
+
+
+@pytest.mark.parametrize("schedule", ["frozen", "chart"])
+@pytest.mark.parametrize("epsilon", [0.0, -0.3, 0.25])
+def test_kernel_on_one_system_is_evolve_s(schedule, epsilon):
+    rng = np.random.default_rng(4)
+    constants = Constants(hbar=0.7, kB=1.3)
+    grid = np.r_[0.0, np.sort(rng.uniform(0.0, 3.0, 7))]
+    for dim in (1, 3, 6):
+        generator = entropy_operator(_random_hermitian(rng, dim), 1.7)
+        psi = _random_state(rng, dim)
+        decomposition = spectral_decompose(generator.operator)
+        elapsed = grid if schedule == "frozen" else -np.expm1(-grid)
+        rows = _thermal_rows(decomposition.eigenvalues[None], decomposition.eigenvectors[None],
+                             psi.amplitudes[None], elapsed[None], [epsilon], constants.kB)
+        kernel = Trajectory.from_amplitudes(grid, rows[0], generator.operator)
+        if schedule == "chart":
+            kernel = Trajectory(grid, kernel.amplitudes, kernel.norms,
+                                np.exp(-grid) * kernel.expectations)
+        alone = evolve_s(psi, generator, grid, epsilon, constants, schedule=schedule,
+                         allow_antidissipative=True)
+        assert same_trajectory(kernel, alone)
 
 
 def random_system(rng, n, symmetric=True):
@@ -176,6 +305,38 @@ def test_stack_of_real_and_complex_spectra_matches_each_system():
         alone = relax(system, grid)
         assert ys[k].tobytes() == alone.ys.tobytes()
         assert rates[k].tobytes() == alone.entropy_rates.tobytes()
+
+
+@pytest.mark.parametrize("hbar, kB", [(1.0, 1.0), (0.7, 1.3)])
+def test_array_exponents_match_per_row_lists(hbar, kB):
+    # the exponents as they were formed one grid point at a time, in Python
+    # complex arithmetic, signed zeros included
+    rng = np.random.default_rng(9)
+    constants = Constants(hbar=hbar, kB=kB)
+    grid = np.r_[0.0, np.sort(rng.uniform(0.0, 3.0, 6))]
+    hamiltonian = _random_hermitian(rng, 4)
+    psi = _random_state(rng, 4)
+    decomposition = spectral_decompose(hamiltonian)
+    h = decomposition.eigenvalues
+
+    def per_row(exponents):
+        return eigenbasis_rows(decomposition, [complex(z) * h for z in exponents], psi).tobytes()
+
+    zs = [0j, complex(-0.0, -0.0), 1.5 - 2j, -1j * 0.0]
+    assert exponential_rows(hamiltonian, zs, psi).tobytes() == per_row(zs)
+    assert (evolve_h(psi, hamiltonian, grid, constants).amplitudes.tobytes()
+            == per_row([-1j * t / hbar for t in grid]))
+    for epsilon_prime in (0.0, -0.0, 0.3):
+        for mode, scale in (("exact", 1.0 / (1.0 + epsilon_prime**2)), ("first_order", 1.0)):
+            rate = (epsilon_prime - 1j) * scale / hbar
+            trajectory = evolve_h_perturbed(psi, hamiltonian, grid, epsilon_prime, mode, constants)
+            assert trajectory.amplitudes.tobytes() == per_row([rate * t for t in grid])
+    for epsilon in (0.0, -0.3):
+        frozen = [(1j - epsilon) * (h / 1.7) * tau / kB for tau in grid]
+        chart = [(1j - epsilon) * (h / (kB * 1.7)) * (1.0 - math.exp(-tau)) for tau in grid]
+        for mode, phases in (("frozen_S", frozen), ("chart_S", chart)):
+            rows = _closed_form_rows(mode, psi, hamiltonian, 1.7, grid, epsilon, constants)
+            assert rows.tobytes() == eigenbasis_rows(decomposition, phases, psi).tobytes()
 
 
 def message(call):

@@ -1,4 +1,5 @@
-"""Smoke tests of tools/verify.py: a digest diffed against itself is empty."""
+"""Smoke tests of tools/verify.py: a digest diffed against itself is empty, and a
+sweep lists the failing criteria."""
 import importlib.util
 import json
 from pathlib import Path
@@ -51,3 +52,26 @@ def test_artifact_digests_diffed_against_themselves_are_empty(tmp_path, monkeypa
     changed.write_text(json.dumps(table))
     assert tool.main(["diff", str(digest), str(changed)]) == 1
     assert capsys.readouterr().out == "seed 3: gravity.record.json\n1 of 1 seeds differ\n"
+
+
+def test_sweep_lists_each_failing_criterion(monkeypatch, capsys):
+    tool = load_tool()
+    assert tool.main(["sweep", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == f"{len(lines) - 1} failures over 1 seeds"
+    assert all(line.startswith("seed 3: ") for line in lines[:-1])
+
+    from entropiclab import suite
+    from entropiclab.suite import CheckResult
+
+    def run_all(seed):
+        return [CheckResult.bounded("kept", 0.5, 1.0),
+                CheckResult.bounded("broken", 2.0 + seed, 1.0, details={"seed": seed})]
+
+    monkeypatch.setattr(suite, "run_all", run_all)
+    assert tool.main(["sweep", "4:6"]) == 0
+    assert capsys.readouterr().out == (
+        'seed 4: broken measured 6.0 details {"seed": 4}\n'
+        'seed 5: broken measured 7.0 details {"seed": 5}\n'
+        "2 failures over 2 seeds\n"
+    )

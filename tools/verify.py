@@ -3,6 +3,7 @@
     python tools/verify.py digest 1:21 --out a.json      # seeds 1..20 (A:B is half-open)
     python tools/verify.py artifacts 7:9 --out b.json    # seeds 7 and 8
     python tools/verify.py diff a.json a2.json           # lists the seeds whose digests differ
+    python tools/verify.py sweep 0:1000                  # lists every failing criterion
 
 ``digest`` calls ``suite.run_all`` for each seed, which runs the criteria
 in forked workers on two CPUs or more, and records the sha256 of every
@@ -16,7 +17,9 @@ row ranges that run in forked workers, runs each operation through
 run record without its ``wall_clock_s``.  Run either once per checkout,
 with that checkout's ``src`` first on ``PYTHONPATH``, and ``diff`` the two
 files of one kind.  ``diff`` exits 0 when no seed
-differs and 1 otherwise.
+differs and 1 otherwise.  ``sweep`` calls ``run_all`` for each seed and
+prints one line per failing criterion, with its measured value and
+details, then the number of failures; it exits 0 whatever it finds.
 """
 from __future__ import annotations
 
@@ -59,6 +62,13 @@ def digest(seeds) -> dict:
             for result in run_all(seed)
         }
     return table
+
+
+def sweep(seeds) -> list:
+    """``(seed, result)`` for every criterion of ``run_all(seed)`` that fails, per seed."""
+    from entropiclab.suite import run_all
+
+    return [(seed, result) for seed in seeds for result in run_all(seed) if not result.passed]
 
 
 def _variant(op, work: Path, label: str, edit, csv_rows: int):
@@ -142,10 +152,20 @@ def main(argv=None) -> int:
         run = commands.add_parser(name, help=help_text)
         run.add_argument("seeds", type=_seeds, help="seed range A:B, half-open, or one seed")
         run.add_argument("--out", help="write the digest JSON here instead of stdout")
+    run = commands.add_parser("sweep", help="every failing criterion, per seed")
+    run.add_argument("seeds", type=_seeds, help="seed range A:B, half-open, or one seed")
     compare = commands.add_parser("diff", help="list the seeds whose digests differ")
     compare.add_argument("first")
     compare.add_argument("second")
     args = parser.parse_args(argv)
+
+    if args.command == "sweep":
+        failures = sweep(args.seeds)
+        for seed, result in failures:
+            details = json.dumps(result.details, sort_keys=True)
+            print(f"seed {seed}: {result.name} measured {result.measured!r} details {details}")
+        print(f"{len(failures)} failures over {len(args.seeds)} seeds")
+        return 0
 
     if args.command != "diff":
         table = (digest if args.command == "digest" else artifacts)(args.seeds)
