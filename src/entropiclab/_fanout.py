@@ -18,9 +18,10 @@ import os
 
 # tasks per worker that ordered() keeps in flight: a worker that finishes one
 # finds the next already queued.  On a 2-core x86-64 machine, the seed-7
-# bulk-output-gravity fluct command (a 250k-row CSV), called in process,
-# had a median of 0.568 s at one task per worker and 0.527 s at two, over
-# 15 interleaved calls each; more would only hold more finished results in
+# bulk-output-gravity fluct and evolve-s commands (250k- and 1k-row CSVs),
+# called in process, had medians of 0.147 and 0.159 s at one task per
+# worker, 0.141 and 0.145 s at two and 0.137 and 0.154 s at four, over 11
+# interleaved calls each; more would only hold more finished results in
 # memory.
 _DEPTH = 2
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import os
 import sys
@@ -22,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, _fanout
+from . import __version__, _fanout, _shortest
 from .config import (
     ConfigError,
     constants_from,
@@ -60,22 +61,57 @@ __all__ = ["main"]
 _NUMERICAL_ERRORS = (OverflowError, ArithmeticError, np.linalg.LinAlgError)
 
 
-# cells (rows × columns) per block that _csv_lines formats at a time
+# cells (rows × columns) per block that _csv_lines formats at a time.  On a
+# 2-core x86-64 machine, the seed-7 bulk-output-gravity fluct and evolve-s
+# commands, called in process, took medians of 0.141 and 0.145 s at 2^16
+# cells per block, 0.147 and 0.160 s at 2^15, 0.161 and 0.156 s at 2^17
+# and 0.174 and 0.172 s at 2^18; formatted in process on one CPU, 0.185
+# and 0.156 s (11 interleaved calls each).
 _CSV_BLOCK_CELLS = 1 << 16
 
 
 def _format_block(columns) -> str:
-    """The CSV lines of one block of equally long, non-empty ``columns``, joined."""
-    cells = [c.tolist() if c.dtype.kind == "U" else map(repr, c.tolist()) for c in columns]
-    return "\r\n".join(map(",".join, zip(*cells))) + "\r\n"
+    """The CSV lines of one block of equally long, non-empty ``columns``, joined.
+
+    The lines are assembled as one byte matrix, a row per line, in which
+    every cell has a slot of its column's width followed by its separator
+    (``,``, or ``\\r\\n`` after the last cell); the unused bytes of a slot
+    are NUL and are deleted at the end.  Each run of adjacent float columns
+    gets its ``repr`` bytes from one ``_shortest.cells`` call, so no Python
+    object is made per float cell; integer and label cells are encoded one
+    by one, as ``repr`` and UTF-8 give them.
+    """
+    rows = len(columns[0])
+    # (rows, columns, width) cells: one per run of float columns, one per other column
+    runs = []
+    for is_float, run in itertools.groupby(columns, lambda column: column.dtype.kind == "f"):
+        if is_float:
+            runs.append(_shortest.cells(np.stack(list(run), axis=1)))
+            continue
+        for column in run:
+            text = np.char.encode(column, "utf-8") if column.dtype.kind == "U" else np.array(
+                list(map(repr, column.tolist())), dtype="S")
+            runs.append(text.view(np.uint8).reshape(rows, 1, -1))
+    line = np.empty((rows, sum(r.shape[1] * (r.shape[2] + 1) for r in runs) + 1), dtype=np.uint8)
+    start = 0
+    for cells in runs:
+        count, width = cells.shape[1:]
+        slots = line[:, start:start + count * (width + 1)].reshape(rows, count, width + 1)
+        slots[:, :, :width] = cells
+        slots[:, :, width] = ord(",")
+        start += count * (width + 1)
+    line[:, -2:] = np.frombuffer(b"\r\n", dtype=np.uint8)
+    return line.tobytes().translate(None, b"\0").decode("utf-8")
 
 
 def _csv_lines(header, *columns):
     """CSV text, each line ending in CRLF: ``header``, then one row per index of ``columns``.
 
     A numeric cell is the ``repr`` of a ``tolist()`` value, the shortest string
-    that reads back to the same double or integer; a ``str`` cell is written
-    as it is.  No cell holds a comma, quote or line break, so none is quoted.
+    that reads back to the same double or integer: ``_shortest.cells``
+    computes it for floats, ``repr`` itself for integers.  A ``str`` cell is
+    written as it is.  No cell holds a comma, quote, line break or NUL, so
+    none is quoted.
     The text is made lazily, as the writer takes it: the header line, then
     one string per block of about ``_CSV_BLOCK_CELLS`` cells (at least one
     row), formatted through ``_fanout.ordered``: in forked worker processes

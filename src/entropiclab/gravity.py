@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,11 +27,15 @@ _PAIR_BUDGET = 1 << 17
 # check-all criteria stay in process, so no pool opens inside a check-all
 # worker.
 _FORK_PAIRS = 1 << 24
-# probe-cell pairs per worker task, some 30 ms on one core.  Each task pays
-# for centring the cells and for passing its result back: on the same
-# machine, the seed-7 bulk-output-gravity `gravity` command (2^27 pairs)
-# took a median of 0.39 s at 2^20 pairs per task, 0.34 s at 2^22, 0.31 s
-# at 2^23 and 2^24; smaller tasks balance better over more CPUs.
+# probe-cell pairs per worker task, some 30 ms on one core.  The cells are
+# centred once per pass, before the fork, so a task pays only for its
+# start and for passing its result back: on the same machine, the seed-7
+# bulk-output-gravity `gravity` command (2^27 pairs), called in process,
+# took a median of 0.216 s at 2^21 pairs per task, 0.206 s at 2^22,
+# 0.199 s at 2^23 and 0.197 s at 2^24 (11 interleaved calls each; 0.228
+# and 0.206 s at 2^21 and 2^23 when each task centred the cells itself).
+# Smaller tasks balance better over more CPUs, so of the two that tie the
+# smaller is kept.
 _TASK_PAIRS = 1 << 23
 # sample blocks whose points mean_h draws before one pass sums them all:
 # one pool serves them, and memory stays bounded (some 10 MB of points and
@@ -153,30 +158,45 @@ class RegionSpec:
         return cls(shape="box", samples=samples, bounds=bounds)
 
 
-def _squared_distance_blocks(source: SourceDistribution, points: np.ndarray):
+class _Centred(NamedTuple):
+    """A source's occupied cells for the blocked kernel: their centres less
+    the lattice centre ``anchor``, the squared norms of those, and the masses."""
+
+    anchor: np.ndarray
+    cells: np.ndarray
+    norms: np.ndarray
+    masses: np.ndarray
+
+
+def _centred(source: SourceDistribution) -> _Centred:
+    """The occupied cells of ``source`` centred on its lattice centre, once
+    per pass of the direct sum, before its workers fork."""
+    positions, masses = source.cell_data()
+    anchor = source.origin + source.spacing * np.array(source.trace.shape) / 2.0
+    cells = positions - anchor
+    return _Centred(anchor, cells, np.einsum("ij,ij->i", cells, cells), masses)
+
+
+def _squared_distance_blocks(centred: _Centred, points: np.ndarray):
     """Squared distances from the points to the occupied cells, in row blocks.
 
     Yields ``(rows, d)`` with ``d[i, j] = |points[rows][i] - cell_j|^2``,
     formed as ``|p|^2 + |c|^2 + (-2 p).c`` with one matmul per block of at
     most ``_PAIR_BUDGET`` pairs (``_row_step`` rows).  Points and cells are
-    first centred on the lattice centre, so that the cancellation is
-    bounded by the lattice's own size wherever the lattice lies: each entry
-    is off by a few ulps of ``|p - anchor|^2 + |c - anchor|^2``.
+    centred on the lattice centre, so that the cancellation is bounded by
+    the lattice's own size wherever the lattice lies: each entry is off by
+    a few ulps of ``|p - anchor|^2 + |c - anchor|^2``.
     """
-    positions, _ = source.cell_data()
-    anchor = source.origin + source.spacing * np.array(source.trace.shape) / 2.0
-    cells = positions - anchor
-    cell_norms = np.einsum("ij,ij->i", cells, cells)
-    pts = np.atleast_2d(points) - anchor
+    pts = np.atleast_2d(points) - centred.anchor
     point_norms = np.einsum("ij,ij->i", pts, pts)
     # scaling by a power of two is exact, so (-2 p).c has the bits of
     # -2 (p.c), without a pass over each block to scale it
     pts *= -2.0
-    step = _row_step(cells.shape[0])
+    step = _row_step(centred.cells.shape[0])
     for start in range(0, pts.shape[0], step):
         rows = slice(start, start + step)
-        d = pts[rows] @ cells.T
-        d += cell_norms
+        d = pts[rows] @ centred.cells.T
+        d += centred.norms
         d += point_norms[rows, None]
         yield rows, d
 
@@ -187,38 +207,37 @@ def _row_step(cells: int) -> int:
     return max(1, _PAIR_BUDGET // cells)
 
 
-def _potential_rows(source: SourceDistribution, points: np.ndarray) -> np.ndarray:
+def _potential_rows(centred: _Centred, points: np.ndarray) -> np.ndarray:
     """4 * sum(mass / distance) at each of the points: one pass of the blocked kernel."""
-    _, masses = source.cell_data()
     out = np.empty(points.shape[0])
-    for rows, d in _squared_distance_blocks(source, points):
+    for rows, d in _squared_distance_blocks(centred, points):
         np.sqrt(d, out=d)
         np.reciprocal(d, out=d)
-        out[rows] = 4.0 * (d @ masses)
+        out[rows] = 4.0 * (d @ centred.masses)
     return out
 
 
-def _nearest_rows(source: SourceDistribution, points: np.ndarray) -> np.ndarray:
+def _nearest_rows(centred: _Centred, points: np.ndarray) -> np.ndarray:
     """Index of the occupied cell nearest each point: one pass of the blocked kernel."""
     nearest = np.empty(points.shape[0], dtype=np.intp)
-    for rows, d in _squared_distance_blocks(source, points):
+    for rows, d in _squared_distance_blocks(centred, points):
         nearest[rows] = d.argmin(axis=1)
     return nearest
 
 
-# (kernel, source, points) of the pass being split, set before the pool
-# forks: the workers inherit it, so no lattice is pickled per task
+# (kernel, centred cells, points) of the pass being split, set before the
+# pool forks: the workers inherit it, so no lattice is pickled per task
 _inherited = None
 
 
 def _inherited_rows(start: int, stop: int) -> np.ndarray:
     """One task of a split pass, in a worker or, on one CPU, in process."""
-    kernel, source, points = _inherited
-    return kernel(source, points[start:stop])
+    kernel, centred, points = _inherited
+    return kernel(centred, points[start:stop])
 
 
 def _split_rows(kernel, source: SourceDistribution, points: np.ndarray, period: int = 0):
-    """``kernel(source, points[start:stop])`` over row ranges, joined in row order.
+    """``kernel(_centred(source), points[start:stop])`` over row ranges, joined in row order.
 
     The rows are cut into runs of ``period`` rows (one run if 0), and each
     run only at multiples of ``_row_step`` from its start, so every matmul
@@ -227,10 +246,11 @@ def _split_rows(kernel, source: SourceDistribution, points: np.ndarray, period: 
     ``_FORK_PAIRS`` probe-cell pairs each run is one call in process.  From
     there on, the runs are cut into tasks of about ``_TASK_PAIRS`` pairs
     for ``_fanout.ordered``, whose forked workers inherit the kernel, the
-    source and the points.  The source has at least one occupied cell.
+    centred cells and the points.  The source has at least one occupied cell.
     """
+    centred = _centred(source)
     count = points.shape[0]
-    cells = source.cell_data()[0].shape[0]
+    cells = centred.cells.shape[0]
     period = period or max(count, 1)
     split = count * cells >= _FORK_PAIRS
     if split:
@@ -244,11 +264,11 @@ def _split_rows(kernel, source: SourceDistribution, points: np.ndarray, period: 
         for start in range(run, min(run + period, count), span)
     ]
     if not ranges:
-        return kernel(source, points)
+        return kernel(centred, points)
     if not split:
-        return np.concatenate([kernel(source, points[start:stop]) for start, stop in ranges])
+        return np.concatenate([kernel(centred, points[start:stop]) for start, stop in ranges])
     global _inherited
-    _inherited = (kernel, source, points)
+    _inherited = (kernel, centred, points)
     try:
         return np.concatenate(list(_fanout.ordered(_inherited_rows, ranges, "gravity")))
     finally:

@@ -723,10 +723,10 @@ class TestFailureModes:
         parent = os.getpid()
         potential_rows = gravity._potential_rows
 
-        def killed_rows(source, points):
+        def killed_rows(centred, points):
             if os.getpid() != parent:
                 os._exit(1)
-            return potential_rows(source, points)
+            return potential_rows(centred, points)
 
         monkeypatch.setattr(gravity, "_potential_rows", killed_rows)
         monkeypatch.setattr(gravity, "_FORK_PAIRS", 1)
@@ -1166,15 +1166,20 @@ class TestCsvFormat:
 
     @pytest.mark.parametrize("rows", [0, 1, 6, 7, 8, 14, 20])
     def test_blocks_join_without_a_seam(self, monkeypatch, rows):
-        # 28 cells over 4 columns put a block boundary after every 7th row;
+        # 42 cells over 6 columns put a block boundary after every 7th row;
         # one CPU formats in process, two in forked workers
         import entropiclab.cli as cli_module
 
-        monkeypatch.setattr(cli_module, "_CSV_BLOCK_CELLS", 28)
+        monkeypatch.setattr(cli_module, "_CSV_BLOCK_CELLS", 42)
         rng = np.random.default_rng(rows)
+        # non-finite values, signed zeros and the 1e-4 and 1e16 notation thresholds
+        edges = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-4, 9.999999999999999e-05,
+                          1e16, 9999999999999998.0, -1.7976931348623157e308])
+        subnormals = rng.integers(1, 1 << 52, rows, dtype=np.uint64).view(float)
         columns = [np.arange(rows), rng.standard_normal(rows), np.exp(rng.uniform(-700, 700, rows)),
+                   rng.choice(edges, rows), -subnormals,
                    np.array([f"label{k}" for k in range(rows)], dtype=str)]
-        header = ["step", "x", "wide", "label"]
+        header = ["step", "x", "wide", "edge", "subnormal", "label"]
         expected = csv_writer_text(header, columns).encode("utf-8")
         for cpus in (1, 2):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)

@@ -238,7 +238,7 @@ class TestBlockedKernel:
         assert distances.min() == pytest.approx(source.spacing, rel=1e-12)
 
         covered = []
-        for block_rows, squared in gravity._squared_distance_blocks(source, probes):
+        for block_rows, squared in gravity._squared_distance_blocks(gravity._centred(source), probes):
             covered.extend(range(*block_rows.indices(len(probes))))
             assert squared.size <= max(gravity._PAIR_BUDGET, cells)
             exact = distances[block_rows] ** 2
@@ -373,6 +373,38 @@ class TestRowSplit:
         # need none
         assert pools == ([] if cpus == 1 else [(2, "gravity")] * 5)
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_cells_are_centred_once_per_pass_before_the_fork(self, monkeypatch, cpus):
+        # every task of a pass reads the centred cells the parent made for it
+        source = self.source()
+        parent = os.getpid()
+        passes, centrings, tasks = [], [], []
+        split_rows, centred, inherited_rows = (
+            gravity._split_rows, gravity._centred, gravity._inherited_rows)
+
+        def counted_split(*args):
+            passes.append(len(args[2]))
+            return split_rows(*args)
+
+        def counted_centred(*args):
+            centrings.append(os.getpid())
+            return centred(*args)
+
+        def counted_task(*args):
+            tasks.append(args)
+            return inherited_rows(*args)
+
+        monkeypatch.setattr(gravity, "_split_rows", counted_split)
+        monkeypatch.setattr(gravity, "_centred", counted_centred)
+        if cpus == 1:  # tasks run in process, where they can be counted
+            monkeypatch.setattr(gravity, "_inherited_rows", counted_task)
+        monkeypatch.setattr(gravity, "_FORK_PAIRS", 1)
+        monkeypatch.setattr(gravity, "_TASK_PAIRS", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        self.results(source)
+        assert len(passes) == 8 and centrings == [parent] * len(passes)
+        assert cpus == 2 or len(tasks) > 3 * len(passes)
+
     @pytest.mark.parametrize("wave", [1, 3, 64])
     @pytest.mark.parametrize("shape", ["ball", "box"])
     def test_each_sample_block_is_summed_on_its_own(self, monkeypatch, shape, wave):
@@ -387,7 +419,7 @@ class TestRowSplit:
         total = 0.0
         for block, start, stop in block_ranges(samples):
             points = gravity._sample_region(region, block_generator(9, block), stop - start)
-            total += float(gravity._potential_rows(source, points).sum())
+            total += float(gravity._potential_rows(gravity._centred(source), points).sum())
         monkeypatch.setattr(gravity, "_WAVE_BLOCKS", wave)
         assert mean_h(source, region, seed=9).hex() == (total / samples).hex()
 

@@ -1,8 +1,10 @@
-"""Smoke tests of tools/verify.py: a digest diffed against itself is empty, and a
-sweep lists the failing criteria."""
+"""Smoke tests of tools/verify.py: a digest diffed against itself is empty, a
+sweep lists the failing criteria, and floats finds a kernel that differs from repr."""
 import importlib.util
 import json
 from pathlib import Path
+
+import numpy as np
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "verify.py"
 
@@ -75,3 +77,28 @@ def test_sweep_lists_each_failing_criterion(monkeypatch, capsys):
         'seed 5: broken measured 7.0 details {"seed": 5}\n'
         "2 failures over 2 seeds\n"
     )
+
+
+def test_floats_compares_the_kernel_with_repr(monkeypatch, capsys):
+    tool = load_tool()
+    edges = len(tool.edge_floats())
+    assert tool.main(["floats", "3000", "--seed", "5"]) == 0
+    assert capsys.readouterr().out == f"0 mismatches over {3000 + edges} doubles\n"
+
+    # a kernel that drops the last digit of 0.1 is caught and the double named
+    from entropiclab import _shortest
+
+    cells = _shortest.cells
+
+    def broken(values):
+        out = cells(values)
+        rows = np.flatnonzero(np.asarray(values).ravel() == 0.1)
+        out.reshape(-1, out.shape[-1])[rows, 2] = 0
+        return out
+
+    monkeypatch.setattr(_shortest, "cells", broken)
+    assert tool.main(["floats", "10"]) == 1
+    *found, summary = capsys.readouterr().out.splitlines()
+    # 0.1 is in the edge set twice, as a power of ten and on its own
+    assert found == ["3fb999999999999a: repr 0.1, kernel 0."] * 2
+    assert summary == f"2 mismatches over {10 + edges} doubles"

@@ -4,6 +4,7 @@
     python tools/verify.py artifacts 7:9 --out b.json    # seeds 7 and 8
     python tools/verify.py diff a.json a2.json           # lists the seeds whose digests differ
     python tools/verify.py sweep 0:1000                  # lists every failing criterion
+    python tools/verify.py floats 100000000 --seed 1     # the CSV float kernel against repr
 
 ``digest`` calls ``suite.run_all`` for each seed, which runs the criteria
 in forked workers on two CPUs or more, and records the sha256 of every
@@ -20,12 +21,18 @@ files of one kind.  ``diff`` exits 0 when no seed
 differs and 1 otherwise.  ``sweep`` calls ``run_all`` for each seed and
 prints one line per failing criterion, with its measured value and
 details, then the number of failures; it exits 0 whatever it finds.
+``floats`` formats ``count`` random 64-bit patterns read as doubles (every
+exponent, NaN and infinity among them), then ``edge_floats()``, with the
+kernel that writes every float of a CSV, ``entropiclab._shortest``, and
+compares the bytes with ``repr``'s; it prints each double that differs and
+exits 1 if there is any.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import sys
 import tempfile
@@ -69,6 +76,73 @@ def sweep(seeds) -> list:
     from entropiclab.suite import run_all
 
     return [(seed, result) for seed in seeds for result in run_all(seed) if not result.passed]
+
+
+def edge_floats():
+    """Doubles where a shortest round-trip formatter goes wrong first, both signs.
+
+    Every power of two from 2^-1074 to 2^1023 and every power of ten, each
+    with both neighbours; the 1e-4 and 1e16 notation thresholds; the
+    smallest and largest subnormals and the largest finite double; the
+    integers around 2^53 and 10^15..10^16; sums like 0.1 + 0.2; and zero,
+    the infinities and NaNs with payloads.
+    """
+    import numpy as np
+
+    twos = np.concatenate([np.uint64(1) << np.arange(52, dtype=np.uint64),
+                           np.arange(1, 2047, dtype=np.uint64) << np.uint64(52)])
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)]).view(np.uint64)
+    bits = np.concatenate([twos - np.uint64(1), twos, twos + np.uint64(1),
+                           tens - np.uint64(1), tens, tens + np.uint64(1)])
+    near = np.arange(-64, 65, dtype=np.float64)
+    values = [
+        1e-4, 9.999999999999999e-05, 0.00010000000000000002, 0.00012345678901234567,
+        1e16, 9999999999999998.0, 1.0000000000000002e16, 1234567890123456.7,
+        5e-324, 1e-323, 2.225073858507201e-308, 2.2250738585072014e-308,
+        1.7976931348623157e308, 0.1 + 0.2, 0.1, 0.2, 0.3, 1 / 3, 2 / 3, 0.7, 1.1, 100.0,
+        123456789.0, 2.5, 0.5, 0.0, float("inf"), float("nan"),
+        *(2.0 ** 53 + near), *(1e15 + near), *(1e16 - 2 * near), *(10.0 ** np.arange(16)),
+    ]
+    payloads = np.array([0x7FF0000000000001, 0x7FF4000000000000, 0x7FFFFFFFFFFFFFFF],
+                        dtype=np.uint64)
+    magnitudes = np.concatenate([bits.view(np.float64), values, payloads.view(np.float64)])
+    return np.concatenate([magnitudes, -magnitudes])
+
+
+def _float_texts(values):
+    """Each of ``values`` as the kernel writes it and as ``repr`` does, one per line."""
+    import numpy as np
+
+    from entropiclab import _shortest
+
+    cells = _shortest.cells(values)
+    lines = np.empty((len(values), cells.shape[1] + 1), dtype=np.uint8)
+    lines[:, :-1] = cells
+    lines[:, -1] = ord("\n")
+    got = lines.tobytes().translate(None, b"\0").decode("ascii")
+    return got, "".join(f"{value!r}\n" for value in values.tolist())
+
+
+def floats(count: int, seed: int, chunk: int = 1 << 20) -> tuple:
+    """``(mismatches, doubles compared)``: ``count`` random bit patterns from ``seed``,
+    then ``edge_floats()``, each mismatch as ``(bits, repr's text, the kernel's)``."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    batches = (rng.integers(0, 1 << 64, min(chunk, count - start), dtype=np.uint64,
+                            endpoint=False).view(np.float64)
+               for start in range(0, count, chunk))
+    mismatches, compared = [], 0
+    for values in itertools.chain(batches, [edge_floats()]):
+        got, expected = _float_texts(values)
+        compared += len(values)
+        if got != expected:
+            mismatches += [
+                (bits, want, have) for bits, want, have in zip(
+                    values.view(np.uint64).tolist(), expected.splitlines(), got.splitlines())
+                if want != have
+            ]
+    return mismatches, compared
 
 
 def _variant(op, work: Path, label: str, edit, csv_rows: int):
@@ -154,6 +228,9 @@ def main(argv=None) -> int:
         run.add_argument("--out", help="write the digest JSON here instead of stdout")
     run = commands.add_parser("sweep", help="every failing criterion, per seed")
     run.add_argument("seeds", type=_seeds, help="seed range A:B, half-open, or one seed")
+    run = commands.add_parser("floats", help="the CSV float kernel against repr, byte for byte")
+    run.add_argument("count", type=int, help="random 64-bit patterns to format")
+    run.add_argument("--seed", type=int, default=0, help="seed of the patterns (default 0)")
     compare = commands.add_parser("diff", help="list the seeds whose digests differ")
     compare.add_argument("first")
     compare.add_argument("second")
@@ -166,6 +243,13 @@ def main(argv=None) -> int:
             print(f"seed {seed}: {result.name} measured {result.measured!r} details {details}")
         print(f"{len(failures)} failures over {len(args.seeds)} seeds")
         return 0
+
+    if args.command == "floats":
+        mismatches, compared = floats(args.count, args.seed)
+        for bits, want, have in mismatches:
+            print(f"{bits:016x}: repr {want}, kernel {have}")
+        print(f"{len(mismatches)} mismatches over {compared} doubles")
+        return 1 if mismatches else 0
 
     if args.command != "diff":
         table = (digest if args.command == "digest" else artifacts)(args.seeds)
