@@ -96,18 +96,18 @@ def _layout_tables():
     notation); for each point and significant (0..17, at [point * 18 +
     significant]), the byte that the point goes in (23: none) and the
     length of the text without the exponent."""
-    point = np.arange(-323, 310)
+    point = np.arange(-323, 310, dtype=np.int16)
     fixed = (point > -4) & (point <= 16)
     small = fixed & (point <= 0)
     before = np.where(small, 1 - point, 0)
     exponents = _words([f"{'':19}e{p - 1:+03d}".replace(" ", "\0") if not f else ""
                         for p, f in zip(point.tolist(), fixed.tolist())])[:, 2]
-    significant = np.arange(18)
+    significant = np.arange(18, dtype=np.int16)
     point, fixed, small = point[:, None], fixed[:, None], small[:, None]
     dot = np.where(small | ~fixed & (significant > 1), 1, np.where(fixed, point, 23))
     length = np.where(small, 2 - point + significant, np.where(
         fixed, np.maximum(point + 1, significant) + 1, significant + (significant > 1)))
-    return before, exponents, dot.astype(np.int16).ravel(), length.astype(np.int16).ravel()
+    return before.astype(np.int64), exponents, dot.ravel(), length.ravel()
 
 
 _BEFORE, _EXPONENTS, _DOT, _LENGTH = _layout_tables()
