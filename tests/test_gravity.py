@@ -238,7 +238,8 @@ class TestBlockedKernel:
         assert distances.min() == pytest.approx(source.spacing, rel=1e-12)
 
         covered = []
-        for block_rows, squared in gravity._squared_distance_blocks(gravity._centred(source), probes):
+        centred = gravity._centred(source)
+        for block_rows, squared in gravity._squared_distance_blocks(centred, probes):
             covered.extend(range(*block_rows.indices(len(probes))))
             assert squared.size <= max(gravity._PAIR_BUDGET, cells)
             exact = distances[block_rows] ** 2

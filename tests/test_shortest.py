@@ -63,7 +63,7 @@ def test_longest_texts_fill_the_cell():
     assert kernel_texts(values) == [repr(v) for v in values.tolist()]
 
 
-@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.int64])
+@pytest.mark.parametrize("dtype", [np.float16, np.float32])
 def test_other_dtypes_are_written_as_their_doubles(dtype):
     values = np.array([0.1, -3.0, 65504.0, 1e-3]).astype(dtype)
     assert kernel_texts(values) == [repr(float(v)) for v in values.tolist()]
@@ -74,7 +74,8 @@ def test_eight_digits_in_parallel_lanes():
     rng = np.random.default_rng(8)
     quarters = np.arange(10 ** 4, dtype=np.uint64)
     other = rng.integers(0, 10 ** 4, 10 ** 4).astype(np.uint64)
-    x = np.concatenate([quarters * np.uint64(10 ** 4) + other, other * np.uint64(10 ** 4) + quarters,
+    scale = np.uint64(10 ** 4)
+    x = np.concatenate([quarters * scale + other, other * scale + quarters,
                         np.array([0, 10 ** 8 - 1, 10 ** 7, 99_999_999], dtype=np.uint64)])
     digits = _shortest._eight_digits(x) + _shortest._ZERO_CHARS
     assert [bytes(row).decode() for row in digits.view(np.uint8).reshape(-1, 8)] == [

@@ -21,11 +21,11 @@ files of one kind.  ``diff`` exits 0 when no seed
 differs and 1 otherwise.  ``sweep`` calls ``run_all`` for each seed and
 prints one line per failing criterion, with its measured value and
 details, then the number of failures; it exits 0 whatever it finds.
-``floats`` formats ``count`` random 64-bit patterns read as doubles (every
-exponent, NaN and infinity among them), then ``edge_floats()``, with the
-kernel that writes every float of a CSV, ``entropiclab._shortest``, and
-compares the bytes with ``repr``'s; it prints each double that differs and
-exits 1 if there is any.
+``floats`` writes ``count`` random 64-bit patterns read as doubles (every
+exponent, NaN and infinity among them), then ``edge_floats()``, as a CSV
+column, through ``entropiclab._shortest`` as every CSV float is written,
+and compares the bytes with ``repr``'s; it prints each double that
+differs and exits 1 if there is any.
 """
 from __future__ import annotations
 
@@ -110,17 +110,10 @@ def edge_floats():
 
 
 def _float_texts(values):
-    """Each of ``values`` as the kernel writes it and as ``repr`` does, one per line."""
-    import numpy as np
+    """``values`` as one CSV column, written by ``cli._format_block`` and by ``repr``."""
+    from entropiclab.cli import _format_block
 
-    from entropiclab import _shortest
-
-    cells = _shortest.cells(values)
-    lines = np.empty((len(values), cells.shape[1] + 1), dtype=np.uint8)
-    lines[:, :-1] = cells
-    lines[:, -1] = ord("\n")
-    got = lines.tobytes().translate(None, b"\0").decode("ascii")
-    return got, "".join(f"{value!r}\n" for value in values.tolist())
+    return _format_block([values]), "".join(f"{value!r}\r\n" for value in values.tolist())
 
 
 def floats(count: int, seed: int, chunk: int = 1 << 20) -> tuple:
@@ -129,9 +122,8 @@ def floats(count: int, seed: int, chunk: int = 1 << 20) -> tuple:
     import numpy as np
 
     rng = np.random.default_rng(seed)
-    batches = (rng.integers(0, 1 << 64, min(chunk, count - start), dtype=np.uint64,
-                            endpoint=False).view(np.float64)
-               for start in range(0, count, chunk))
+    batches = (rng.integers(0, 1 << 64, min(chunk, count - start), dtype=np.uint64)
+               .view(np.float64) for start in range(0, count, chunk))
     mismatches, compared = [], 0
     for values in itertools.chain(batches, [edge_floats()]):
         got, expected = _float_texts(values)
