@@ -281,7 +281,7 @@ def cells(values) -> np.ndarray:
     """
     x = np.ascontiguousarray(values, dtype=np.float64)
     bits = x.reshape(-1).view(_U)
-    out = np.empty((bits.size, 3), dtype=_U)
+    out = np.empty((bits.size, 3), dtype="<u8")  # byte 0 of a word first, on any machine
     for start in range(0, bits.size, _CHUNK):
         out[start:start + _CHUNK] = _chunk(bits[start:start + _CHUNK]).T
     return out.view(np.uint8).reshape(*x.shape, WIDTH)
