@@ -45,6 +45,7 @@ from .fluctuations import (
     gaussian_sample,
     log_probability,
     rectangle_patch,
+    streamed_covariance_report,
     symplectic_area,
     to_canonical,
     two_plane_patch,

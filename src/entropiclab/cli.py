@@ -73,19 +73,26 @@ _CSV_BLOCK_CELLS = 1 << 16
 def _format_block(columns) -> str:
     """The CSV lines of one block of equally long, non-empty ``columns``, joined.
 
-    The lines are assembled as one byte matrix, a row per line, in which
-    every cell has a slot of its column's width followed by its separator
-    (``,``, or ``\\r\\n`` after the last cell); the unused bytes of a slot
-    are NUL and are deleted at the end.  Each run of adjacent float columns
-    gets its ``repr`` bytes from one ``_shortest.cells`` call, so no Python
-    object is made per float cell; integer and label cells are encoded one
-    by one, as ``repr`` and UTF-8 give them.
+    A column is one-dimensional, or a two-dimensional float group whose
+    rows hold adjacent cells of a line.  The lines are assembled as one
+    byte matrix, a row per line, in which every cell has a slot of its
+    column's width followed by its separator (``,``, or ``\\r\\n`` after
+    the last cell); the unused bytes of a slot are NUL and are deleted at
+    the end.  Each group, and each run of adjacent one-dimensional float
+    columns, gets its ``repr`` bytes from one ``_shortest.cells`` call, so
+    no Python object is made per float cell; integer and label cells are
+    encoded one by one, as ``repr`` and UTF-8 give them.
     """
     rows = len(columns[0])
-    # (rows, columns, width) cells: one per run of float columns, one per other column
+    # (rows, columns, width) cells: one per group, one per run of other float
+    # columns, one per other column
     runs = []
-    for is_float, run in itertools.groupby(columns, lambda column: column.dtype.kind == "f"):
-        if is_float:
+    for kind, run in itertools.groupby(
+            columns, lambda column: "group" if column.ndim == 2 else column.dtype.kind):
+        if kind == "group":
+            runs += map(_shortest.cells, run)
+            continue
+        if kind == "f":
             runs.append(_shortest.cells(np.stack(list(run), axis=1)))
             continue
         for column in run:
@@ -107,6 +114,10 @@ def _format_block(columns) -> str:
 def _csv_lines(header, *columns):
     """CSV text, each line ending in CRLF: ``header``, then one row per index of ``columns``.
 
+    A two-dimensional float column is a group of adjacent columns, one per
+    index of its second axis; it travels to the formatting workers as one
+    array per block.
+
     A numeric cell is the ``repr`` of a ``tolist()`` value, the shortest string
     that reads back to the same double or integer: ``_shortest.cells``
     computes it for floats, ``repr`` itself for integers.  A ``str`` cell is
@@ -123,7 +134,8 @@ def _csv_lines(header, *columns):
     """
     arrays = [np.asarray(column) for column in columns]
     rows = len(arrays[0]) if arrays else 0
-    step = max(1, _CSV_BLOCK_CELLS // max(1, len(arrays)))
+    cells = sum(a.shape[1] if a.ndim == 2 else 1 for a in arrays)
+    step = max(1, _CSV_BLOCK_CELLS // max(1, cells))
     blocks = [([a[start:start + step] for a in arrays],) for start in range(0, rows, step)]
     yield ",".join(header) + "\r\n"
     yield from _fanout.ordered(_format_block, blocks, "CSV formatting")
@@ -135,7 +147,7 @@ def _trajectory_table(label: str, expect_label: str, trajectory):
     header += [f"{part}_{k}" for k in range(dim) for part in ("re", "im")]
     return _csv_lines(
         header, np.arange(len(trajectory.grid)), trajectory.grid, trajectory.norms,
-        trajectory.expectations, *trajectory.amplitudes.view(float).T,
+        trajectory.expectations, trajectory.amplitudes.view(float),
     )
 
 

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .constants import NATURAL, Constants
-from .seeding import block_generator, block_ranges
+from .seeding import BLOCK_SAMPLES, block_generator, block_ranges
 
 __all__ = [
     "CanonicalPoint",
@@ -34,6 +34,7 @@ __all__ = [
     "gaussian_sample",
     "log_probability",
     "rectangle_patch",
+    "streamed_covariance_report",
     "symplectic_area",
     "to_canonical",
     "two_plane_patch",
@@ -154,6 +155,11 @@ def _fill_block(ref, constants, seed, block, start, stop, dp, dV, dT, dS):
     dp[start:stop] = slope_t * dt + slope_v * dv
 
 
+def _check_sample_count(n) -> None:
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
+
+
 def gaussian_sample(
     ref: ThermoReference,
     n: int,
@@ -167,8 +173,7 @@ def gaussian_sample(
     deviations follow from the equation-of-state slopes.  Sample block b
     depends only on (seed, b), so a seed reproduces its stream bit for bit.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    _check_sample_count(n)
     dp = np.empty(n)
     dV = np.empty(n)
     dT = np.empty(n)
@@ -224,12 +229,80 @@ class CovarianceReport:
         }
 
 
-def _statistic(values: np.ndarray) -> Statistic:
-    n = values.size
-    return Statistic(
-        mean=float(values.mean()),
-        stderr=float(values.std(ddof=1) / math.sqrt(n)),
-    )
+# samples per group of the covariance moments: four sample blocks, as many
+# rows as a block of fluct's CSV.  The seed-7 criterion's report (1e6
+# samples) took a median of 37.8 ms in process at four blocks, 38.1 at two,
+# 38.7 at eight, 41.2 at one and 40.6 at sixteen (15 interleaved calls,
+# 2-core x86-64).
+_GROUP = 4 * BLOCK_SAMPLES
+
+
+class _Moments:
+    """Count, mean and M2 (the sum of squared deviations) of six quantities of
+    the samples: dS dT/(kB T), dp dV/(kB T), dT dV, dS (dT/T)/kB, dT and dV.
+
+    ``add`` takes one group of samples at a time.  Within a group the mean
+    and M2 come from two passes over the group; across groups they are
+    merged in group order with the pairwise update of Chan, Golub & LeVeque
+    (Am. Stat. 37, 1983), so the whole columns are never needed.
+    """
+
+    def __init__(self, ref: ThermoReference, constants: Constants):
+        self._ref = ref
+        self._constants = constants
+        self._quantities = np.empty((6, _GROUP))
+        self.count = 0
+        self.mean = np.zeros(6)
+        self.m2 = np.zeros(6)
+
+    def quantities(self, dp, dV, dT, dS, out):
+        """The six quantities of the samples, as the rows of ``out``."""
+        kbt = self._constants.kB * self._ref.temperature
+        np.divide(np.multiply(dS, dT, out=out[0]), kbt, out=out[0])
+        np.divide(np.multiply(dp, dV, out=out[1]), kbt, out=out[1])
+        np.multiply(dT, dV, out=out[2])
+        np.divide(dT, self._ref.temperature, out=out[3])
+        np.divide(np.multiply(dS, out[3], out=out[3]), self._constants.kB, out=out[3])
+        out[4] = dT
+        out[5] = dV
+        return out
+
+    def add(self, dp, dV, dT, dS) -> None:
+        """Merge one group of samples."""
+        size = dT.size
+        deviations = self.quantities(dp, dV, dT, dS, self._quantities[:, :size])
+        mean = deviations.sum(axis=1) / size
+        deviations -= mean[:, None]
+        m2 = np.square(deviations, out=deviations).sum(axis=1)
+        total = self.count + size
+        delta = mean - self.mean
+        self.mean = self.mean + delta * (size / total)
+        self.m2 = self.m2 + m2 + delta * delta * (self.count * size / total)
+        self.count = total
+
+    def std(self) -> np.ndarray:
+        """The six sample standard deviations (ddof = 1)."""
+        return np.sqrt(self.m2 / (self.count - 1))
+
+    def report(self) -> CovarianceReport:
+        root_n = math.sqrt(self.count)
+        mean, std = self.mean.tolist(), self.std().tolist()
+
+        def statistic(k, scale=1.0):
+            return Statistic(mean=mean[k] / scale, stderr=std[k] / scale / root_n)
+
+        return CovarianceReport(
+            ds_dt_over_kBT=statistic(0),
+            dp_dv_over_kBT=statistic(1),
+            dt_dv_correlation=statistic(2, std[4] * std[5]),
+            ds_dtau_over_kB=statistic(3),
+            n=self.count,
+        )
+
+
+def _check_report_size(n: int) -> None:
+    if n < 1000:
+        raise ValueError(f"need at least 1000 samples for a covariance report, got {n}")
 
 
 def covariance_report(
@@ -237,23 +310,42 @@ def covariance_report(
     ref: ThermoReference,
     constants: Constants = NATURAL,
 ) -> CovarianceReport:
-    """Monte Carlo cross-moments with standard-error bars (needs >= 1000 samples)."""
+    """Monte Carlo cross-moments with standard-error bars (needs >= 1000 samples).
+
+    The means and standard deviations are merged from groups of ``_GROUP``
+    samples, as ``streamed_covariance_report`` merges them.
+    """
     n = len(samples)
-    if n < 1000:
-        raise ValueError(f"need at least 1000 samples for a covariance report, got {n}")
-    kbt = constants.kB * ref.temperature
-    ds_dt = _statistic(samples.dS * samples.dT / kbt)
-    dp_dv = _statistic(samples.dp * samples.dV / kbt)
-    scale = float(samples.dT.std(ddof=1) * samples.dV.std(ddof=1))
-    dt_dv = _statistic(samples.dT * samples.dV / scale)
-    ds_dtau = _statistic(samples.dS * (samples.dT / ref.temperature) / constants.kB)
-    return CovarianceReport(
-        ds_dt_over_kBT=ds_dt,
-        dp_dv_over_kBT=dp_dv,
-        dt_dv_correlation=dt_dv,
-        ds_dtau_over_kB=ds_dtau,
-        n=n,
-    )
+    _check_report_size(n)
+    moments = _Moments(ref, constants)
+    columns = (samples.dp, samples.dV, samples.dT, samples.dS)
+    for start in range(0, n, _GROUP):
+        moments.add(*(column[start:start + _GROUP] for column in columns))
+    return moments.report()
+
+
+def _streamed_moments(ref, n, seed, constants) -> _Moments:
+    moments = _Moments(ref, constants)
+    group = np.empty((4, _GROUP))
+    for start in range(0, n, _GROUP):
+        size = min(_GROUP, n - start)
+        for block, begin, stop in block_ranges(size):
+            _fill_block(ref, constants, seed, start // BLOCK_SAMPLES + block, begin, stop, *group)
+        moments.add(*group[:, :size])
+    return moments
+
+
+def streamed_covariance_report(
+    ref: ThermoReference,
+    n: int,
+    seed: int,
+    constants: Constants = NATURAL,
+) -> CovarianceReport:
+    """``covariance_report(gaussian_sample(ref, n, seed, constants), ref, constants)``,
+    bit for bit, holding one group of ``_GROUP`` samples at a time."""
+    _check_sample_count(n)
+    _check_report_size(n)
+    return _streamed_moments(ref, n, seed, constants).report()
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,9 @@ block can be regenerated on its own without drawing the blocks before it.
 from __future__ import annotations
 
 import numpy as np
+# bound here, in every process that imports the package, so that a forked
+# worker inherits numpy.random instead of importing it on its first draw
+from numpy.random import Generator, Philox
 
 BLOCK_SAMPLES = 4096
 # counter words reserved per sample; generously above actual consumption so
@@ -15,15 +18,15 @@ BLOCK_SAMPLES = 4096
 _WORDS_PER_SAMPLE = 8
 
 
-def block_generator(seed: int, block_index: int) -> np.random.Generator:
+def block_generator(seed: int, block_index: int) -> Generator:
     """Generator positioned at the start of the given sample block."""
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     if block_index < 0:
         raise ValueError("block_index must be nonnegative")
-    bits = np.random.Philox(key=int(seed))
+    bits = Philox(key=int(seed))
     bits.advance(int(block_index) * BLOCK_SAMPLES * _WORDS_PER_SAMPLE)
-    return np.random.Generator(bits)
+    return Generator(bits)
 
 
 def block_ranges(total: int):

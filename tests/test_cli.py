@@ -957,6 +957,35 @@ class TestCheckAll:
         assert multiprocessing.active_children() == []
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="criterion workers need fork")
+    def test_criterion_workers_import_no_numpy_random_module_of_their_own(self):
+        # a fresh interpreter that has imported the command line, as the
+        # check-all parent has; each criterion runs as the first task of its
+        # own forked worker, which lists the numpy.random modules it lacked
+        script = (
+            "import json, sys\n"
+            "import entropiclab.cli\n"
+            "from entropiclab import _fanout, suite\n"
+            "def random_modules():\n"
+            "    return {name for name in sys.modules if name.startswith('numpy.random')}\n"
+            "parent = random_modules()\n"
+            "def run(index):\n"
+            "    suite._run_criterion(index, 7)\n"
+            "    return sorted(random_modules() - parent)\n"
+            "found = {}\n"
+            "for index, name in enumerate(suite.criterion_names()):\n"
+            "    with _fanout.forked_pool(1, 'criterion') as pool:\n"
+            "        found[name] = pool.submit(run, index).result()\n"
+            "print(json.dumps({'parent': sorted(parent), 'found': found}))\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                env=cli_env(), timeout=120)
+        assert result.returncode == 0, result.stderr
+        report = json.loads(result.stdout)
+        assert "numpy.random" in report["parent"]
+        assert report["found"] == {name: [] for name in report["found"]}
+        assert len(report["found"]) == 12
+
 
 def read_table(path):
     rows = list(csv.reader(path.read_text().splitlines()))
@@ -1166,21 +1195,23 @@ class TestCsvFormat:
 
     @pytest.mark.parametrize("rows", [0, 1, 6, 7, 8, 14, 20])
     def test_blocks_join_without_a_seam(self, monkeypatch, rows):
-        # 42 cells over 6 columns put a block boundary after every 7th row;
-        # one CPU formats in process, two in forked workers
+        # 63 cells over 6 columns and a group of 3 put a block boundary after
+        # every 7th row; one CPU formats in process, two in forked workers
         import entropiclab.cli as cli_module
 
-        monkeypatch.setattr(cli_module, "_CSV_BLOCK_CELLS", 42)
+        monkeypatch.setattr(cli_module, "_CSV_BLOCK_CELLS", 63)
         rng = np.random.default_rng(rows)
         # non-finite values, signed zeros and the 1e-4 and 1e16 notation thresholds
         edges = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-4, 9.999999999999999e-05,
                           1e16, 9999999999999998.0, -1.7976931348623157e308])
         subnormals = rng.integers(1, 1 << 52, rows, dtype=np.uint64).view(float)
-        columns = [np.arange(rows), rng.standard_normal(rows), np.exp(rng.uniform(-700, 700, rows)),
-                   rng.choice(edges, rows), -subnormals,
+        # a two-dimensional group of adjacent float columns, between two float columns
+        group = rng.standard_normal((rows, 3))
+        columns = [np.arange(rows), rng.standard_normal(rows), group,
+                   np.exp(rng.uniform(-700, 700, rows)), rng.choice(edges, rows), -subnormals,
                    np.array([f"label{k}" for k in range(rows)], dtype=str)]
-        header = ["step", "x", "wide", "edge", "subnormal", "label"]
-        expected = csv_writer_text(header, columns).encode("utf-8")
+        header = ["step", "x", "g0", "g1", "g2", "wide", "edge", "subnormal", "label"]
+        expected = csv_writer_text(header, [*columns[:2], *group.T, *columns[3:]]).encode("utf-8")
         for cpus in (1, 2):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
             text = "".join(cli_module._csv_lines(header, *columns))

@@ -1,9 +1,11 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from entropiclab import fluctuations
 from entropiclab import (
     CanonicalPoint,
     Constants,
@@ -16,11 +18,13 @@ from entropiclab import (
     gaussian_sample,
     log_probability,
     rectangle_patch,
+    streamed_covariance_report,
     symplectic_area,
     to_canonical,
     two_plane_patch,
 )
 from entropiclab.cli import main
+from entropiclab.suite import check_fluctuation_covariance
 
 REF = ThermoReference.ideal_gas(1.0, 1.0, 1.0)
 
@@ -111,6 +115,45 @@ class TestCovarianceReport:
             "n", "ds_dt_over_kBT", "dp_dv_over_kBT", "dt_dv_correlation", "ds_dtau_over_kB",
         }
         assert set(data["ds_dt_over_kBT"]) == {"mean", "stderr"}
+
+
+class TestGroupMoments:
+    # T != 1 and kB != 1, so that dT, dT/T, kB T and kB differ
+    HOT = ThermoReference.ideal_gas(2.0, 0.7, 1.7)
+    KB = Constants(kB=1.3)
+
+    @pytest.mark.parametrize("n", [1000, 4095, 16384, 16385, 100003])
+    def test_streamed_report_is_the_report_of_the_drawn_columns(self, n):
+        samples = gaussian_sample(self.HOT, n, seed=5, constants=self.KB)
+        expected = covariance_report(samples, self.HOT, self.KB)
+        assert streamed_covariance_report(self.HOT, n, 5, self.KB) == expected
+
+    @pytest.mark.parametrize("n", [16385, 100003])
+    def test_merged_moments_match_whole_columns(self, n):
+        samples = gaussian_sample(self.HOT, n, seed=6, constants=self.KB)
+        moments = fluctuations._streamed_moments(self.HOT, n, 6, self.KB)
+        columns = moments.quantities(samples.dp, samples.dV, samples.dT, samples.dS,
+                                     np.empty((6, n)))
+        assert moments.count == n
+        np.testing.assert_allclose(moments.mean, [c.mean() for c in columns], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(moments.std(), [c.std(ddof=1) for c in columns],
+                                   rtol=1e-12, atol=0)
+
+    def test_streamed_entry_checks_its_size(self):
+        with pytest.raises(ValueError, match="1000"):
+            streamed_covariance_report(REF, 999, seed=0)
+        with pytest.raises(ValueError, match="positive integer"):
+            streamed_covariance_report(REF, 1000.0, seed=0)
+
+    def test_criterion_holds_one_group_at_a_time(self):
+        # whole columns of its 1e6 samples would be 8 MB each
+        tracemalloc.start()
+        try:
+            check_fluctuation_covariance(7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestCanonicalCoordinates:

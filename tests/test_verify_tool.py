@@ -1,5 +1,6 @@
 """Smoke tests of tools/verify.py: a digest diffed against itself is empty, a
-sweep lists the failing criteria, and floats finds a kernel that differs from repr."""
+sweep lists the failing criteria, floats finds a kernel that differs from repr,
+and moments finds a merge that differs from NumPy's whole-column moments."""
 import importlib.util
 import json
 from pathlib import Path
@@ -102,3 +103,20 @@ def test_floats_compares_the_kernel_with_repr(monkeypatch, capsys):
     # 0.1 is in the edge set twice, as a power of ten and on its own
     assert found == ["3fb999999999999a: repr 0.1, kernel 0."] * 2
     assert summary == f"2 mismatches over {10 + edges} doubles"
+
+
+def test_moments_compares_the_merged_moments_with_numpy(monkeypatch, capsys):
+    tool = load_tool()
+    assert tool.main(["moments", "3:5"]) == 0
+    *seeds, summary = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in seeds] == ["seed 3", "seed 4"]
+    assert summary.endswith("over 2 seeds, tolerance 1e-12")
+
+    # a merge that is off by one part in 1e9 is caught and the statistic named
+    from entropiclab import fluctuations
+
+    std = fluctuations._Moments.std
+    monkeypatch.setattr(fluctuations._Moments, "std", lambda self: std(self) * (1 + 1e-9))
+    assert tool.main(["moments", "3"]) == 1
+    line, _ = capsys.readouterr().out.splitlines()
+    assert line.startswith("seed 3: largest relative gap 1.000e-09 (std of ")

@@ -5,6 +5,7 @@
     python tools/verify.py diff a.json a2.json           # lists the seeds whose digests differ
     python tools/verify.py sweep 0:1000                  # lists every failing criterion
     python tools/verify.py floats 100000000 --seed 1     # the CSV float kernel against repr
+    python tools/verify.py moments 0:100                 # streamed covariance moments against NumPy
 
 ``digest`` calls ``suite.run_all`` for each seed, which runs the criteria
 in forked workers on two CPUs or more, and records the sha256 of every
@@ -25,7 +26,13 @@ details, then the number of failures; it exits 0 whatever it finds.
 exponent, NaN and infinity among them), then ``edge_floats()``, as a CSV
 column, through ``entropiclab._shortest`` as every CSV float is written,
 and compares the bytes with ``repr``'s; it prints each double that
-differs and exits 1 if there is any.
+differs and exits 1 if there is any.  ``moments`` draws the samples of the
+``fluctuation-covariance`` criterion for each seed, both as the criterion
+streams them and as whole columns, and compares the mean and the standard
+deviation (ddof = 1) of each of the six quantities the criterion merges
+group by group with NumPy's whole-column two-pass ``mean`` and ``std``; it
+prints the largest relative gap per seed and exits 1 if any exceeds
+``MOMENTS_TOLERANCE``.
 """
 from __future__ import annotations
 
@@ -43,6 +50,9 @@ BIG_FLUCT = 1_000_000
 BIG_GRAVITY_PROBES = 1_000
 # three whole sample blocks of seeding.BLOCK_SAMPLES and one sample more
 BIG_GRAVITY_SAMPLES = 3 * 4_096 + 1
+MOMENTS_TOLERANCE = 1e-12
+# the quantities of fluctuations._Moments, in its order
+QUANTITIES = ("dS dT/(kB T)", "dp dV/(kB T)", "dT dV", "dS (dT/T)/kB", "dT", "dV")
 
 
 def _seeds(text: str) -> range:
@@ -137,6 +147,28 @@ def floats(count: int, seed: int, chunk: int = 1 << 20) -> tuple:
     return mismatches, compared
 
 
+def moments(seed: int, n: int = 1_000_000) -> tuple:
+    """``(largest relative gap, the statistic it is for)`` between the merged group
+    moments of ``check_fluctuation_covariance(seed)``'s ``n`` draws and NumPy's
+    whole-column ``mean`` and ``std(ddof=1)`` of the same quantities."""
+    import numpy as np
+
+    from entropiclab.constants import NATURAL
+    from entropiclab.fluctuations import ThermoReference, _streamed_moments, gaussian_sample
+
+    ref = ThermoReference.ideal_gas(1.0, 1.0, 1.0)  # the criterion's reference
+    streamed = _streamed_moments(ref, n, seed, NATURAL)
+    samples = gaussian_sample(ref, n, seed)
+    columns = streamed.quantities(samples.dp, samples.dV, samples.dT, samples.dS,
+                                  np.empty((6, n)))
+    gaps = []
+    for name, column, mean, std in zip(QUANTITIES, columns, streamed.mean, streamed.std()):
+        for statistic, merged, whole in (("mean", mean, column.mean()),
+                                         ("std", std, column.std(ddof=1))):
+            gaps.append((float(abs(merged - whole) / abs(whole)), f"{statistic} of {name}"))
+    return max(gaps)
+
+
 def _variant(op, work: Path, label: str, edit, csv_rows: int):
     """A copy of operation ``op`` named ``label``, its config changed in place by ``edit``."""
     config = json.loads(Path(op.argv[2]).read_text(encoding="utf-8"))
@@ -223,6 +255,8 @@ def main(argv=None) -> int:
     run = commands.add_parser("floats", help="the CSV float kernel against repr, byte for byte")
     run.add_argument("count", type=int, help="random 64-bit patterns to format")
     run.add_argument("--seed", type=int, default=0, help="seed of the patterns (default 0)")
+    run = commands.add_parser("moments", help="streamed covariance moments against NumPy")
+    run.add_argument("seeds", type=_seeds, help="seed range A:B, half-open, or one seed")
     compare = commands.add_parser("diff", help="list the seeds whose digests differ")
     compare.add_argument("first")
     compare.add_argument("second")
@@ -242,6 +276,16 @@ def main(argv=None) -> int:
             print(f"{bits:016x}: repr {want}, kernel {have}")
         print(f"{len(mismatches)} mismatches over {compared} doubles")
         return 1 if mismatches else 0
+
+    if args.command == "moments":
+        worst = 0.0
+        for seed in args.seeds:
+            gap, statistic = moments(seed)
+            print(f"seed {seed}: largest relative gap {gap:.3e} ({statistic})")
+            worst = max(worst, gap)
+        print(f"largest relative gap {worst:.3e} over {len(args.seeds)} seeds, "
+              f"tolerance {MOMENTS_TOLERANCE:.0e}")
+        return 1 if worst > MOMENTS_TOLERANCE else 0
 
     if args.command != "diff":
         table = (digest if args.command == "digest" else artifacts)(args.seeds)
