@@ -145,14 +145,15 @@ def _fill_block(ref, constants, seed, block, start, stop, dp, dV, dT, dS):
     draws = rng.standard_normal((2, stop - start))
     sigma_t = math.sqrt(constants.kB * ref.temperature**2 / ref.heat_capacity_cv)
     sigma_v = math.sqrt(-constants.kB * ref.temperature * ref.compressibility_term)
-    dt = sigma_t * draws[0]
-    dv = sigma_v * draws[1]
+    # each product straight into its column, rounded as the expression would be
+    dt = np.multiply(sigma_t, draws[0], out=dT[start:stop])
+    dv = np.multiply(sigma_v, draws[1], out=dV[start:stop])
     slope_t = ref.pressure_temperature_slope()
     slope_v = ref.pressure_volume_slope()
-    dT[start:stop] = dt
-    dV[start:stop] = dv
-    dS[start:stop] = (ref.heat_capacity_cv / ref.temperature) * dt + slope_t * dv
-    dp[start:stop] = slope_t * dt + slope_v * dv
+    np.multiply(ref.heat_capacity_cv / ref.temperature, dt, out=dS[start:stop])
+    dS[start:stop] += slope_t * dv
+    np.multiply(slope_t, dt, out=dp[start:stop])
+    dp[start:stop] += slope_v * dv
 
 
 def _check_sample_count(n) -> None:
@@ -231,8 +232,8 @@ class CovarianceReport:
 
 # samples per group of the covariance moments: four sample blocks, as many
 # rows as a block of fluct's CSV.  The seed-7 criterion's report (1e6
-# samples) took a median of 37.8 ms in process at four blocks, 38.1 at two,
-# 38.7 at eight, 41.2 at one and 40.6 at sixteen (15 interleaved calls,
+# samples) took a median of 36.6 ms in process at four blocks and at two,
+# 37.7 at eight, 40.0 at one and 39.9 at sixteen (15 interleaved calls,
 # 2-core x86-64).
 _GROUP = 4 * BLOCK_SAMPLES
 
@@ -285,19 +286,14 @@ class _Moments:
         return np.sqrt(self.m2 / (self.count - 1))
 
     def report(self) -> CovarianceReport:
-        root_n = math.sqrt(self.count)
-        mean, std = self.mean.tolist(), self.std().tolist()
-
-        def statistic(k, scale=1.0):
-            return Statistic(mean=mean[k] / scale, stderr=std[k] / scale / root_n)
-
-        return CovarianceReport(
-            ds_dt_over_kBT=statistic(0),
-            dp_dv_over_kBT=statistic(1),
-            dt_dv_correlation=statistic(2, std[4] * std[5]),
-            ds_dtau_over_kB=statistic(3),
-            n=self.count,
-        )
+        std = self.std()
+        # dT dV is reported as a correlation, in units of std(dT) std(dV)
+        scale = np.array([1.0, 1.0, std[4] * std[5], 1.0])
+        means = self.mean[:4] / scale
+        stderrs = std[:4] / scale / math.sqrt(self.count)
+        ds_dt, dp_dv, dt_dv, ds_dtau = (Statistic(mean=float(mean), stderr=float(stderr))
+                                        for mean, stderr in zip(means, stderrs))
+        return CovarianceReport(ds_dt, dp_dv, dt_dv, ds_dtau, n=self.count)
 
 
 def _check_report_size(n: int) -> None:

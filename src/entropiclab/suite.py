@@ -584,9 +584,9 @@ def criterion_names() -> list:
 # last while the other workers idle; medians over three rounds of 21 seed-7
 # calls each in process on a 2-core x86-64 machine, in milliseconds:
 _SUBMISSION_ORDER = (
-    8,   # fluctuation-covariance     38.3
-    6,   # uncertainty-bound          26.5
-    9,   # stokes-identity            19.3
+    8,   # fluctuation-covariance     36.6
+    6,   # uncertainty-bound          26.9
+    9,   # stokes-identity            19.8
     7,   # onsager-forms              18.9
     1,   # semigroup-law               4.8
     2,   # dilatation-contraction      3.3
@@ -595,7 +595,7 @@ _SUBMISSION_ORDER = (
     4,   # entropy-production-oracle   2.0
     0,   # unitary-limit               1.1
     5,   # picture-consistency         0.61
-    10,  # gravity-falloff             0.51
+    10,  # gravity-falloff             0.52
 )
 
 
