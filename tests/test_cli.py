@@ -5,6 +5,7 @@ import os
 import signal
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -962,22 +963,26 @@ class TestCheckAll:
         # a fresh interpreter that has imported the command line, as the
         # check-all parent has; each criterion runs as the first task of its
         # own forked worker, which lists the numpy.random modules it lacked
-        script = (
-            "import json, sys\n"
-            "import entropiclab.cli\n"
-            "from entropiclab import _fanout, suite\n"
-            "def random_modules():\n"
-            "    return {name for name in sys.modules if name.startswith('numpy.random')}\n"
-            "parent = random_modules()\n"
-            "def run(index):\n"
-            "    suite._run_criterion(index, 7)\n"
-            "    return sorted(random_modules() - parent)\n"
-            "found = {}\n"
-            "for index, name in enumerate(suite.criterion_names()):\n"
-            "    with _fanout.forked_pool(1, 'criterion') as pool:\n"
-            "        found[name] = pool.submit(run, index).result()\n"
-            "print(json.dumps({'parent': sorted(parent), 'found': found}))\n"
-        )
+        script = textwrap.dedent("""
+            import json, sys
+            import entropiclab.cli
+            from entropiclab import _fanout, suite
+
+            def random_modules():
+                return {name for name in sys.modules if name.startswith("numpy.random")}
+
+            parent = random_modules()
+
+            def run(index):
+                suite._run_criterion(index, 7)
+                return sorted(random_modules() - parent)
+
+            found = {}
+            for index, name in enumerate(suite.criterion_names()):
+                with _fanout.forked_pool(1, "criterion") as pool:
+                    found[name] = pool.submit(run, index).result()
+            print(json.dumps({"parent": sorted(parent), "found": found}))
+        """)
         result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                                 env=cli_env(), timeout=120)
         assert result.returncode == 0, result.stderr
