@@ -1,18 +1,12 @@
-"""The package's one pool of forked worker processes.
+"""The package's one way into a pool of forked worker processes: ``ordered``.
 
-``workers(tasks)`` says how many workers to start for ``tasks`` independent
-tasks: one per CPU this process may run on, no more than there are tasks,
-and 1 where there is no ``fork``.  A caller that gets less than 2 runs its
-tasks in process; otherwise it submits them to ``forked_pool(...)`` and reads
-the results in its own order, so what it returns does not depend on the CPU
-count.  ``ordered(...)`` does both for a stream of tasks whose results are
-wanted in task order: CSV blocks and the rows of the gravity direct sum.
-``suite.run_all`` submits its criteria all at once instead, costliest first.
+The task function reaches the workers through the fork, so it may be any
+callable, a closure over large arrays included, and only the task tuples and
+the results are pickled.
 """
 from __future__ import annotations
 
 import collections
-import contextlib
 import itertools
 import os
 
@@ -25,61 +19,59 @@ import os
 # memory.
 _DEPTH = 2
 
+_function = None  # the task function, in a worker; set as the worker starts
 
-def workers(tasks: int) -> int:
+
+def _workers(tasks: int) -> int:
     """Worker processes worth starting for ``tasks`` independent tasks."""
     if not hasattr(os, "fork"):
         return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return min(cpus, tasks)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(cpus or 1, tasks)
 
 
-@contextlib.contextmanager
-def forked_pool(count: int, what: str):
-    """A ``ProcessPoolExecutor`` of ``count`` forked processes, shut down on exit.
+def _install(function) -> None:
+    global _function
+    _function = function
 
-    fork, not spawn: a worker starts without importing NumPy again, and it
-    finds a task's function through the module state it inherits, even one
-    a caller installed at run time.  OpenBLAS stops its thread pool before
-    a fork and starts a new one in the child, so a worker may use NumPy's
-    linear algebra.  A worker that dies, which for the package's tasks
-    means the kernel killed it for memory, is raised as a ``MemoryError``
-    naming ``what`` the worker did.
-    """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
 
-    context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(count, mp_context=context) as pool:
-        try:
-            yield pool
-        except BrokenProcessPool as exc:
-            raise MemoryError(f"a {what} worker died: {exc}") from exc
+def _call(*task):
+    return _function(*task)
 
 
 def ordered(function, tasks, what: str):
     """Yield ``function(*task)`` for each of the sequence ``tasks``, in task order.
 
-    With fewer than 2 ``workers(len(tasks))``, the tasks run in process, one
-    as each result is taken.  Otherwise they run in a ``forked_pool`` of that
-    many workers, with at most ``_DEPTH`` tasks per worker in flight, so
-    that at most that many results wait in memory.  The workers fork at the
-    first submission, so they inherit the module state the caller set up
-    before taking the first result.  Closing the generator shuts them down.
+    With fewer than 2 ``_workers(len(tasks))``, the tasks run in process, one
+    as each result is taken.  Otherwise they run in a pool of that many
+    workers, forked at the first submission, with at most ``_DEPTH`` tasks
+    per worker in flight, so that at most that many results wait in memory.
+    fork, not spawn: a worker starts without importing NumPy again, and the
+    pool's initializer installs ``function`` from the memory it inherits,
+    so the parent keeps no module state for it.  OpenBLAS restarts its
+    thread pool in each child, so a worker may use NumPy's linear algebra.
+    A worker that dies, which for the package's tasks means the kernel
+    killed it for memory, is raised as a ``MemoryError`` naming ``what`` the
+    worker did.  Closing the generator shuts the workers down.
     """
-    count = workers(len(tasks))
+    count = _workers(len(tasks))
     if count < 2:
         yield from itertools.starmap(function, tasks)
         return
-    with forked_pool(count, what) as pool:
-        in_flight = collections.deque()
-        for task in tasks:
-            if len(in_flight) == _DEPTH * count:
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    context = multiprocessing.get_context("fork")
+    try:
+        with ProcessPoolExecutor(count, mp_context=context, initializer=_install,
+                                 initargs=(function,)) as pool:
+            in_flight = collections.deque()
+            for task in tasks:
+                if len(in_flight) == _DEPTH * count:
+                    yield in_flight.popleft().result()
+                in_flight.append(pool.submit(_call, *task))
+            while in_flight:
                 yield in_flight.popleft().result()
-            in_flight.append(pool.submit(function, *task))
-        while in_flight:
-            yield in_flight.popleft().result()
+    except BrokenProcessPool as exc:
+        raise MemoryError(f"a {what} worker died: {exc}") from exc

@@ -115,8 +115,7 @@ def _csv_lines(header, *columns):
     """CSV text, each line ending in CRLF: ``header``, then one row per index of ``columns``.
 
     A two-dimensional float column is a group of adjacent columns, one per
-    index of its second axis; it travels to the formatting workers as one
-    array per block.
+    index of its second axis.
 
     A numeric cell is the ``repr`` of a ``tolist()`` value, the shortest string
     that reads back to the same double or integer: ``_shortest.cells``
@@ -125,20 +124,23 @@ def _csv_lines(header, *columns):
     none is quoted.
     The text is made lazily, as the writer takes it: the header line, then
     one string per block of about ``_CSV_BLOCK_CELLS`` cells (at least one
-    row), formatted through ``_fanout.ordered``: in forked worker processes
-    when there are two blocks or more and this process may run on two CPUs
-    or more, one per CPU but no more than there are blocks, with at most two
-    blocks per worker in flight, and in process otherwise.  The strings are
-    yielded in row order, so the text is the same at any CPU count.  Closing
-    the generator shuts the workers down.
+    row), formatted through ``_fanout.ordered``, in forked workers on two
+    CPUs or more.  The columns reach the workers through the fork, in the
+    task function's closure, so a task sends only its row range.  The
+    strings are yielded in row order, so the text is the same at any CPU
+    count.  Closing the generator shuts the workers down.
     """
     arrays = [np.asarray(column) for column in columns]
     rows = len(arrays[0]) if arrays else 0
     cells = sum(a.shape[1] if a.ndim == 2 else 1 for a in arrays)
     step = max(1, _CSV_BLOCK_CELLS // max(1, cells))
-    blocks = [([a[start:start + step] for a in arrays],) for start in range(0, rows, step)]
+
+    def block(start, stop):
+        return _format_block([a[start:stop] for a in arrays])
+
+    ranges = [(start, start + step) for start in range(0, rows, step)]
     yield ",".join(header) + "\r\n"
-    yield from _fanout.ordered(_format_block, blocks, "CSV formatting")
+    yield from _fanout.ordered(block, ranges, "CSV formatting")
 
 
 def _trajectory_table(label: str, expect_label: str, trajectory):

@@ -33,11 +33,7 @@ def evolve_h(
     exactly from the eigensystem, so norms and energy averages are
     conserved to rounding.
     """
-    grid = evolution_grid(t_grid, "t_grid")
-    if psi0.norm() == 0.0:
-        raise ValueError("initial state must be nonzero")
-    amplitudes = exponential_rows(hamiltonian, -1j * (grid / constants.hbar), psi0)
-    return Trajectory.from_amplitudes(grid, amplitudes, hamiltonian)
+    return _evolve(psi0, hamiltonian, t_grid, lambda grid: -1j * (grid / constants.hbar))
 
 
 def evolve_h_perturbed(
@@ -61,12 +57,18 @@ def evolve_h_perturbed(
         raise ValueError(f"|epsilon_prime| must be < 1, got {epsilon_prime}")
     if mode not in ("exact", "first_order"):
         raise ValueError(f"mode must be 'exact' or 'first_order', got {mode!r}")
+    scale = 1.0 / (1.0 + epsilon_prime**2) if mode == "exact" else 1.0
+    rate = (epsilon_prime - 1j) * scale / constants.hbar
+    return _evolve(psi0, hamiltonian, t_grid, lambda grid: rate * grid)
+
+
+def _evolve(psi0: StateVector, hamiltonian: HermitianOperator, t_grid, exponents) -> Trajectory:
+    """``exp(z H) psi0`` for each ``z`` of ``exponents(grid)``; each caller keeps its own
+    expression, as ``-1j * (grid / hbar)`` and ``rate * grid`` round differently."""
     grid = evolution_grid(t_grid, "t_grid")
     if psi0.norm() == 0.0:
         raise ValueError("initial state must be nonzero")
-    scale = 1.0 / (1.0 + epsilon_prime**2) if mode == "exact" else 1.0
-    rate = (epsilon_prime - 1j) * scale / constants.hbar
-    amplitudes = exponential_rows(hamiltonian, rate * grid, psi0)
+    amplitudes = exponential_rows(hamiltonian, exponents(grid), psi0)
     return Trajectory.from_amplitudes(grid, amplitudes, hamiltonian)
 
 

@@ -8,6 +8,7 @@ Static sources only: no retardation, no tensor structure.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -225,17 +226,6 @@ def _nearest_rows(centred: _Centred, points: np.ndarray) -> np.ndarray:
     return nearest
 
 
-# (kernel, centred cells, points) of the pass being split, set before the
-# pool forks: the workers inherit it, so no lattice is pickled per task
-_inherited = None
-
-
-def _inherited_rows(start: int, stop: int) -> np.ndarray:
-    """One task of a split pass, in a worker or, on one CPU, in process."""
-    kernel, centred, points = _inherited
-    return kernel(centred, points[start:stop])
-
-
 def _split_rows(kernel, source: SourceDistribution, points: np.ndarray, period: int = 0):
     """``kernel(_centred(source), points[start:stop])`` over row ranges, joined in row order.
 
@@ -245,8 +235,10 @@ def _split_rows(kernel, source: SourceDistribution, points: np.ndarray, period: 
     result has the same bits however the runs are split.  Below
     ``_FORK_PAIRS`` probe-cell pairs each run is one call in process.  From
     there on, the runs are cut into tasks of about ``_TASK_PAIRS`` pairs
-    for ``_fanout.ordered``, whose forked workers inherit the kernel, the
-    centred cells and the points.  The source has at least one occupied cell.
+    for ``_fanout.ordered``, whose task function, a closure over the
+    kernel, the centred cells and the points, reaches the forked workers
+    through the fork, so no task pickles more than its row range.  The
+    source has at least one occupied cell.
     """
     centred = _centred(source)
     count = points.shape[0]
@@ -265,14 +257,12 @@ def _split_rows(kernel, source: SourceDistribution, points: np.ndarray, period: 
     ]
     if not ranges:
         return kernel(centred, points)
-    if not split:
-        return np.concatenate([kernel(centred, points[start:stop]) for start, stop in ranges])
-    global _inherited
-    _inherited = (kernel, centred, points)
-    try:
-        return np.concatenate(list(_fanout.ordered(_inherited_rows, ranges, "gravity")))
-    finally:
-        _inherited = None
+
+    def rows(start, stop):
+        return kernel(centred, points[start:stop])
+
+    parts = _fanout.ordered(rows, ranges, "gravity") if split else itertools.starmap(rows, ranges)
+    return np.concatenate(list(parts))
 
 
 def _potential_at(source: SourceDistribution, points: np.ndarray, period: int = 0) -> np.ndarray:

@@ -599,23 +599,26 @@ _SUBMISSION_ORDER = (
 )
 
 
-def _run_criterion(index: int, seed: int) -> CheckResult:
-    # a worker looks the criterion up in the _CRITERIA it inherited, so
-    # closures installed in place of the functions run too
-    return _CRITERIA[index](seed)
-
-
 def run_all(seed: int = 0) -> list:
     """Run every check with sub-seeds derived from one master seed.
 
-    The checks run in forked worker processes, one per CPU this process may
-    run on, or in process on one CPU.  The results come back in
-    ``criterion_names()`` order, and an exception is that of the first
-    failing check in that order, so neither depends on the CPU count.
+    The checks run through ``_fanout.ordered``, costliest first: in forked
+    worker processes, one per CPU this process may run on, or in process on
+    one CPU.  The results come back in ``criterion_names()`` order, and an
+    exception is that of the first failing check in that order, so neither
+    depends on the CPU count.
     """
-    workers = _fanout.workers(len(_CRITERIA))
-    if workers < 2:
-        return [criterion(seed) for criterion in _CRITERIA]
-    with _fanout.forked_pool(workers, "criterion") as pool:
-        futures = {index: pool.submit(_run_criterion, index, seed) for index in _SUBMISSION_ORDER}
-        return [futures[index].result() for index in range(len(_CRITERIA))]
+    def run(index):
+        # read at call time, so functions installed in _CRITERIA run too
+        try:
+            return _CRITERIA[index](seed)
+        except Exception as exc:  # raised below, in criterion order
+            return exc
+
+    tasks = [(index,) for index in _SUBMISSION_ORDER]
+    done = dict(zip(_SUBMISSION_ORDER, _fanout.ordered(run, tasks, "criterion")))
+    results = [done[index] for index in range(len(_CRITERIA))]
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+    return results

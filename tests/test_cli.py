@@ -18,6 +18,7 @@ from entropiclab import (
     boundary_action,
     entropy_operator,
     evolve_h,
+    evolve_h_perturbed,
     evolve_s,
     gaussian_sample,
     picture_consistency,
@@ -373,8 +374,7 @@ def disk_full_open(*args, **kwargs):
     return DiskFullFile(builtins.open(*args, **kwargs))
 
 
-# stand-ins for cli._format_block, defined at module level so that they can
-# be sent to a formatting worker
+# stand-ins for cli._format_block, which _csv_lines looks up at call time
 def exhausted_block(columns):
     raise MemoryError("Unable to allocate 1.00 GiB")
 
@@ -961,10 +961,12 @@ class TestCheckAll:
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="criterion workers need fork")
     def test_criterion_workers_import_no_numpy_random_module_of_their_own(self):
         # a fresh interpreter that has imported the command line, as the
-        # check-all parent has; each criterion runs as the first task of its
-        # own forked worker, which lists the numpy.random modules it lacked
+        # check-all parent has; each criterion runs as the first task of a
+        # freshly forked pool, whose worker lists the numpy.random modules it
+        # lacked.  A second, empty task makes the pool fork two workers; the
+        # first task is always the first its worker runs.
         script = textwrap.dedent("""
-            import json, sys
+            import json, os, sys
             import entropiclab.cli
             from entropiclab import _fanout, suite
 
@@ -974,13 +976,14 @@ class TestCheckAll:
             parent = random_modules()
 
             def run(index):
-                suite._run_criterion(index, 7)
+                if index is not None:
+                    suite._CRITERIA[index](7)
                 return sorted(random_modules() - parent)
 
+            os.sched_getaffinity = lambda pid: {0, 1}
             found = {}
             for index, name in enumerate(suite.criterion_names()):
-                with _fanout.forked_pool(1, "criterion") as pool:
-                    found[name] = pool.submit(run, index).result()
+                found[name] = list(_fanout.ordered(run, [(index,), (None,)], "criterion"))[0]
             print(json.dumps({"parent": sorted(parent), "found": found}))
         """)
         result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
@@ -1046,18 +1049,23 @@ def evolve_s_case(schedule):
     return (config, *trajectory_case("tau", "expect_S", trajectory))
 
 
-def evolve_h_case():
+def evolve_h_case(hbar=1.0, epsilon_prime=0.0, mode="exact"):
     block = {
         "hamiltonian": {"kind": "random_hermitian", "dim": 4, "seed": 2},
         "state": {"kind": "random", "seed": 3},
         "grid": {"start": 0.0, "stop": 2.0, "num": 9},
     }
-    hamiltonian = hamiltonian_from(block["hamiltonian"], NATURAL)
-    trajectory = evolve_h(
-        state_from(block["state"], hamiltonian.dim), hamiltonian, grid_from(block["grid"])
-    )
-    return ({"scenario": "evolve-h", "evolve_h": block},
-            *trajectory_case("t", "expect_H", trajectory))
+    config, constants = {"scenario": "evolve-h", "evolve_h": block}, Constants(hbar=hbar)
+    if hbar != 1.0:
+        config["constants"] = {"hbar": hbar}
+    hamiltonian = hamiltonian_from(block["hamiltonian"], constants)
+    psi0, grid = state_from(block["state"], hamiltonian.dim), grid_from(block["grid"])
+    if epsilon_prime == 0.0:
+        trajectory = evolve_h(psi0, hamiltonian, grid, constants)
+    else:
+        block.update(epsilon_prime=epsilon_prime, mode=mode)
+        trajectory = evolve_h_perturbed(psi0, hamiltonian, grid, epsilon_prime, mode, constants)
+    return (config, *trajectory_case("t", "expect_H", trajectory))
 
 
 def onsager_case():
@@ -1133,6 +1141,10 @@ def compare_pictures_case(mode):
 
 SCENARIO_CASES = {
     "evolve-h": evolve_h_case,
+    # hbar = 0.7, so that each evolution's exponents round as it forms them
+    "evolve-h-hbar": lambda: evolve_h_case(0.7),
+    "evolve-h-exact-hbar": lambda: evolve_h_case(0.7, 0.3, "exact"),
+    "evolve-h-first-order-hbar": lambda: evolve_h_case(0.7, 0.3, "first_order"),
     "evolve-s-frozen": lambda: evolve_s_case("frozen"),
     "evolve-s-chart": lambda: evolve_s_case("chart"),
     "onsager": onsager_case,

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import os
@@ -357,22 +358,29 @@ class TestRowSplit:
         cells = source.cell_data()[0].shape[0]
         assert cells == 328 and gravity._row_step(cells) == 399
         expected = self.results(source)
-        pools = []
-        forked_pool = _fanout.forked_pool
+        pools, whats = [], []
+        executor, ordered = concurrent.futures.ProcessPoolExecutor, _fanout.ordered
 
-        def counted_pool(*args):
-            pools.append(args)
-            return forked_pool(*args)
+        def counted_pool(count, **kwargs):
+            pools.append(count)
+            return executor(count, **kwargs)
 
-        monkeypatch.setattr(_fanout, "forked_pool", counted_pool)
+        def counted_ordered(function, tasks, what):
+            whats.append(what)
+            return ordered(function, tasks, what)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted_pool)
+        monkeypatch.setattr(_fanout, "ordered", counted_ordered)
         monkeypatch.setattr(gravity, "_FORK_PAIRS", 1)
         monkeypatch.setattr(gravity, "_TASK_PAIRS", 1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         self.assert_same_bits(self.results(source), expected)
-        # one pool per pass: trace_potential's support pass and sum, the
-        # support pass, one for each mean_h; a one-row pass and no probes
-        # need none
-        assert pools == ([] if cpus == 1 else [(2, "gravity")] * 5)
+        # one pool of two workers per pass: trace_potential's support pass
+        # and sum, the support pass, one for each mean_h; a one-row pass has
+        # one task and runs in process, no probes need no fan-out, and one
+        # CPU needs no pool at all
+        assert whats == ["gravity"] * 6
+        assert pools == ([] if cpus == 1 else [2] * 5)
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_cells_are_centred_once_per_pass_before_the_fork(self, monkeypatch, cpus):
@@ -380,25 +388,26 @@ class TestRowSplit:
         source = self.source()
         parent = os.getpid()
         passes, centrings, tasks = [], [], []
-        split_rows, centred, inherited_rows = (
-            gravity._split_rows, gravity._centred, gravity._inherited_rows)
+        split_rows, centred = gravity._split_rows, gravity._centred
 
-        def counted_split(*args):
-            passes.append(len(args[2]))
-            return split_rows(*args)
+        def counted_split(kernel, *args):
+            passes.append(len(args[1]))
+            if cpus == 1:  # tasks run in process, where they can be counted
+                return split_rows(counted_task(kernel), *args)
+            return split_rows(kernel, *args)
 
         def counted_centred(*args):
             centrings.append(os.getpid())
             return centred(*args)
 
-        def counted_task(*args):
-            tasks.append(args)
-            return inherited_rows(*args)
+        def counted_task(kernel):
+            def task(*args):
+                tasks.append(args[1].shape[0])
+                return kernel(*args)
+            return task
 
         monkeypatch.setattr(gravity, "_split_rows", counted_split)
         monkeypatch.setattr(gravity, "_centred", counted_centred)
-        if cpus == 1:  # tasks run in process, where they can be counted
-            monkeypatch.setattr(gravity, "_inherited_rows", counted_task)
         monkeypatch.setattr(gravity, "_FORK_PAIRS", 1)
         monkeypatch.setattr(gravity, "_TASK_PAIRS", 1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)

@@ -5,7 +5,8 @@ and ``suite.py`` reference, and follows each one to its top-level
 definition in the package, then on to the names that definition references.
 A public name outside that closure is code that no claim and no command
 uses.  A second walk finds each function that parses an input file format,
-so that a second parser of one format cannot come back unseen.
+so that a second parser of one format cannot come back unseen, and each
+function that reaches the fork pool, so that no second route into it can.
 """
 import ast
 import inspect
@@ -91,3 +92,12 @@ def test_one_parser_per_input_format():
     # schema() parses the package's own schema, the one the reader validates against
     assert functions_using("json", {"load", "loads"}) == {"config._read_json", "config.schema"}
     assert functions_using("np", {"fromfile"}) == {"gravity._descriptor_to_source"}
+
+
+def test_one_route_into_the_worker_pool():
+    # ordered is the package's only way into the fork pool
+    from entropiclab import _fanout
+
+    assert functions_using("_fanout", set(vars(_fanout)) - {"ordered"}) == set()
+    assert functions_using("_fanout", {"ordered"}) == {
+        "cli._csv_lines", "gravity._split_rows", "suite.run_all"}

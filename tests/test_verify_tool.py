@@ -116,7 +116,21 @@ def test_moments_compares_the_merged_moments_with_numpy(monkeypatch, capsys):
     from entropiclab import fluctuations
 
     std = fluctuations._Moments.std
-    monkeypatch.setattr(fluctuations._Moments, "std", lambda self: std(self) * (1 + 1e-9))
-    assert tool.main(["moments", "3"]) == 1
+    with monkeypatch.context() as patch:
+        patch.setattr(fluctuations._Moments, "std", lambda self: std(self) * (1 + 1e-9))
+        assert tool.main(["moments", "3"]) == 1
     line, _ = capsys.readouterr().out.splitlines()
     assert line.startswith("seed 3: largest relative gap 1.000e-09 (std of ")
+
+    # so is a merged mean off by 1e-9 standard deviations, near zero or not
+    streamed_moments = fluctuations._streamed_moments
+
+    def shifted(*args):
+        moments = streamed_moments(*args)
+        moments.mean = moments.mean + 1e-9 * moments.std()
+        return moments
+
+    monkeypatch.setattr(fluctuations, "_streamed_moments", shifted)
+    assert tool.main(["moments", "3"]) == 1
+    line, _ = capsys.readouterr().out.splitlines()
+    assert line.startswith("seed 3: largest relative gap 1.000e-09 (mean of ")
