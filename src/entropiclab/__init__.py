@@ -18,10 +18,6 @@ from .constants import NATURAL, Constants
 from .energy_picture import evolve_h, evolve_h_perturbed, noether_energy_drift
 from .entropy_picture import (
     EigenSolutionSpec,
-    EntropyOperator,
-    EntropyProductionReport,
-    UncertaintyProduct,
-    WickFactor,
     dissipative_part,
     eigen_solution,
     entropy_operator,
@@ -30,6 +26,7 @@ from .entropy_picture import (
     evolve_s,
     picture_consistency,
     uncertainty_product,
+    weak_field_epsilon,
 )
 from .fluctuations import (
     CanonicalPoint,
@@ -70,7 +67,6 @@ from .onsager import (
 )
 from .operators import (
     HermitianOperator,
-    SpectralDecomposition,
     StateVector,
     Trajectory,
     build_hamiltonian,

@@ -38,12 +38,7 @@ from .config import (
     system_from,
     validate_config,
 )
-from .entropy_picture import (
-    WickFactor,
-    entropy_operator,
-    evolve_s,
-    picture_consistency,
-)
+from .entropy_picture import entropy_operator, evolve_s, picture_consistency, weak_field_epsilon
 from .energy_picture import evolve_h, evolve_h_perturbed, noether_energy_drift
 from .fluctuations import (
     boundary_action,
@@ -185,7 +180,7 @@ def _epsilon_from(block: dict) -> float:
     if "epsilon" in block and "strength" in block:
         raise ConfigError("give either 'epsilon' or 'strength', not both")
     if "strength" in block:
-        return WickFactor(block["strength"]).epsilon
+        return weak_field_epsilon(block["strength"])
     return float(block.get("epsilon", 0.0))
 
 
@@ -224,7 +219,7 @@ def _run_evolve_s(config: dict, base_dir: Path):
         wander = float(np.max(np.abs(trajectory.norms - trajectory.norms[0])))
         verdicts.append(CheckResult.bounded("s-unitary-norms", wander, 1e-12))
     else:
-        bottom = float(spectral_decompose(hamiltonian).eigenvalues[0])
+        bottom = float(spectral_decompose(hamiltonian)[0][0])
         if bottom >= -1e-12:
             name = "s-dilatation" if epsilon < 0 else "s-contraction"
             violation = monotonicity_violation(trajectory.norms, epsilon)
@@ -271,7 +266,7 @@ def _run_gravity(config: dict, base_dir: Path):
     if "region" in block:
         strength = mean_h(source, region_from(block["region"]), seed)
         outputs["mean_h"] = float(strength)
-        outputs["weak_field_epsilon"] = float(WickFactor(strength).epsilon)
+        outputs["weak_field_epsilon"] = float(weak_field_epsilon(strength))
     if "laplacian" in block:
         residual = laplacian_spot_check(
             source, block["laplacian"]["point"], block["laplacian"].get("step")

@@ -69,7 +69,7 @@ def _evolve(psi0: StateVector, hamiltonian: HermitianOperator, t_grid, exponents
     if psi0.norm() == 0.0:
         raise ValueError("initial state must be nonzero")
     amplitudes = exponential_rows(hamiltonian, exponents(grid), psi0)
-    return Trajectory.from_amplitudes(grid, amplitudes, hamiltonian)
+    return Trajectory.from_amplitudes(grid, amplitudes, hamiltonian.entries)
 
 
 def noether_energy_drift(trajectory: Trajectory) -> float:

@@ -39,10 +39,6 @@ STATIONARY_DERIVATIVE = 1e-14
 
 __all__ = [
     "EigenSolutionSpec",
-    "EntropyOperator",
-    "EntropyProductionReport",
-    "UncertaintyProduct",
-    "WickFactor",
     "dissipative_part",
     "eigen_solution",
     "entropy_operator",
@@ -51,6 +47,7 @@ __all__ = [
     "evolve_s",
     "picture_consistency",
     "uncertainty_product",
+    "weak_field_epsilon",
 ]
 
 
@@ -64,68 +61,43 @@ def dissipative_part(matrix: np.ndarray) -> np.ndarray:
     return (matrix - matrix.conj().T) / 2j
 
 
-@dataclass(frozen=True)
-class WickFactor:
-    """Rotation of the time axis controlled by an external-field strength.
+def weak_field_epsilon(strength: float) -> float:
+    """Dissipation parameter ``epsilon = -pi * strength / 2`` of a field strength.
 
-    ``phase`` interpolates from 0 (no field, unitary evolution) to -pi/2
-    (strong field, maximal dissipation); ``factor`` is exp(i * phase) and
-    ``epsilon = -pi * strength / 2`` is its weak-field expansion parameter.
-    All three are derived from ``strength``.
+    An external field of dimensionless ``strength`` rotates the time axis by
+    the unit-modulus factor ``exp(i * phase)``, with
+    ``phase = -(pi / 2) (1 - exp(-strength))``: 0 without a field (unitary
+    evolution), -pi/2 in a strong one (maximal dissipation).  ``epsilon``
+    is that rotation's weak-field expansion parameter.
     """
-
-    strength: float
-    phase: float = field(init=False)
-    factor: complex = field(init=False)
-    epsilon: float = field(init=False)
-
-    def __post_init__(self):
-        if not (np.isfinite(self.strength) and self.strength >= 0.0):
-            raise ValueError(f"strength must be finite and >= 0, got {self.strength!r}")
-        strength = float(self.strength)
-        phase = -(math.pi / 2.0) * (1.0 - math.exp(-strength))
-        object.__setattr__(self, "strength", strength)
-        object.__setattr__(self, "phase", phase)
-        object.__setattr__(self, "factor", complex(math.cos(phase), math.sin(phase)))
-        object.__setattr__(self, "epsilon", -math.pi * strength / 2.0)
+    if not (np.isfinite(strength) and strength >= 0.0):
+        raise ValueError(f"strength must be finite and >= 0, got {strength!r}")
+    return -math.pi * float(strength) / 2.0
 
 
-@dataclass(frozen=True)
-class EntropyOperator:
-    """Energy operator divided by a fixed positive temperature.
+def entropy_operator(hamiltonian: HermitianOperator, temperature: float) -> tuple:
+    """The evolution generator ``S0 = H / T0`` as ``(entries, eigenvalues, eigenvectors)``.
 
-    ``operator`` is derived as ``source`` scaled by ``1 / temperature``, so
-    it inherits the source's eigensystem.
+    ``S0`` shares ``H``'s eigenvectors; its entries and eigenvalues are
+    ``H``'s times ``1 / T0``, so every temperature of one Hamiltonian shares
+    one ``eigh``.  An ``S0`` past the double range raises ``ValueError``.
     """
-
-    source: HermitianOperator
-    temperature: float
-    operator: HermitianOperator = field(init=False)
-
-    def __post_init__(self):
-        if not (np.isfinite(self.temperature) and self.temperature > 0.0):
-            raise ValueError(f"temperature must be positive, got {self.temperature!r}")
-        if self.source.unit != "energy":
-            raise ValueError("hamiltonian must carry energy units")
-        temperature = float(self.temperature)
-        object.__setattr__(self, "temperature", temperature)
-        object.__setattr__(
-            self, "operator", self.source.scaled(1.0 / temperature, unit="entropy")
-        )
-
-    @property
-    def dim(self) -> int:
-        return self.operator.dim
-
-
-def entropy_operator(hamiltonian: HermitianOperator, temperature: float) -> EntropyOperator:
-    """Divide an energy operator by a temperature to get the evolution generator."""
-    return EntropyOperator(hamiltonian, temperature)
+    if not (np.isfinite(temperature) and temperature > 0.0):
+        raise ValueError(f"temperature must be positive, got {temperature!r}")
+    if hamiltonian.unit != "energy":
+        raise ValueError("hamiltonian must carry energy units")
+    s = 1.0 / float(temperature)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        entries = hamiltonian.entries * s
+    if not np.isfinite(entries).all():
+        raise ValueError("hamiltonian / temperature must be finite")
+    eigenvalues, eigenvectors = spectral_decompose(hamiltonian)
+    return entries, eigenvalues * s, eigenvectors
 
 
 def evolve_s(
     psi0: StateVector,
-    generator: EntropyOperator,
+    generator: tuple,
     tau_grid,
     epsilon: float,
     constants: Constants = NATURAL,
@@ -135,7 +107,7 @@ def evolve_s(
 ) -> Trajectory:
     """Evolve under the entropy generator: psi(tau) = T-exp[(i - eps)/kB * Integral(S)] psi0.
 
-    ``generator`` is the ``EntropyOperator`` ``S0 = H / T0``, and ``schedule``
+    ``generator`` is ``S0 = H / T0`` as ``entropy_operator`` gives it, and ``schedule``
     says how the generator depends on tau: ``"frozen"`` holds ``S = S0``,
     ``"chart"`` gives ``S(tau) = S0 exp(-tau)``, the generator carried by
     the chart ``t(tau) = hbar / (kB T0 exp(tau))``.  Either way ``S(tau)`` is
@@ -150,8 +122,7 @@ def evolve_s(
     needed to test the contraction property but describes no physical
     dissipation.
     """
-    if not isinstance(generator, EntropyOperator):
-        raise TypeError(f"generator must be an EntropyOperator, got {type(generator)!r}")
+    entries, eigenvalues, eigenvectors = generator
     if schedule not in ("frozen", "chart"):
         raise ValueError(f"unknown schedule {schedule!r}; expected frozen or chart")
     grid = evolution_grid(tau_grid, "tau_grid")
@@ -164,14 +135,13 @@ def evolve_s(
         )
     if psi0.norm() == 0.0:
         raise ValueError("initial state must be nonzero")
-    if psi0.dim != generator.dim:
-        raise ValueError(f"dimension mismatch: operator {generator.dim} vs state {psi0.dim}")
+    if psi0.dim != len(entries):
+        raise ValueError(f"dimension mismatch: operator {len(entries)} vs state {psi0.dim}")
 
-    decomposition = spectral_decompose(generator.operator)
     elapsed = grid if schedule == "frozen" else -np.expm1(-grid)
-    amplitudes = _thermal_rows(decomposition.eigenvalues, decomposition.eigenvectors,
-                               psi0.amplitudes, elapsed, epsilon, constants.kB)
-    trajectory = Trajectory.from_amplitudes(grid, amplitudes, generator.operator)
+    amplitudes = _thermal_rows(eigenvalues, eigenvectors, psi0.amplitudes, elapsed, epsilon,
+                               constants.kB)
+    trajectory = Trajectory.from_amplitudes(grid, amplitudes, entries)
     if schedule == "frozen":
         return trajectory
     return replace(trajectory, expectations=np.exp(-grid) * trajectory.expectations)
@@ -205,17 +175,18 @@ class EigenSolutionSpec:
 
     mode: StateVector
     entropic_eigenvalue: float
-    generator: EntropyOperator
+    generator: tuple  # S0 as entropy_operator gives it
     constants: Constants = field(default=NATURAL)
 
     def __post_init__(self):
-        if self.mode.dim != self.generator.dim:
+        entries = self.generator[0]
+        if self.mode.dim != len(entries):
             raise ValueError("mode and generator dimensions differ")
         if self.mode.norm() == 0.0:
             raise ValueError("mode must be nonzero")
         target = self.entropic_eigenvalue * self.constants.kB * self.mode.amplitudes
-        residual = np.linalg.norm(self.generator.operator.entries @ self.mode.amplitudes - target)
-        bound = 1e-10 * max(self.generator.operator.norm(), _TINY) * self.mode.norm()
+        residual = np.linalg.norm(entries @ self.mode.amplitudes - target)
+        bound = 1e-10 * max(float(np.linalg.norm(entries)), _TINY) * self.mode.norm()
         if residual > bound:
             raise ValueError(
                 f"mode fails the eigenvalue equation: residual {residual:.3e} > {bound:.3e}"
@@ -235,61 +206,38 @@ def eigen_solution(spec: EigenSolutionSpec, tau: float, epsilon: float) -> State
     return StateVector(spec.mode.amplitudes * factor)
 
 
-@dataclass(frozen=True)
-class EntropyProductionReport:
-    """Rate of change of the entropy operator along laboratory time.
+def entropy_production(
+    hamiltonian: HermitianOperator,
+    epsilon: float,
+    constants: Constants = NATURAL,
+) -> np.ndarray:
+    """Per-mode rates of change of the entropy operator along laboratory time.
 
-    ``rates[k] = coefficient * mode_energies[k]`` with
-    ``coefficient = (kB / hbar) (1 - i * epsilon)``; the imaginary part,
+    ``rates[k] = (kB / hbar) (1 - i * epsilon) * energy_k``, one per eigenvalue
+    of ``hamiltonian`` in ascending order; the imaginary part,
     ``-epsilon * kB * energy / hbar``, is the dissipative piece and is
     nonnegative for epsilon <= 0 on a nonnegative spectrum.
     """
-
-    mode_energies: np.ndarray
-    rates: np.ndarray
-    coefficient: complex
-    rate_operator: np.ndarray
-
-
-def entropy_production(
-    hamiltonian: HermitianOperator,
-    wick: WickFactor,
-    constants: Constants = NATURAL,
-) -> EntropyProductionReport:
-    """Per-mode production rates (kB/hbar)(1 - i*eps) * energy, plus the same
-    statement as an operator."""
-    coefficient = (constants.kB / constants.hbar) * (1.0 - 1j * wick.epsilon)
-    energies = spectral_decompose(hamiltonian).eigenvalues.copy()
-    rates = coefficient * energies
-    energies.setflags(write=False)
+    coefficient = (constants.kB / constants.hbar) * (1.0 - 1j * epsilon)
+    rates = coefficient * spectral_decompose(hamiltonian)[0]
     rates.setflags(write=False)
-    rate_operator = coefficient * hamiltonian.entries
-    rate_operator.setflags(write=False)
-    return EntropyProductionReport(
-        mode_energies=energies,
-        rates=rates,
-        coefficient=complex(coefficient),
-        rate_operator=rate_operator,
-    )
+    return rates
 
 
 def entropy_production_via_chart(
     hamiltonian: HermitianOperator,
-    wick: WickFactor,
+    epsilon: float,
     constants: Constants = NATURAL,
-    *,
-    first_order: bool = True,
 ) -> np.ndarray:
     """Independent route to the production rate: differentiate the chart.
 
     Along the time-temperature chart the generator is
-    ``S(t) = (kB t / hbar) * (1/factor) * H``; this returns its central
-    difference at t = 1 with step 1e-4.  With ``first_order`` the inverse
-    factor is truncated to 1 - i*epsilon (the convention in which the
-    closed-form rate is stated); otherwise the exact unit-modulus inverse
-    is used and the quadratic gap between the two becomes visible.
+    ``S(t) = (kB t / hbar) * (1/factor) * H``, with ``factor`` the rotation of
+    ``weak_field_epsilon``; this returns its central difference at t = 1 with
+    step 1e-4, the inverse factor truncated to 1 - i*epsilon (the convention
+    in which the closed-form rate is stated).
     """
-    inverse_factor = (1.0 - 1j * wick.epsilon) if first_order else 1.0 / wick.factor
+    inverse_factor = 1.0 - 1j * epsilon
 
     def chart_generator(t: float) -> np.ndarray:
         return (constants.kB * t / constants.hbar) * inverse_factor * hamiltonian.entries
@@ -297,45 +245,27 @@ def entropy_production_via_chart(
     return (chart_generator(1.0 + 1e-4) - chart_generator(1.0 - 1e-4)) / 2e-4
 
 
-@dataclass(frozen=True)
-class UncertaintyProduct:
-    """Spread of the generator times the probe-observable evolution time.
-
-    ``delta_tau`` is the ratio (spread of A) / |d<A>/dtau| at the probe
-    point; ``product = delta_s * delta_tau`` obeys the kB/2 bound in the
-    unitary branch.
-    """
-
-    delta_s: float
-    delta_tau: float
-    product: float | None
-
-
 def uncertainty_product(
     psi: StateVector,
-    entropy_op: EntropyOperator,
+    generator: tuple,
     observable: HermitianOperator,
     tau_probe: float,
     constants: Constants = NATURAL,
-) -> UncertaintyProduct:
-    """Evaluate the generator-time uncertainty product on the unitary branch.
+) -> tuple:
+    """The generator spread and the probe-observable evolution time, ``(delta_s, delta_tau)``.
 
-    The state is carried to ``tau_probe`` with epsilon = 0; the observable
-    clock rate d<A>/dtau is computed exactly from the commutator, so the
-    resulting product is the sharp two-spread bound, not a finite
-    difference.  A stationary probe (rate below 1e-14) yields an infinite
-    delta_tau and no product.
+    ``generator`` is ``S0`` as ``entropy_operator`` gives it.  The state is
+    carried to ``tau_probe`` with epsilon = 0; ``delta_tau`` is the spread of
+    the observable over its clock rate |d<A>/dtau|, computed exactly from
+    the commutator, so the product ``delta_s * delta_tau`` is the sharp
+    two-spread bound, not a finite difference, and obeys the kB/2 bound.
+    A stationary probe (rate below 1e-14) yields an infinite ``delta_tau``.
     """
-    if psi.dim != entropy_op.dim or psi.dim != observable.dim:
+    if psi.dim != len(generator[0]) or psi.dim != observable.dim:
         raise ValueError("state, generator and observable dimensions must agree")
-    s_matrix = entropy_op.operator
-    decomposition = spectral_decompose(s_matrix)
-    delta_s, delta_tau = (float(value) for value in _uncertainty_products(
-        s_matrix.entries, decomposition.eigenvalues, decomposition.eigenvectors,
-        observable.entries, psi.amplitudes, tau_probe, constants,
-    ))
-    product = None if delta_tau == math.inf else delta_s * delta_tau
-    return UncertaintyProduct(delta_s=delta_s, delta_tau=delta_tau, product=product)
+    delta_s, delta_tau = _uncertainty_products(*generator, observable.entries, psi.amplitudes,
+                                               tau_probe, constants)
+    return float(delta_s), float(delta_tau)
 
 
 def _uncertainty_products(s_entries, eigenvalues, eigenvectors, observables, states, taus,
@@ -365,15 +295,14 @@ def _uncertainty_products(s_entries, eigenvalues, eigenvectors, observables, sta
 
 def _closed_form_rows(mode, psi0, hamiltonian, reference_temperature, taus, epsilon, constants):
     """Closed-form ``frozen_S`` or ``chart_S`` rows at each tau (see picture_consistency)."""
-    decomposition = spectral_decompose(hamiltonian)
-    h = decomposition.eigenvalues
+    h, vectors = spectral_decompose(hamiltonian)
     if mode == "frozen_S":
         phases = (1j - epsilon) * (h / reference_temperature) * taus[:, None] / constants.kB
     else:
         # math.exp, not np.exp, whose SIMD kernel may round differently
         elapsed = np.array([1.0 - math.exp(-tau) for tau in taus])
         phases = (1j - epsilon) * (h / (constants.kB * reference_temperature)) * elapsed[:, None]
-    return eigenbasis_rows(decomposition, phases, psi0)
+    return eigenbasis_rows(vectors, phases, psi0)
 
 
 def picture_consistency(

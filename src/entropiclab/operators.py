@@ -28,12 +28,10 @@ __all__ = [
     "HERMITICITY_RTOL",
     "UNIT_LABELS",
     "HermitianOperator",
-    "SpectralDecomposition",
     "StateVector",
     "Trajectory",
     "apply_exponential",
     "build_hamiltonian",
-    "expectation",
     "spectral_decompose",
 ]
 
@@ -137,7 +135,7 @@ def _quadratic_forms(entries, amplitudes):
 
 
 def _expectations(entries, amplitudes):
-    """``<a, A a> / <a, a>`` per stack entry; see ``expectation``."""
+    """Normalized quadratic form ``<a, A a> / <a, a>`` per stack entry."""
     forms, weights, _ = _quadratic_forms(entries, amplitudes)
     if not weights.all():
         raise ValueError("expectation of the zero vector is undefined")
@@ -225,29 +223,24 @@ class Trajectory:
             raise ValueError("trajectory norms must be positive")
 
     @classmethod
-    def from_amplitudes(cls, grid, amplitudes, generator) -> "Trajectory":
-        """Take the norm and the ``generator`` average of each amplitude row.
+    def from_amplitudes(cls, grid, amplitudes, entries) -> "Trajectory":
+        """Take the norm and the generator average of each amplitude row.
 
         ``amplitudes`` holds one row per grid point and is made read-only.
-        ``generator`` is one ``HermitianOperator``; each average is one
-        stacked product, as ``expectation`` gives it.  A norm or average
-        past the double range raises ``OverflowError``.
+        ``entries`` is the generator's matrix; the averages are one stacked
+        product.  A norm or average past the double range raises
+        ``OverflowError``.
         """
         amplitudes.setflags(write=False)
         with np.errstate(over="ignore", invalid="ignore"):
             norms = _norms(amplitudes)
-            averages = _expectations(generator.entries, amplitudes)
+            averages = _expectations(entries, amplitudes)
         if not (np.isfinite(norms).all() and np.isfinite(averages).all()):
             raise OverflowError(
                 "the evolved state's norm or generator average exceeds the double range; "
                 "rescale the generator or shorten the evolution interval"
             )
         return cls(grid, amplitudes, norms, averages)
-
-    @property
-    def states(self) -> tuple:
-        """One ``StateVector`` per grid point, built on each access."""
-        return tuple(StateVector(row) for row in self.amplitudes)
 
 
 class HermitianOperator:
@@ -259,7 +252,7 @@ class HermitianOperator:
     being averaged away.
     """
 
-    __slots__ = ("_entries", "_unit", "_decomposition", "_parent", "_factor")
+    __slots__ = ("_entries", "_unit", "_decomposition")
 
     def __init__(self, entries, unit: str = "dimensionless"):
         arr = np.array(entries, dtype=complex)
@@ -272,10 +265,6 @@ class HermitianOperator:
         self._entries = arr
         self._unit = unit
         self._decomposition = None
-        # set by scaled() to the unscaled root operator and the factor
-        # taken from it: the eigensystem is the root's, eigenvalues times _factor
-        self._parent = None
-        self._factor = 1.0
 
     @property
     def dim(self) -> int:
@@ -289,24 +278,6 @@ class HermitianOperator:
     def unit(self) -> str:
         return self._unit
 
-    def norm(self) -> float:
-        """Frobenius norm of the entries."""
-        return float(np.linalg.norm(self._entries))
-
-    def scaled(self, factor: float, unit: str | None = None) -> "HermitianOperator":
-        """Multiply by a real scalar (keeps self-adjointness exactly).
-
-        The result inherits the eigensystem: ``spectral_decompose`` of it
-        decomposes the unscaled root operator once and rescales its
-        eigenvalues, so every multiple of one operator shares one ``eigh``.
-        """
-        if not np.isfinite(factor) or np.iscomplexobj(np.asarray(factor)):
-            raise ValueError("scale factor must be a finite real number")
-        child = HermitianOperator(self._entries * float(factor), unit or self._unit)
-        child._parent = self if self._parent is None else self._parent
-        child._factor = self._factor * float(factor)
-        return child
-
     def shifted(self, offset: float) -> "HermitianOperator":
         """Add ``offset`` times identity."""
         if not np.isfinite(offset):
@@ -319,52 +290,23 @@ class HermitianOperator:
         return f"HermitianOperator(dim={self.dim}, unit={self._unit!r})"
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigenvalues in ascending order and the matching orthonormal columns."""
+def spectral_decompose(operator: HermitianOperator) -> tuple:
+    """Exact eigensystem ``(eigenvalues, eigenvectors)`` of a Hermitian operator.
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def spectral_decompose(operator: HermitianOperator) -> SpectralDecomposition:
-    """Exact eigensystem of a Hermitian operator.
-
-    Eigenvalues are returned ascending.  Inside a degenerate cluster the
+    Eigenvalues are returned ascending, with the matching orthonormal
+    columns; both arrays are read-only.  Inside a degenerate cluster the
     basis is whatever the solver produced; no downstream result may depend
     on that choice, and the exponential below provably does not.
 
     The decomposition is cached on the operator (operators are immutable,
-    so the cache is safe to share across threads).  An operator made by
-    ``scaled`` reuses its root's eigenvectors: ``c * H = V (c L) V*``, with
-    both reversed for ``c < 0`` so the eigenvalues stay ascending.
+    so the cache is safe to share across threads).
     """
-    cached = operator._decomposition
-    if cached is not None:
-        return cached
-    parent, factor = operator._parent, operator._factor
-    if parent is None:
-        return _decompose(operator)
-    root = parent._decomposition or _decompose(parent)
-    eigenvalues, eigenvectors = root.eigenvalues * factor, root.eigenvectors
-    if factor < 0.0:
-        eigenvalues = eigenvalues[::-1].copy()
-        eigenvectors = np.ascontiguousarray(eigenvectors[:, ::-1])
+    if operator._decomposition is None:
+        eigenvalues, eigenvectors = _checked_eigh(operator.entries)
+        eigenvalues.setflags(write=False)
         eigenvectors.setflags(write=False)
-    eigenvalues.setflags(write=False)
-    decomposition = SpectralDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
-    operator._decomposition = decomposition
-    return decomposition
-
-
-def _decompose(operator: HermitianOperator) -> SpectralDecomposition:
-    # the checked eigensystem of one operator, cached on it
-    eigenvalues, eigenvectors = _checked_eigh(operator.entries)
-    eigenvalues.setflags(write=False)
-    eigenvectors.setflags(write=False)
-    decomposition = SpectralDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
-    operator._decomposition = decomposition
-    return decomposition
+        operator._decomposition = (eigenvalues, eigenvectors)
+    return operator._decomposition
 
 
 def _require_finite(name, *values):
@@ -422,17 +364,17 @@ def build_hamiltonian(
 
     operator = HermitianOperator(matrix, unit="energy")
     if shift_nonnegative:
-        bottom = float(spectral_decompose(operator).eigenvalues[0])
+        bottom = float(spectral_decompose(operator)[0][0])
         if bottom < 0.0:
             operator = operator.shifted(-bottom)
     return operator
 
 
-def eigenbasis_rows(decomposition: SpectralDecomposition, exponents, state: StateVector):
+def eigenbasis_rows(eigenvectors, exponents, state: StateVector):
     """Rows ``V (exp(e_k) * V* state)``, one per row ``e_k`` of per-mode exponents.
 
-    ``exponents`` is an ``(n, dim)`` array in the eigenbasis of
-    ``decomposition``: row k carries ``state`` by the operator whose
+    ``exponents`` is an ``(n, dim)`` array in the basis of the columns
+    ``eigenvectors``: row k carries ``state`` by the operator whose
     eigenvalues are ``e_k``.  ``V* state`` is projected once; each row is
     then one matrix-vector product.  A row that overflows the double range,
     whether in one exponential or in the product, raises ``OverflowError``
@@ -440,10 +382,9 @@ def eigenbasis_rows(decomposition: SpectralDecomposition, exponents, state: Stat
     zero weight raises ``FloatingPointError`` instead of being returned as
     the zero vector.
     """
-    vectors = decomposition.eigenvectors
-    if vectors.shape[0] != state.dim:
-        raise ValueError(f"dimension mismatch: operator {vectors.shape[0]} vs state {state.dim}")
-    return _rows(vectors, np.asarray(exponents, dtype=complex), state.amplitudes)
+    if eigenvectors.shape[0] != state.dim:
+        raise ValueError(f"dimension mismatch: operator {len(eigenvectors)} vs state {state.dim}")
+    return _rows(eigenvectors, np.asarray(exponents, dtype=complex), state.amplitudes)
 
 
 def exponential_rows(operator: HermitianOperator, exponents, state: StateVector):
@@ -451,10 +392,8 @@ def exponential_rows(operator: HermitianOperator, exponents, state: StateVector)
     exponents = np.asarray(exponents, dtype=complex)
     if not np.isfinite(exponents).all():
         raise ValueError("exponent must be finite")
-    decomposition = spectral_decompose(operator)
-    return eigenbasis_rows(
-        decomposition, np.multiply.outer(exponents, decomposition.eigenvalues), state
-    )
+    eigenvalues, eigenvectors = spectral_decompose(operator)
+    return eigenbasis_rows(eigenvectors, np.multiply.outer(exponents, eigenvalues), state)
 
 
 def apply_exponential(operator: HermitianOperator, z: complex, state: StateVector) -> StateVector:
@@ -466,10 +405,3 @@ def apply_exponential(operator: HermitianOperator, z: complex, state: StateVecto
     reported as by ``eigenbasis_rows``.
     """
     return StateVector(exponential_rows(operator, [z], state)[0])
-
-
-def expectation(operator: HermitianOperator, state: StateVector) -> float:
-    """Normalized quadratic form ``<state, operator state> / <state, state>``."""
-    if operator.dim != state.dim:
-        raise ValueError(f"dimension mismatch: operator {operator.dim} vs state {state.dim}")
-    return float(_expectations(operator.entries, state.amplitudes))

@@ -18,7 +18,6 @@ from .constants import NATURAL
 from .energy_picture import evolve_h
 from .entropy_picture import (
     EigenSolutionSpec,
-    WickFactor,
     _thermal_rows,
     _uncertainty_products,
     dissipative_part,
@@ -29,6 +28,7 @@ from .entropy_picture import (
     evolve_s,
     picture_consistency,
     uncertainty_product,
+    weak_field_epsilon,
 )
 from .fluctuations import (
     ThermoReference,
@@ -88,9 +88,9 @@ def semigroup_gap(psi0, generator, tau1, tau2, epsilon, constants) -> float:
     """Distance between evolving by tau1 then tau2 and by tau1 + tau2 at once.
 
     The inputs are not validated again: the caller has run ``evolve_s`` on them."""
-    decomposition = spectral_decompose(generator.operator)
-    return float(_semigroup_gaps(decomposition.eigenvalues, decomposition.eigenvectors,
-                                 psi0.amplitudes, tau1, tau2, epsilon, constants.kB))
+    _, eigenvalues, eigenvectors = generator
+    return float(_semigroup_gaps(eigenvalues, eigenvectors, psi0.amplitudes, tau1, tau2,
+                                 epsilon, constants.kB))
 
 
 def _semigroup_gaps(eigenvalues, eigenvectors, states, tau1, tau2, epsilons, kB):
@@ -171,7 +171,7 @@ def check_unitary_limit(seed: int) -> CheckResult:
     generator = entropy_operator(hamiltonian, temperature=1.0)
     psi0 = _random_state(rng, 64)
     grid = np.linspace(0.0, 50.0, 26)
-    epsilon = WickFactor(0.0).epsilon
+    epsilon = weak_field_epsilon(0.0)
     trajectory = evolve_s(psi0, generator, grid, epsilon)
     return CheckResult.bounded(
         "unitary-limit",
@@ -248,7 +248,8 @@ def check_eigen_solution_identity(seed: int) -> CheckResult:
                                modes[:, :, None], taus, epsilons, constants.kB)
     direct = np.empty_like(integrated)
     for system, hamiltonian in enumerate(hamiltonians):
-        generator = entropy_operator(HermitianOperator(hamiltonian, unit="energy"), 1.0)
+        # at temperature 1 the generator S = H / T is H itself, eigensystem included
+        generator = (hamiltonian, eigenvalues[system], eigenvectors[system])
         for k, mode in enumerate(modes[system]):
             spec = EigenSolutionSpec(
                 mode=StateVector(mode),
@@ -276,22 +277,18 @@ def check_entropy_production_oracle(seed: int) -> CheckResult:
     for _ in range(20):
         dim = int(rng.integers(4, 9))
         hamiltonian = _random_hermitian(rng, dim)
-        epsilon = float(rng.uniform(-0.3, -0.01))
-        wick = WickFactor(-2.0 * epsilon / math.pi)
-        derivative = entropy_production_via_chart(hamiltonian, wick, constants)
-        target = (-wick.epsilon * constants.kB / constants.hbar) * hamiltonian.entries
+        # through the field strength that gives it, as a config's strength is read
+        epsilon = weak_field_epsilon(-2.0 * float(rng.uniform(-0.3, -0.01)) / math.pi)
+        derivative = entropy_production_via_chart(hamiltonian, epsilon, constants)
+        target = (-epsilon * constants.kB / constants.hbar) * hamiltonian.entries
         gap = float(
             np.linalg.norm(dissipative_part(derivative) - target) / np.linalg.norm(target)
         )
         worst = max(worst, gap)
-        report = entropy_production(hamiltonian, wick, constants)
+        rates = entropy_production(hamiltonian, epsilon, constants)
+        energies = spectral_decompose(hamiltonian)[0]
         mode_gap = float(
-            np.max(
-                np.abs(
-                    report.rates.imag
-                    - (-wick.epsilon * constants.kB / constants.hbar) * report.mode_energies
-                )
-            )
+            np.max(np.abs(rates.imag - (-epsilon * constants.kB / constants.hbar) * energies))
         )
         worst = max(worst, mode_gap)
     return CheckResult.bounded(
@@ -395,8 +392,8 @@ def check_uncertainty_bound(seed: int) -> CheckResult:
     projector = HermitianOperator(
         np.outer(plus.amplitudes, plus.amplitudes.conj()), unit="dimensionless"
     )
-    saturating = uncertainty_product(plus, generator, projector, math.pi / 4.0)
-    saturation_gap = abs(saturating.product - half_kb)
+    delta_s, delta_tau = uncertainty_product(plus, generator, projector, math.pi / 4.0)
+    saturation_gap = abs(delta_s * delta_tau - half_kb)
 
     passed = (min_margin >= -1e-12) and (saturation_gap <= 1e-10) and evaluated >= 900
     measured = float(max(-min_margin, 0.0))

@@ -26,10 +26,17 @@ def cli_env():
 
 
 def assert_matches_per_point(trajectory, generator, psi, exponents):
-    """The trajectory equals one ``apply_exponential`` per grid point, bit for bit."""
-    from entropiclab.operators import apply_exponential, expectation
+    """The trajectory equals one exponential per grid point, bit for bit.
 
-    states = [apply_exponential(generator, z, psi) for z in exponents]
-    assert np.array_equal(trajectory.amplitudes, np.array([s.amplitudes for s in states]))
-    assert np.array_equal(trajectory.norms, [s.norm() for s in states])
-    assert np.array_equal(trajectory.expectations, [expectation(generator, s) for s in states])
+    ``generator`` is ``(entries, eigenvalues, eigenvectors)``; each point is
+    ``apply_exponential``'s product ``V exp(z L) V* psi`` on that eigensystem.
+    """
+    from entropiclab.operators import _expectations, eigenbasis_rows
+
+    entries, eigenvalues, eigenvectors = generator
+    rows = [eigenbasis_rows(eigenvectors, np.multiply.outer([complex(z)], eigenvalues), psi)[0]
+            for z in exponents]
+    assert np.array_equal(trajectory.amplitudes, np.array(rows))
+    assert np.array_equal(trajectory.norms, [np.linalg.norm(row) for row in rows])
+    assert np.array_equal(trajectory.expectations,
+                          [float(_expectations(entries, row)) for row in rows])

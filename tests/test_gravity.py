@@ -12,12 +12,12 @@ from conftest import cli_env
 from entropiclab import (
     RegionSpec,
     SourceDistribution,
-    WickFactor,
     gravity,
     laplacian_spot_check,
     mean_h,
     rasterize,
     trace_potential,
+    weak_field_epsilon,
 )
 from entropiclab import _fanout
 from entropiclab.config import source_from
@@ -125,7 +125,7 @@ class TestMeanH:
         region = RegionSpec.ball(center=[4.0, 0.0, 0.0], radius=0.5, samples=2000)
         strength = mean_h(source, region, seed=5)
         assert strength >= 0.0
-        assert abs(WickFactor(strength).epsilon + math.pi * strength / 2.0) <= 1e-12
+        assert abs(weak_field_epsilon(strength) + math.pi * strength / 2.0) <= 1e-12
 
     def test_box_region(self):
         source = point_mass_source()

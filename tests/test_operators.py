@@ -8,12 +8,12 @@ from entropiclab import (
     build_hamiltonian,
     spectral_decompose,
 )
-from entropiclab.operators import (
-    RECONSTRUCTION_RTOL,
-    _spreads,
-    apply_exponential,
-    expectation,
-)
+from entropiclab.operators import _expectations, _spreads, apply_exponential
+
+
+def expectation(operator, state):
+    # the average kernel of Trajectory.from_amplitudes, on one operator and state
+    return float(_expectations(operator.entries, state.amplitudes))
 
 
 def spread(operator, state):
@@ -48,7 +48,7 @@ class TestBuilders:
 
     def test_random_hermitian_shift_pins_ground_level_at_zero(self):
         op = build_hamiltonian("random_hermitian", dim=8, seed=42, shift_nonnegative=True)
-        bottom = spectral_decompose(op).eigenvalues[0]
+        bottom = spectral_decompose(op)[0][0]
         assert abs(bottom) <= 1e-12
         defect = np.linalg.norm(op.entries - op.entries.conj().T)
         assert defect <= 1e-12 * np.linalg.norm(op.entries)
@@ -103,69 +103,40 @@ class TestConstruction:
 
 class TestSpectralDecompose:
     def test_diagonal_case_sorted_with_permutation_basis(self):
-        dec = spectral_decompose(HermitianOperator(np.diag([2.0, 1.0])))
-        np.testing.assert_allclose(dec.eigenvalues, [1.0, 2.0])
+        eigenvalues, eigenvectors = spectral_decompose(HermitianOperator(np.diag([2.0, 1.0])))
+        np.testing.assert_allclose(eigenvalues, [1.0, 2.0])
         # columns are basis vectors up to phase
-        np.testing.assert_allclose(np.abs(dec.eigenvectors), [[0.0, 1.0], [1.0, 0.0]], atol=1e-14)
+        np.testing.assert_allclose(np.abs(eigenvectors), [[0.0, 1.0], [1.0, 0.0]], atol=1e-14)
 
     def test_off_diagonal_matches_characteristic_polynomial(self):
         # roots of x^2 - tr*x + det = x^2 - 1
         expected = np.sort(np.roots([1.0, 0.0, -1.0]).real)
-        dec = spectral_decompose(HermitianOperator([[0.0, 1.0], [1.0, 0.0]]))
-        np.testing.assert_allclose(dec.eigenvalues, expected, atol=1e-14)
+        eigenvalues, _ = spectral_decompose(HermitianOperator([[0.0, 1.0], [1.0, 0.0]]))
+        np.testing.assert_allclose(eigenvalues, expected, atol=1e-14)
 
     def test_degenerate_identity_any_orthonormal_basis(self):
-        dec = spectral_decompose(HermitianOperator(np.eye(4)))
-        np.testing.assert_allclose(dec.eigenvalues, np.ones(4))
-        gram = dec.eigenvectors.conj().T @ dec.eigenvectors
+        eigenvalues, eigenvectors = spectral_decompose(HermitianOperator(np.eye(4)))
+        np.testing.assert_allclose(eigenvalues, np.ones(4))
+        gram = eigenvectors.conj().T @ eigenvectors
         np.testing.assert_allclose(gram, np.eye(4), atol=1e-12)
 
     def test_reconstruction_property_randomized(self):
         rng = np.random.default_rng(5)
         for dim in (2, 5, 16, 48):
             op = random_hermitian(rng, dim)
-            dec = spectral_decompose(op)
-            recon = dec.eigenvectors @ np.diag(dec.eigenvalues) @ dec.eigenvectors.conj().T
-            assert np.linalg.norm(recon - op.entries) <= 1e-10 * op.norm()
-            assert np.all(np.diff(dec.eigenvalues) >= 0.0)
+            eigenvalues, eigenvectors = spectral_decompose(op)
+            recon = eigenvectors @ np.diag(eigenvalues) @ eigenvectors.conj().T
+            assert np.linalg.norm(recon - op.entries) <= 1e-10 * np.linalg.norm(op.entries)
+            assert np.all(np.diff(eigenvalues) >= 0.0)
 
-
-class TestScaledInheritance:
-    @staticmethod
-    def count_eigh(monkeypatch):
-        calls = []
-        eigh = np.linalg.eigh
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return eigh(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counted)
-        return calls
-
-    @pytest.mark.parametrize("factor", [2.5, -0.75, 0.0])
-    def test_child_reuses_parent_eigensystem(self, factor, monkeypatch):
-        parent = random_hermitian(np.random.default_rng(7), 6)
-        parent_dec = spectral_decompose(parent)
-        calls = self.count_eigh(monkeypatch)
-        child = parent.scaled(factor)
-        dec = spectral_decompose(child)
-        assert calls == []
-        assert np.all(np.diff(dec.eigenvalues) >= 0.0)
-        np.testing.assert_array_equal(dec.eigenvalues, np.sort(factor * parent_dec.eigenvalues))
-        recon = dec.eigenvectors @ (dec.eigenvalues[:, None] * dec.eigenvectors.conj().T)
-        scale = max(child.norm(), np.finfo(float).tiny)
-        assert np.linalg.norm(recon - child.entries) <= RECONSTRUCTION_RTOL * scale
-
-    def test_undecomposed_parent_is_decomposed_once(self, monkeypatch):
-        parent = random_hermitian(np.random.default_rng(8), 5)
-        calls = self.count_eigh(monkeypatch)
-        first, second = parent.scaled(3.0), parent.scaled(-2.0)
-        spectral_decompose(first)
-        spectral_decompose(second)
-        assert len(calls) == 1
-        assert spectral_decompose(parent) is spectral_decompose(parent)
-        assert len(calls) == 1
+    def test_cached_and_read_only(self):
+        op = random_hermitian(np.random.default_rng(8), 5)
+        eigenvalues, eigenvectors = spectral_decompose(op)
+        assert spectral_decompose(op) is spectral_decompose(op)
+        with pytest.raises(ValueError):
+            eigenvalues[0] = 0.0
+        with pytest.raises(ValueError):
+            eigenvectors[0, 0] = 0.0
 
 
 class TestApplyExponential:

@@ -69,11 +69,9 @@ def reference_spread(entries, amplitudes):
 
 def reference_product(psi, generator, observable, tau):
     """The uncertainty product of one state, as one object at a time computed it."""
-    s = generator.operator.entries
-    decomposition = spectral_decompose(generator.operator)
-    vectors = decomposition.eigenvectors
+    s, eigenvalues, vectors = generator
     z = 1j * tau / 1.0
-    probe = vectors @ (np.exp(z * decomposition.eigenvalues) * (vectors.conj().T @ psi))
+    probe = vectors @ (np.exp(z * eigenvalues) * (vectors.conj().T @ psi))
     delta_s = reference_spread(s, probe)
     delta_a = reference_spread(observable, probe)
     clock = HermitianOperator(1j * (observable @ s - s @ observable)).entries
@@ -201,10 +199,10 @@ def reference_eigen_solution_identity(seed):
     worst, points = 0.0, 0
     for _ in range(10):
         generator = entropy_operator(random_spectrum_operator(rng, 5, 0.0, 2.5), 1.0)
-        decomposition = spectral_decompose(generator.operator)
+        _, eigenvalues, eigenvectors = generator
         for k in range(5):
-            mode = StateVector(decomposition.eigenvectors[:, k])
-            spec = EigenSolutionSpec(mode, float(decomposition.eigenvalues[k]), generator)
+            mode = StateVector(eigenvectors[:, k])
+            spec = EigenSolutionSpec(mode, float(eigenvalues[k]), generator)
             for tau in (0.4, 1.3):
                 for epsilon in (0.0, -0.35):
                     direct = eigen_solution(spec, tau, epsilon).amplitudes
@@ -257,11 +255,11 @@ def test_kernel_on_one_system_is_evolve_s(schedule, epsilon):
     for dim in (1, 3, 6):
         generator = entropy_operator(_random_hermitian(rng, dim), 1.7)
         psi = _random_state(rng, dim)
-        decomposition = spectral_decompose(generator.operator)
+        entries, eigenvalues, eigenvectors = generator
         elapsed = grid if schedule == "frozen" else -np.expm1(-grid)
-        rows = _thermal_rows(decomposition.eigenvalues[None], decomposition.eigenvectors[None],
-                             psi.amplitudes[None], elapsed[None], [epsilon], constants.kB)
-        kernel = Trajectory.from_amplitudes(grid, rows[0], generator.operator)
+        rows = _thermal_rows(eigenvalues[None], eigenvectors[None], psi.amplitudes[None],
+                             elapsed[None], [epsilon], constants.kB)
+        kernel = Trajectory.from_amplitudes(grid, rows[0], entries)
         if schedule == "chart":
             kernel = Trajectory(grid, kernel.amplitudes, kernel.norms,
                                 np.exp(-grid) * kernel.expectations)
@@ -316,11 +314,10 @@ def test_array_exponents_match_per_row_lists(hbar, kB):
     grid = np.r_[0.0, np.sort(rng.uniform(0.0, 3.0, 6))]
     hamiltonian = _random_hermitian(rng, 4)
     psi = _random_state(rng, 4)
-    decomposition = spectral_decompose(hamiltonian)
-    h = decomposition.eigenvalues
+    h, vectors = spectral_decompose(hamiltonian)
 
     def per_row(exponents):
-        return eigenbasis_rows(decomposition, [complex(z) * h for z in exponents], psi).tobytes()
+        return eigenbasis_rows(vectors, [complex(z) * h for z in exponents], psi).tobytes()
 
     zs = [0j, complex(-0.0, -0.0), 1.5 - 2j, -1j * 0.0]
     assert exponential_rows(hamiltonian, zs, psi).tobytes() == per_row(zs)
@@ -336,7 +333,7 @@ def test_array_exponents_match_per_row_lists(hbar, kB):
         chart = [(1j - epsilon) * (h / (kB * 1.7)) * (1.0 - math.exp(-tau)) for tau in grid]
         for mode, phases in (("frozen_S", frozen), ("chart_S", chart)):
             rows = _closed_form_rows(mode, psi, hamiltonian, 1.7, grid, epsilon, constants)
-            assert rows.tobytes() == eigenbasis_rows(decomposition, phases, psi).tobytes()
+            assert rows.tobytes() == eigenbasis_rows(vectors, phases, psi).tobytes()
 
 
 def message(call):

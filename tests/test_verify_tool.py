@@ -42,10 +42,11 @@ def test_artifact_digests_diffed_against_themselves_are_empty(tmp_path, monkeypa
     digest = tmp_path / "artifacts.json"
     assert tool.main(["artifacts", "3", "--out", str(digest)]) == 0
     table = json.loads(digest.read_text())
+    labels = ["fluct", "evolve-s", "gravity", "fluct-n2000", "gravity-p5"]
+    labels += [label for label, _, _ in tool.scenario_configs(3)]
+    assert len(labels) == 16
     assert sorted(table["3"]) == sorted(
-        f"{label}{suffix}"
-        for label in ("fluct", "evolve-s", "gravity", "fluct-n2000", "gravity-p5")
-        for suffix in (".csv", ".record.json")
+        f"{label}{suffix}" for label in labels for suffix in (".csv", ".record.json")
     )
     assert tool.main(["diff", str(digest), str(digest)]) == 0
     assert capsys.readouterr().out == "0 of 1 seeds differ\n"

@@ -14,11 +14,15 @@ criterion's ``to_dict()`` JSON.  ``artifacts`` builds the
 in a temporary directory, adds a ``fluct`` of ``BIG_FLUCT`` samples and a
 ``gravity`` of ``BIG_GRAVITY_PROBES`` probes and ``BIG_GRAVITY_SAMPLES``
 region samples, so that the digests cover the CSV blocks and the gravity
-row ranges that run in forked workers, runs each operation through
+row ranges that run in forked workers, and adds the small scenario runs of
+``scenario_configs``: ``evolve-h`` and ``evolve-s`` under ``hbar = 0.7,
+kB = 1.3``, all three ``compare-pictures`` modes and a ``gravity`` whose
+record holds a weak-field epsilon.  It runs each operation through
 ``cli.main`` in process and records the sha256 of every CSV and of every
 run record without its ``wall_clock_s``.  Run either once per checkout,
 with that checkout's ``src`` first on ``PYTHONPATH``, and ``diff`` the two
-files of one kind.  ``diff`` exits 0 when no seed
+files of one kind; run one copy of this script for both checkouts, so
+that both files hold the same runs.  ``diff`` exits 0 when no seed
 differs and 1 otherwise.  ``sweep`` calls ``run_all`` for each seed and
 prints one line per failing criterion, with its measured value and
 details, then the number of failures; it exits 0 whatever it finds.
@@ -172,14 +176,20 @@ def moments(seed: int, n: int = 1_000_000) -> tuple:
     return max(gaps)
 
 
+def _written(work: Path, label: str, scenario: str, config: dict) -> tuple:
+    """``(argv, CSV path, record path)`` of a run named ``label``, its config written under ``work``."""
+    config_path = work / f"{label}.json"
+    config_path.write_text(json.dumps(config, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    out, record = work / f"{label}.csv", work / f"{label}.record.json"
+    argv = [scenario, "--config", str(config_path), "--out", str(out), "--record", str(record)]
+    return argv, out, record
+
+
 def _variant(op, work: Path, label: str, edit, csv_rows: int):
     """A copy of operation ``op`` named ``label``, its config changed in place by ``edit``."""
     config = json.loads(Path(op.argv[2]).read_text(encoding="utf-8"))
     edit(config)
-    config_path = work / f"{label}.json"
-    config_path.write_text(json.dumps(config, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    out, record = work / f"{label}.csv", work / f"{label}.record.json"
-    argv = [op.argv[0], "--config", str(config_path), "--out", str(out), "--record", str(record)]
+    argv, out, record = _written(work, label, op.argv[0], config)
     return dataclasses.replace(op, label=label, argv=argv, csv_path=out, record_path=record,
                                csv_rows=csv_rows)
 
@@ -209,6 +219,66 @@ def _with_big_copies(ops, work: Path, seed: int) -> list:
     ]
 
 
+def scenario_configs(seed: int) -> list:
+    """``(label, config, CSV rows)`` of the small scenario runs ``artifacts`` adds.
+
+    The evolutions run under ``hbar = 0.7`` (and ``kB = 1.3`` in thermal
+    time), where each exponent rounds as its own expression forms it.  The
+    thermal-time runs cover both schedules, a shifted generator on each
+    branch (so that the dilatation and contraction verdicts are computed)
+    and every ``compare-pictures`` mode.
+    """
+    units = {"hbar": 0.7, "kB": 1.3}
+    hamiltonian = {"kind": "random_hermitian", "dim": 4, "seed": seed}
+    shifted = dict(hamiltonian, shift_nonnegative=True)
+    common = {"state": {"kind": "random", "seed": seed + 1},
+              "grid": {"start": 0.0, "stop": 2.0, "num": 9}}
+
+    def evolve_h(**block):
+        return {"scenario": "evolve-h", "constants": {"hbar": 0.7},
+                "evolve_h": dict(common, hamiltonian=hamiltonian, **block)}
+
+    def evolve_s(generator, **block):
+        return {"scenario": "evolve-s", "constants": units,
+                "evolve_s": dict(common, hamiltonian=generator, **block)}
+
+    def compare(mode):
+        return {"scenario": "compare-pictures", "constants": units, "compare_pictures": dict(
+            common, hamiltonian=hamiltonian, reference_temperature=1.3, mode=mode,
+            epsilon=0.0 if mode == "real_C" else -0.2)}
+
+    probes = [[3.0, 1.0, 0.0], [0.5, -2.25, 7.0]]
+    gravity = {"scenario": "gravity", "seed": seed, "gravity": {
+        "source": {"spacing": 0.5, "origin": [0.0, 0.0, 0.0], "shape": [3, 3, 3],
+                   "primitives": [{"kind": "point", "position": [0.75, 0.75, 0.75],
+                                   "mass": 2.0}]},
+        "probes": probes,
+        "region": {"shape": "ball", "center": [4.0, 0.75, 0.75], "radius": 0.5,
+                   "samples": 500},
+    }}
+    return [
+        ("evolve-h-hbar", evolve_h(), 9),
+        ("evolve-h-exact-hbar", evolve_h(epsilon_prime=0.3, mode="exact"), 9),
+        ("evolve-h-first-order-hbar", evolve_h(epsilon_prime=0.3, mode="first_order"), 9),
+        ("evolve-s-frozen-units", evolve_s(hamiltonian, temperature=1.7, strength=0.1), 9),
+        ("evolve-s-chart-units", evolve_s(hamiltonian, schedule="chart",
+                                          reference_temperature=1.3, epsilon=-0.2), 9),
+        ("evolve-s-shifted", evolve_s(shifted, temperature=0.8, strength=0.2), 9),
+        ("evolve-s-contraction", evolve_s(shifted, temperature=0.8, epsilon=0.15,
+                                          allow_antidissipative=True), 9),
+        ("compare-pictures-real-C", compare("real_C"), 1),
+        ("compare-pictures-frozen-S", compare("frozen_S"), 1),
+        ("compare-pictures-chart-S", compare("chart_S"), 1),
+        ("gravity-point", gravity, len(probes)),
+    ]
+
+
+def _scenario_runs(workloads, work: Path, seed: int) -> list:
+    """One operation per entry of ``scenario_configs(seed)``, its config written under ``work``."""
+    return [workloads.Operation(label, *_written(work, label, config["scenario"], config), rows)
+            for label, config, rows in scenario_configs(seed)]
+
+
 def artifacts(seeds) -> dict:
     """``{seed: {file name: sha256}}`` of each artifact of the bulk operations, per seed."""
     if str(PERFBENCH) not in sys.path:
@@ -221,6 +291,7 @@ def artifacts(seeds) -> dict:
         for seed in seeds:
             work = Path(scratch) / str(seed)
             ops = _with_big_copies(workloads.build("bulk-output-gravity", seed, work), work, seed)
+            ops += _scenario_runs(workloads, work, seed)
             files = {}
             for op in ops:
                 problems = op.check(main(op.argv))
