@@ -30,9 +30,7 @@ from .entropy_picture import (
 )
 from .fluctuations import (
     CanonicalPoint,
-    CovarianceReport,
     FluctuationSamples,
-    Statistic,
     SymplecticPatch,
     ThermoReference,
     boundary_action,
@@ -42,6 +40,7 @@ from .fluctuations import (
     gaussian_sample,
     log_probability,
     rectangle_patch,
+    standardized_deviations,
     streamed_covariance_report,
     symplectic_area,
     to_canonical,
@@ -56,10 +55,7 @@ from .gravity import (
     trace_potential,
 )
 from .onsager import (
-    EntropyRate,
     OnsagerSystem,
-    OnsagerTrajectory,
-    ReciprocityReport,
     entropy_rate,
     forces,
     reciprocity_check,

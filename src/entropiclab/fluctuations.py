@@ -22,9 +22,7 @@ from .seeding import BLOCK_SAMPLES, block_generator, block_ranges
 
 __all__ = [
     "CanonicalPoint",
-    "CovarianceReport",
     "FluctuationSamples",
-    "Statistic",
     "SymplecticPatch",
     "ThermoReference",
     "boundary_action",
@@ -34,6 +32,7 @@ __all__ = [
     "gaussian_sample",
     "log_probability",
     "rectangle_patch",
+    "standardized_deviations",
     "streamed_covariance_report",
     "symplectic_area",
     "to_canonical",
@@ -184,50 +183,26 @@ def gaussian_sample(
     return FluctuationSamples(dp, dV, dT, dS)
 
 
-@dataclass(frozen=True)
-class Statistic:
-    """Monte Carlo mean with its standard error."""
+# the cross-moments of a covariance report, in the order of _Moments' first
+# four quantities, and their sharp near-equilibrium values: <dS dT>/(kB T)
+# -> 1, <dp dV>/(kB T) -> -1, the dT-dV correlation -> 0, and <dS dtau>/kB
+# -> 1 with dtau = dT/T to first order
+_TARGETS = {
+    "ds_dt_over_kBT": 1.0,
+    "dp_dv_over_kBT": -1.0,
+    "dt_dv_correlation": 0.0,
+    "ds_dtau_over_kB": 1.0,
+}
 
-    mean: float
-    stderr: float
 
-    def standardized_deviation(self, target: float) -> float:
-        return abs(self.mean - target) / self.stderr if self.stderr > 0 else math.inf
-
-
-@dataclass(frozen=True)
-class CovarianceReport:
-    """Cross-moments of the ensemble in the combinations that have sharp
-    near-equilibrium values: <dS dT>/(kB T) -> 1, <dp dV>/(kB T) -> -1,
-    the dT-dV correlation -> 0, and <dS dtau>/kB -> 1 with dtau = dT/T to
-    first order."""
-
-    ds_dt_over_kBT: Statistic
-    dp_dv_over_kBT: Statistic
-    dt_dv_correlation: Statistic
-    ds_dtau_over_kB: Statistic
-    n: int
-
-    def standardized_deviations(self) -> dict:
-        """Each statistic's distance from its sharp value, in standard errors, by name."""
-        return {
-            "ds_dt_over_kBT": self.ds_dt_over_kBT.standardized_deviation(1.0),
-            "dp_dv_over_kBT": self.dp_dv_over_kBT.standardized_deviation(-1.0),
-            "dt_dv_correlation": self.dt_dv_correlation.standardized_deviation(0.0),
-            "ds_dtau_over_kB": self.ds_dtau_over_kB.standardized_deviation(1.0),
-        }
-
-    def to_dict(self) -> dict:
-        def stat(s: Statistic) -> dict:
-            return {"mean": s.mean, "stderr": s.stderr}
-
-        return {
-            "n": self.n,
-            "ds_dt_over_kBT": stat(self.ds_dt_over_kBT),
-            "dp_dv_over_kBT": stat(self.dp_dv_over_kBT),
-            "dt_dv_correlation": stat(self.dt_dv_correlation),
-            "ds_dtau_over_kB": stat(self.ds_dtau_over_kB),
-        }
+def standardized_deviations(report: dict) -> dict:
+    """Each statistic's distance |mean - target| from its sharp value, in standard
+    errors, by name; ``inf`` for a standard error of 0."""
+    deviations = {}
+    for name, target in _TARGETS.items():
+        mean, stderr = report[name]["mean"], report[name]["stderr"]
+        deviations[name] = abs(mean - target) / stderr if stderr > 0 else math.inf
+    return deviations
 
 
 # samples per group of the covariance moments: four sample blocks, as many
@@ -285,15 +260,16 @@ class _Moments:
         """The six sample standard deviations (ddof = 1)."""
         return np.sqrt(self.m2 / (self.count - 1))
 
-    def report(self) -> CovarianceReport:
+    def report(self) -> dict:
         std = self.std()
         # dT dV is reported as a correlation, in units of std(dT) std(dV)
         scale = np.array([1.0, 1.0, std[4] * std[5], 1.0])
         means = self.mean[:4] / scale
         stderrs = std[:4] / scale / math.sqrt(self.count)
-        ds_dt, dp_dv, dt_dv, ds_dtau = (Statistic(mean=float(mean), stderr=float(stderr))
-                                        for mean, stderr in zip(means, stderrs))
-        return CovarianceReport(ds_dt, dp_dv, dt_dv, ds_dtau, n=self.count)
+        report = {"n": self.count}
+        for name, mean, stderr in zip(_TARGETS, means, stderrs):
+            report[name] = {"mean": float(mean), "stderr": float(stderr)}
+        return report
 
 
 def _check_report_size(n: int) -> None:
@@ -305,11 +281,13 @@ def covariance_report(
     samples: FluctuationSamples,
     ref: ThermoReference,
     constants: Constants = NATURAL,
-) -> CovarianceReport:
+) -> dict:
     """Monte Carlo cross-moments with standard-error bars (needs >= 1000 samples).
 
-    The means and standard deviations are merged from groups of ``_GROUP``
-    samples, as ``streamed_covariance_report`` merges them.
+    Returns ``{"n": n, name: {"mean": m, "stderr": s}}`` with one entry per
+    statistic of ``_TARGETS``, in its order.  The means and standard
+    deviations are merged from groups of ``_GROUP`` samples, as
+    ``streamed_covariance_report`` merges them.
     """
     n = len(samples)
     _check_report_size(n)
@@ -336,7 +314,7 @@ def streamed_covariance_report(
     n: int,
     seed: int,
     constants: Constants = NATURAL,
-) -> CovarianceReport:
+) -> dict:
     """``covariance_report(gaussian_sample(ref, n, seed, constants), ref, constants)``,
     bit for bit, holding one group of ``_GROUP`` samples at a time."""
     _check_sample_count(n)

@@ -9,21 +9,18 @@ and flagged by the reciprocity check rather than rejected.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._grid import evolution_grid
 from .operators import _dots, _first, _frobenius
 
 MAX_CONDITION = 1e12
+RECIPROCITY_RTOL = 1e-12
 _TINY = np.finfo(float).tiny
 
 __all__ = [
-    "EntropyRate",
     "OnsagerSystem",
-    "OnsagerTrajectory",
-    "ReciprocityReport",
+    "RECIPROCITY_RTOL",
     "entropy_rate",
     "forces",
     "reciprocity_check",
@@ -105,11 +102,6 @@ class OnsagerSystem:
     def y0(self) -> np.ndarray:
         return self._y0
 
-    def entropy_offset(self, y) -> float:
-        """Entropy relative to equilibrium: -1/2 y.G.y (quadratic well)."""
-        y = self._coerce(y)
-        return float(-0.5 * y @ self._hessian @ y)
-
     def _coerce(self, y) -> np.ndarray:
         arr = np.asarray(y, dtype=float)
         if arr.shape != (self.dim,):
@@ -128,37 +120,6 @@ class OnsagerSystem:
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"bad system descriptor: {exc}") from exc
         return cls(L, G, y0)
-
-
-@dataclass(frozen=True)
-class OnsagerTrajectory:
-    """Relaxation history: coordinates and production rate per grid time."""
-
-    tprimes: np.ndarray
-    ys: np.ndarray
-    entropy_rates: np.ndarray
-
-    def __post_init__(self):
-        if not (len(self.tprimes) == len(self.ys) == len(self.entropy_rates)):
-            raise ValueError("trajectory fields must have equal lengths")
-
-
-@dataclass(frozen=True)
-class EntropyRate:
-    """The production rate written both ways; the two must agree to rounding."""
-
-    via_velocities: float
-    via_forces: float
-
-    def relative_gap(self) -> float:
-        """|velocity form - force form| over the larger of the two."""
-        return float(_relative_gaps(self.via_velocities, self.via_forces))
-
-
-@dataclass(frozen=True)
-class ReciprocityReport:
-    symmetric: bool
-    asymmetry_norm: float
 
 
 def _forces(hessian, ys):
@@ -186,12 +147,13 @@ def forces(system: OnsagerSystem, y) -> np.ndarray:
     return _forces(system.entropy_hessian, system._coerce(y))[:, 0]
 
 
-def entropy_rate(system: OnsagerSystem, y) -> EntropyRate:
-    """Production rate as velocity form (ydot.R.ydot) and force form (Y.L.Y)."""
+def entropy_rate(system: OnsagerSystem, y) -> tuple:
+    """Production rate as the floats ``(via_velocities, via_forces)``: the velocity
+    form ydot.R.ydot and the force form Y.L.Y, equal to rounding."""
     via_velocities, via_forces = _rate_forms(
         system.kinetic, system.resistance, forces(system, y)[:, None]
     )
-    return EntropyRate(via_velocities=float(via_velocities), via_forces=float(via_forces))
+    return float(via_velocities), float(via_forces)
 
 
 def _relaxations(kinetic, resistance, hessian, y0, grid):
@@ -231,12 +193,14 @@ def _relaxations(kinetic, resistance, hessian, y0, grid):
     return ys, rates
 
 
-def relax(system: OnsagerSystem, tprime_grid) -> OnsagerTrajectory:
+def relax(system: OnsagerSystem, tprime_grid) -> tuple:
     """Integrate ydot = -L G y exactly through the eigensystem of L G.
 
-    The whole grid is one stacked product, each point bit-identical to
-    evaluating it alone.  Coordinates or a production rate past the double
-    range raise ``OverflowError``.
+    Returns the read-only pair ``(ys, rates)``: coordinates ``(m, n)`` and
+    production rates ``(m,)`` at the ``m`` grid times.  The whole grid is
+    one stacked product, each point bit-identical to evaluating it alone.
+    Coordinates or a production rate past the double range raise
+    ``OverflowError``.
     """
     grid = evolution_grid(tprime_grid, "tprime_grid")
     ys, rates = _relaxations(
@@ -244,15 +208,14 @@ def relax(system: OnsagerSystem, tprime_grid) -> OnsagerTrajectory:
     )
     ys.setflags(write=False)
     rates.setflags(write=False)
-    return OnsagerTrajectory(tprimes=grid, ys=ys, entropy_rates=rates)
+    return ys, rates
 
 
-def reciprocity_check(kinetic) -> ReciprocityReport:
-    """Relative asymmetry of a kinetic matrix; symmetric means <= 1e-12."""
+def reciprocity_check(kinetic) -> float:
+    """Relative asymmetry |L - L^T| / |L| of a kinetic matrix (Frobenius norms);
+    the matrix is symmetric when it is at most ``RECIPROCITY_RTOL``."""
     L = np.asarray(kinetic, dtype=float)
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
         raise ValueError(f"kinetic matrix must be square, got shape {L.shape}")
-    scale = np.linalg.norm(L)
-    asymmetry = float(np.linalg.norm(L - L.T) / max(scale, _TINY))
-    return ReciprocityReport(symmetric=asymmetry <= 1e-12, asymmetry_norm=asymmetry)
+    return float(np.linalg.norm(L - L.T) / max(np.linalg.norm(L), _TINY))
 

@@ -20,7 +20,7 @@ from .constants import NATURAL, Constants
 HERMITICITY_RTOL = 1e-12
 RECONSTRUCTION_RTOL = 1e-10
 ORTHONORMALITY_ATOL = 1e-12
-UNIT_LABELS = ("energy", "entropy", "dimensionless")
+UNIT_LABELS = ("energy", "dimensionless")
 
 _TINY = np.finfo(float).tiny
 

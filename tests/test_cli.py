@@ -326,6 +326,11 @@ class TestScenarioRuns:
         assert first == [samples.dp[0], samples.dV[0], samples.dT[0], samples.dS[0]]
         record = json.loads((tmp_path / "samples.csv.record.json").read_text())
         assert record["outputs"]["n"] == 2000
+        statistics = {"ds_dt_over_kBT", "dp_dv_over_kBT", "dt_dv_correlation", "ds_dtau_over_kB"}
+        covariance = record["outputs"]["covariance"]
+        assert set(covariance) == {"n"} | statistics
+        assert covariance["n"] == 2000
+        assert all(set(covariance[name]) == {"mean", "stderr"} for name in statistics)
         assert {v["name"] for v in record["verdicts"]} == {
             "fluct-ds-dt", "fluct-dp-dv", "fluct-ds-dtau", "fluct-dt-dv-uncorrelated",
         }
@@ -1075,10 +1080,10 @@ def onsager_case():
                    "y0": [1.0, -0.4, 0.25]},
         "grid": {"start": 0.0, "stop": 3.0, "num": 13},
     }
-    trajectory = relax(OnsagerSystem.from_dict(block["system"]), grid_from(block["grid"]))
+    grid = grid_from(block["grid"])
+    ys, rates = relax(OnsagerSystem.from_dict(block["system"]), grid)
     header = ["step", "tprime", "entropy_rate", "y_0", "y_1", "y_2"]
-    columns = [np.arange(len(trajectory.tprimes)), trajectory.tprimes, trajectory.entropy_rates,
-               *trajectory.ys.T]
+    columns = [np.arange(len(grid)), grid, rates, *ys.T]
     return {"scenario": "onsager", "onsager": block}, header, columns
 
 

@@ -18,6 +18,7 @@ from entropiclab import (
     gaussian_sample,
     log_probability,
     rectangle_patch,
+    standardized_deviations,
     streamed_covariance_report,
     symplectic_area,
     to_canonical,
@@ -53,19 +54,19 @@ class TestGaussianSample:
     def test_entropy_temperature_moment(self):
         samples = gaussian_sample(REF, 10**6, seed=42)
         report = covariance_report(samples, REF)
-        assert abs(report.ds_dt_over_kBT.mean - 1.0) <= 0.01
-        assert report.ds_dt_over_kBT.standardized_deviation(1.0) <= 3.0
+        assert abs(report["ds_dt_over_kBT"]["mean"] - 1.0) <= 0.01
+        assert standardized_deviations(report)["ds_dt_over_kBT"] <= 3.0
 
     def test_pressure_volume_moment(self):
         samples = gaussian_sample(REF, 200000, seed=43)
         report = covariance_report(samples, REF)
-        assert report.dp_dv_over_kBT.standardized_deviation(-1.0) <= 3.0
+        assert standardized_deviations(report)["dp_dv_over_kBT"] <= 3.0
 
     def test_underlying_draws_uncorrelated(self):
         n = 200000
         samples = gaussian_sample(REF, n, seed=44)
-        corr = covariance_report(samples, REF).dt_dv_correlation
-        assert abs(corr.mean) <= 3.0 / math.sqrt(n)
+        corr = covariance_report(samples, REF)["dt_dv_correlation"]
+        assert abs(corr["mean"]) <= 3.0 / math.sqrt(n)
 
     def test_stability_sign_structure(self):
         samples = gaussian_sample(REF, 100000, seed=45)
@@ -101,20 +102,29 @@ class TestCovarianceReport:
     def test_error_bar_shrinks_with_n(self):
         small = covariance_report(gaussian_sample(REF, 1000, seed=2), REF)
         large = covariance_report(gaussian_sample(REF, 100000, seed=2), REF)
-        assert small.ds_dt_over_kBT.stderr > large.ds_dt_over_kBT.stderr
-        assert small.ds_dt_over_kBT.standardized_deviation(1.0) <= 3.0
+        assert small["ds_dt_over_kBT"]["stderr"] > large["ds_dt_over_kBT"]["stderr"]
+        assert standardized_deviations(small)["ds_dt_over_kBT"] <= 3.0
 
     def test_dtau_moment_tracks_dt_moment(self):
         report = covariance_report(gaussian_sample(REF, 50000, seed=3), REF)
-        assert abs(report.ds_dtau_over_kB.mean - report.ds_dt_over_kBT.mean) <= 1e-12
+        assert abs(report["ds_dtau_over_kB"]["mean"] - report["ds_dt_over_kBT"]["mean"]) <= 1e-12
 
     def test_json_shape(self):
         report = covariance_report(gaussian_sample(REF, 2000, seed=4), REF)
-        data = report.to_dict()
-        assert set(data) == {
+        assert list(report) == [
             "n", "ds_dt_over_kBT", "dp_dv_over_kBT", "dt_dv_correlation", "ds_dtau_over_kB",
+        ]
+        assert report["n"] == 2000
+        assert set(report["ds_dt_over_kBT"]) == {"mean", "stderr"}
+
+    def test_zero_standard_error_is_infinitely_far(self):
+        report = {name: {"mean": 0.5, "stderr": 0.0} for name in (
+            "ds_dt_over_kBT", "dp_dv_over_kBT", "dt_dv_correlation", "ds_dtau_over_kB")}
+        report["dp_dv_over_kBT"]["stderr"] = 0.25
+        assert standardized_deviations(report) == {
+            "ds_dt_over_kBT": math.inf, "dp_dv_over_kBT": 6.0,
+            "dt_dv_correlation": math.inf, "ds_dtau_over_kB": math.inf,
         }
-        assert set(data["ds_dt_over_kBT"]) == {"mean", "stderr"}
 
 
 class TestGroupMoments:

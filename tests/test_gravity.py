@@ -304,13 +304,16 @@ class TestBlockedKernel:
             "source = SourceDistribution(np.ones((64, 64, 64)), 1.0 / 64)\n"
             "region = RegionSpec.ball(center=[2.5, 0.5, 0.5], radius=0.4, samples=256)\n"
             "assert mean_h(source, region, seed=3) > 0.0\n"
-            "for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN):\n"
-            "    print(resource.getrusage(who).ru_maxrss)\n"
+            "with open('/proc/self/status') as status:\n"
+            "    print(next(line.split()[1] for line in status if line.startswith('VmHWM:')))\n"
+            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
         )
         result = subprocess.run([sys.executable, "-c", script], capture_output=True,
                                 text=True, env=cli_env(), check=True)
-        # 2^26 pairs: on two CPUs or more the sum runs in forked workers,
-        # whose peak the parent's own figure does not include
+        # the script's own peak is VmHWM: RUSAGE_SELF's ru_maxrss keeps the
+        # peak that the process had before exec, here that of pytest.  2^26
+        # pairs: on two CPUs or more the sum runs in forked workers, whose
+        # peak the script's own figure does not include.  Both are in kB.
         own, workers = (int(line) / 1024.0 for line in result.stdout.split())
         assert own < 200.0 and workers < 200.0
 

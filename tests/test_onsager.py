@@ -12,6 +12,7 @@ from entropiclab import (
     relax,
 )
 from entropiclab.config import system_from
+from entropiclab.onsager import RECIPROCITY_RTOL
 
 
 def random_spd_system(rng, n):
@@ -42,42 +43,44 @@ class TestRelax:
     def test_scalar_decay(self):
         system = OnsagerSystem([[1.0]], [[1.0]], [1.0])
         grid = np.linspace(0.0, 3.0, 7)
-        trajectory = relax(system, grid)
-        np.testing.assert_allclose(trajectory.ys[:, 0], np.exp(-grid), atol=1e-12)
+        ys, rates = relax(system, grid)
+        assert ys.shape == (7, 1) and rates.shape == (7,)
+        assert not ys.flags.writeable and not rates.flags.writeable
+        np.testing.assert_allclose(ys[:, 0], np.exp(-grid), atol=1e-12)
 
     def test_two_mode_decay_rates(self):
         # eigenmodes of [[2,1],[1,2]] are (1,1)/sqrt2 at rate 3 and (1,-1)/sqrt2 at rate 1
         system = OnsagerSystem([[2.0, 1.0], [1.0, 2.0]], np.eye(2), [1.0, 0.0])
         grid = np.linspace(0.0, 2.0, 5)
-        trajectory = relax(system, grid)
+        ys, _ = relax(system, grid)
         sym = 0.5 * np.exp(-3.0 * grid)
         anti = 0.5 * np.exp(-1.0 * grid)
-        np.testing.assert_allclose(trajectory.ys[:, 0], sym + anti, atol=1e-12)
-        np.testing.assert_allclose(trajectory.ys[:, 1], sym - anti, atol=1e-12)
+        np.testing.assert_allclose(ys[:, 0], sym + anti, atol=1e-12)
+        np.testing.assert_allclose(ys[:, 1], sym - anti, atol=1e-12)
 
     def test_asymmetric_kinetic_matrix_is_flagged_but_integrates(self):
         kinetic = np.array([[2.0, 1.0], [0.5, 2.0]])
-        report = reciprocity_check(kinetic)
-        assert not report.symmetric
+        assert reciprocity_check(kinetic) > RECIPROCITY_RTOL
         system = OnsagerSystem(kinetic, np.eye(2), [1.0, -0.5])
-        trajectory = relax(system, np.linspace(0.0, 2.0, 5))
-        assert np.all(np.isfinite(trajectory.ys))
-        assert np.linalg.norm(trajectory.ys[-1]) < np.linalg.norm(system.y0)
+        ys, _ = relax(system, np.linspace(0.0, 2.0, 5))
+        assert np.all(np.isfinite(ys))
+        assert np.linalg.norm(ys[-1]) < np.linalg.norm(system.y0)
 
     def test_decay_to_equilibrium(self):
         rng = np.random.default_rng(2)
         system = random_spd_system(rng, 5)
-        trajectory = relax(system, [0.0, 50.0])
-        assert np.linalg.norm(trajectory.ys[-1]) <= 1e-6 * np.linalg.norm(system.y0)
+        ys, _ = relax(system, [0.0, 50.0])
+        assert np.linalg.norm(ys[-1]) <= 1e-6 * np.linalg.norm(system.y0)
 
     def test_entropy_monotone_along_relaxation(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
             system = random_spd_system(rng, int(rng.integers(2, 7)))
-            trajectory = relax(system, np.linspace(0.0, 3.0, 13))
-            entropies = [system.entropy_offset(y) for y in trajectory.ys]
+            ys, rates = relax(system, np.linspace(0.0, 3.0, 13))
+            # entropy relative to equilibrium in the quadratic well: -1/2 y.G.y
+            entropies = [-0.5 * y @ system.entropy_hessian @ y for y in ys]
             assert np.all(np.diff(entropies) >= -1e-12)
-            assert np.all(trajectory.entropy_rates >= -1e-12)
+            assert np.all(rates >= -1e-12)
 
     def test_lyapunov_decay_bound(self):
         rng = np.random.default_rng(4)
@@ -85,52 +88,47 @@ class TestRelax:
         product = system.kinetic @ system.entropy_hessian
         slowest = float(np.linalg.eigvalsh((product + product.T) / 2.0)[0])
         grid = np.linspace(0.0, 2.0, 9)
-        trajectory = relax(system, grid)
+        ys, _ = relax(system, grid)
         bound = np.linalg.norm(system.y0) * np.exp(-slowest * grid)
-        assert np.all(np.linalg.norm(trajectory.ys, axis=1) <= bound * (1.0 + 1e-10))
+        assert np.all(np.linalg.norm(ys, axis=1) <= bound * (1.0 + 1e-10))
 
 
 class TestEntropyRate:
     def test_equilibrium_rates_vanish(self):
         system = OnsagerSystem(np.eye(3), np.eye(3), np.zeros(3))
-        rate = entropy_rate(system, np.zeros(3))
-        assert rate.via_velocities == 0.0
-        assert rate.via_forces == 0.0
+        assert entropy_rate(system, np.zeros(3)) == (0.0, 0.0)
 
     def test_scalar_algebra(self):
         # L = 2, G = 1, y = 1: ydot = -2, R = 1/2, both forms equal 2
         system = OnsagerSystem([[2.0]], [[1.0]], [1.0])
-        rate = entropy_rate(system, [1.0])
-        assert abs(rate.via_velocities - 2.0) <= 1e-14
-        assert abs(rate.via_forces - 2.0) <= 1e-14
+        via_velocities, via_forces = entropy_rate(system, [1.0])
+        assert abs(via_velocities - 2.0) <= 1e-14
+        assert abs(via_forces - 2.0) <= 1e-14
 
     def test_forms_agree_on_random_systems(self):
         rng = np.random.default_rng(5)
         for _ in range(30):
             system = random_spd_system(rng, 5)
             y = rng.standard_normal(5)
-            rate = entropy_rate(system, y)
-            scale = max(abs(rate.via_velocities), abs(rate.via_forces))
-            assert abs(rate.via_velocities - rate.via_forces) <= 1e-12 * scale
+            via_velocities, via_forces = entropy_rate(system, y)
+            scale = max(abs(via_velocities), abs(via_forces))
+            assert abs(via_velocities - via_forces) <= 1e-12 * scale
 
 
 class TestReciprocity:
     def test_symmetric_matrix(self):
-        report = reciprocity_check(np.array([[2.0, 0.5], [0.5, 1.0]]))
-        assert report.symmetric
-        assert report.asymmetry_norm == 0.0
+        assert reciprocity_check(np.array([[2.0, 0.5], [0.5, 1.0]])) == 0.0
 
     def test_upper_triangular_asymmetry(self):
         kinetic = np.array([[1.0, 1.0], [0.0, 1.0]])
-        report = reciprocity_check(kinetic)
-        assert not report.symmetric
-        assert abs(report.asymmetry_norm - math.sqrt(2.0) / np.linalg.norm(kinetic)) <= 1e-14
+        asymmetry = reciprocity_check(kinetic)
+        assert asymmetry > RECIPROCITY_RTOL
+        assert abs(asymmetry - math.sqrt(2.0) / np.linalg.norm(kinetic)) <= 1e-14
 
     def test_spd_construction_is_symmetric(self):
         rng = np.random.default_rng(7)
         a = rng.standard_normal((4, 4))
-        report = reciprocity_check(a @ a.T + 0.5 * np.eye(4))
-        assert report.symmetric
+        assert reciprocity_check(a @ a.T + 0.5 * np.eye(4)) <= RECIPROCITY_RTOL
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):

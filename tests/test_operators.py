@@ -79,9 +79,11 @@ class TestConstruction:
         with pytest.raises(ValueError, match="Hermitian"):
             HermitianOperator([[0.0, 1.0], [0.0, 0.0]])
 
-    def test_bad_unit_label(self):
+    @pytest.mark.parametrize("unit", ["joules", "entropy"])
+    def test_bad_unit_label(self, unit):
+        # no operator of the package carries entropy units: S0 = H / T is arrays
         with pytest.raises(ValueError, match="unit"):
-            HermitianOperator(np.eye(2), unit="joules")
+            HermitianOperator(np.eye(2), unit=unit)
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
