@@ -34,7 +34,6 @@ from .fluctuations import (
     SymplecticPatch,
     ThermoReference,
     boundary_action,
-    covariance_report,
     disk_patch,
     fourier_patch,
     gaussian_sample,

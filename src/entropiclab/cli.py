@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import os
@@ -38,12 +39,19 @@ from .config import (
     system_from,
     validate_config,
 )
-from .entropy_picture import entropy_operator, evolve_s, picture_consistency, weak_field_epsilon
+from .entropy_picture import (
+    _checked_grid,
+    _thermal_trajectory,
+    entropy_operator,
+    picture_consistency,
+    weak_field_epsilon,
+)
 from .energy_picture import evolve_h, evolve_h_perturbed, noether_energy_drift
 from .fluctuations import (
+    _GROUP,
+    _draw_group,
+    _Moments,
     boundary_action,
-    covariance_report,
-    gaussian_sample,
     standardized_deviations,
     symplectic_area,
 )
@@ -57,13 +65,17 @@ __all__ = ["main"]
 _NUMERICAL_ERRORS = (OverflowError, ArithmeticError, np.linalg.LinAlgError)
 
 
-# cells (rows × columns) per block that _csv_lines formats at a time.  On a
+_FLUCT_HEADER = ("dp", "dV", "dT", "dS")
+
+# cells (rows × columns) per block that _csv_lines makes at a time.  On a
 # 2-core x86-64 machine, the seed-7 bulk-output-gravity fluct and evolve-s
 # commands, called in process, took medians of 0.141 and 0.145 s at 2^16
 # cells per block, 0.147 and 0.160 s at 2^15, 0.161 and 0.156 s at 2^17
 # and 0.174 and 0.172 s at 2^18; formatted in process on one CPU, 0.185
-# and 0.156 s (11 interleaved calls each).
-_CSV_BLOCK_CELLS = 1 << 16
+# and 0.156 s (11 interleaved calls each).  2^16 cells are one covariance
+# moment group of fluct's four columns, so that a block of fluct's CSV
+# draws and summarizes whole groups, as the covariance report merges them.
+_CSV_BLOCK_CELLS = len(_FLUCT_HEADER) * _GROUP
 
 
 def _format_block(columns) -> str:
@@ -107,46 +119,109 @@ def _format_block(columns) -> str:
     return line.tobytes().translate(None, b"\0").decode("utf-8")
 
 
-def _csv_lines(header, *columns):
-    """CSV text, each line ending in CRLF: ``header``, then one row per index of ``columns``.
+class _RowRanges:
+    """The ranges ``(start, stop)`` of ``rows`` rows in steps of ``step``, made as they are read."""
+
+    def __init__(self, rows: int, step: int):
+        self._rows = rows
+        self._starts = range(0, rows, step)
+
+    def __len__(self) -> int:
+        return len(self._starts)
+
+    def __iter__(self):
+        step = self._starts.step
+        return ((start, min(start + step, self._rows)) for start in self._starts)
+
+
+def _csv_lines(header, producer, rows: int, merge=None):
+    """CSV text, each line ending in CRLF: ``header``, then the rows ``0..rows`` of ``producer``.
+
+    ``producer(start, stop)`` returns ``(text, summary)``: the lines of rows
+    ``start..stop``, joined, and whatever the caller wants to know of those
+    rows, which ``merge``, if given, takes in row order as each block's text
+    is taken.  ``_columns`` makes the producer of a table of whole columns.
+    The text is made lazily, as the writer takes it: the header line, then
+    one string per block of about ``_CSV_BLOCK_CELLS`` cells, a row being
+    ``len(header)`` cells, and at least one row per block.  The blocks run
+    through ``_fanout.ordered``, in forked workers on two CPUs or more; the
+    producer, with whatever it closes over, reaches the workers through the
+    fork, so a task sends only its row range and returns its text and
+    summary.  The blocks are taken in row order, so the text and the merged
+    summaries are the same at any CPU count.  Closing the generator shuts
+    the workers down.
+    """
+    step = max(1, _CSV_BLOCK_CELLS // max(1, len(header)))
+    yield ",".join(header) + "\r\n"
+    blocks = _fanout.ordered(producer, _RowRanges(rows, step), "CSV formatting")
+    with contextlib.closing(blocks):
+        for text, summary in blocks:
+            if merge is not None:
+                merge(summary)
+            yield text
+
+
+def _columns(*columns):
+    """``(producer, rows)`` of a table of equally long ``columns``, for ``_csv_lines``.
 
     A two-dimensional float column is a group of adjacent columns, one per
-    index of its second axis.
-
-    A numeric cell is the ``repr`` of a ``tolist()`` value, the shortest string
-    that reads back to the same double or integer: ``_shortest.cells``
-    computes it for floats, ``repr`` itself for integers.  A ``str`` cell is
-    written as it is.  No cell holds a comma, quote, line break or NUL, so
-    none is quoted.
-    The text is made lazily, as the writer takes it: the header line, then
-    one string per block of about ``_CSV_BLOCK_CELLS`` cells (at least one
-    row), formatted through ``_fanout.ordered``, in forked workers on two
-    CPUs or more.  The columns reach the workers through the fork, in the
-    task function's closure, so a task sends only its row range.  The
-    strings are yielded in row order, so the text is the same at any CPU
-    count.  Closing the generator shuts the workers down.
+    index of its second axis.  A numeric cell is the ``repr`` of a
+    ``tolist()`` value, the shortest string that reads back to the same
+    double or integer: ``_shortest.cells`` computes it for floats, ``repr``
+    itself for integers.  A ``str`` cell is written as it is.  No cell holds
+    a comma, quote, line break or NUL, so none is quoted.  The producer's
+    summary is ``None``.
     """
     arrays = [np.asarray(column) for column in columns]
-    rows = len(arrays[0]) if arrays else 0
-    cells = sum(a.shape[1] if a.ndim == 2 else 1 for a in arrays)
-    step = max(1, _CSV_BLOCK_CELLS // max(1, cells))
 
     def block(start, stop):
-        return _format_block([a[start:stop] for a in arrays])
+        return _format_block([a[start:stop] for a in arrays]), None
 
-    ranges = [(start, start + step) for start in range(0, rows, step)]
-    yield ",".join(header) + "\r\n"
-    yield from _fanout.ordered(block, ranges, "CSV formatting")
+    return block, len(arrays[0]) if arrays else 0
 
 
-def _trajectory_table(label: str, expect_label: str, trajectory):
-    dim = trajectory.amplitudes.shape[1]
+def _trajectory_header(label: str, expect_label: str, dim: int) -> list:
     header = ["step", label, "norm", expect_label]
-    header += [f"{part}_{k}" for k in range(dim) for part in ("re", "im")]
-    return _csv_lines(
-        header, np.arange(len(trajectory.grid)), trajectory.grid, trajectory.norms,
-        trajectory.expectations, trajectory.amplitudes.view(float),
-    )
+    return header + [f"{part}_{k}" for k in range(dim) for part in ("re", "im")]
+
+
+def _trajectory_columns(trajectory, first: int = 0) -> list:
+    """The CSV columns of a trajectory whose first grid point is step ``first``."""
+    return [np.arange(first, first + len(trajectory.grid)), trajectory.grid, trajectory.norms,
+            trajectory.expectations, trajectory.amplitudes.view(float)]
+
+
+class _NormFold:
+    """A trajectory's norms, folded block by block in grid order: the ``first`` and
+    ``last``, the largest distance ``wander`` from the first, and the largest step
+    ``against`` the branch of ``epsilon``, as ``monotonicity_violation`` takes it."""
+
+    def __init__(self, epsilon: float):
+        self.epsilon = epsilon
+        self.first = self.last = None
+        self.wander = self.against = 0.0
+
+    def merge(self, norms) -> None:
+        if self.first is None:
+            self.first = norms[0]
+        else:  # the step from the block before
+            norms = np.concatenate(([self.last], norms))
+        self.wander = max(self.wander, float(np.max(np.abs(norms - self.first))))
+        self.against = max(self.against, monotonicity_violation(norms, self.epsilon))
+        self.last = norms[-1]
+
+
+def _evolve_s_rows(psi0, generator, grid, epsilon, kB, schedule, start, stop):
+    """evolve-s's CSV rows ``start..stop``, made from the grid slice, and their norms."""
+    trajectory = _thermal_trajectory(psi0, generator, grid[start:stop], epsilon, kB, schedule)
+    return _format_block(_trajectory_columns(trajectory, start)), trajectory.norms
+
+
+def _fluct_rows(moments, seed, start, stop):
+    """fluct's CSV rows ``start..stop``, one moment group drawn from the seed's
+    sample blocks, and that group's ``(count, mean, M2)``."""
+    group = _draw_group(moments.ref, moments.constants, seed, start, stop)
+    return _format_block(list(group)), moments.of_group(*group)
 
 
 def _run_evolve_h(config: dict, base_dir: Path):
@@ -174,7 +249,9 @@ def _run_evolve_h(config: dict, base_dir: Path):
         verdicts.append(CheckResult.bounded("h-norm-preservation", norm_wander, 1e-12))
         e0 = abs(float(trajectory.expectations[0]))
         verdicts.append(CheckResult.bounded("h-energy-conservation", drift, 1e-10 * e0 + 1e-12))
-    return outputs, verdicts, _trajectory_table("t", "expect_H", trajectory)
+    table = _csv_lines(_trajectory_header("t", "expect_H", hamiltonian.dim),
+                       *_columns(*_trajectory_columns(trajectory)))
+    return table, lambda: (outputs, verdicts)
 
 
 def _epsilon_from(block: dict) -> float:
@@ -205,32 +282,46 @@ def _run_evolve_s(config: dict, base_dir: Path):
         if temperature is None:
             raise ConfigError("chart schedule needs reference_temperature")
     generator = entropy_operator(hamiltonian, temperature)
-    trajectory = evolve_s(
-        psi0, generator, grid, epsilon, constants,
-        schedule=schedule_kind, allow_antidissipative=allow,
-    )
-    outputs = {
-        "epsilon": float(epsilon),
-        "schedule": schedule_kind,
-        "final_norm": float(trajectory.norms[-1]),
-        "norm_ratio": float(trajectory.norms[-1] / trajectory.norms[0]),
-    }
-    verdicts = []
-    if epsilon == 0.0:
-        wander = float(np.max(np.abs(trajectory.norms - trajectory.norms[0])))
-        verdicts.append(CheckResult.bounded("s-unitary-norms", wander, 1e-12))
-    else:
-        bottom = float(spectral_decompose(hamiltonian)[0][0])
-        if bottom >= -1e-12:
-            name = "s-dilatation" if epsilon < 0 else "s-contraction"
-            violation = monotonicity_violation(trajectory.norms, epsilon)
-            verdicts.append(CheckResult.bounded(name, violation, 1e-12))
+    grid = _checked_grid(psi0, generator, grid, epsilon, schedule_kind, allow)
+    gap = None
     if schedule_kind == "frozen" and grid.size >= 2 and grid[-1] > 0:
-        # the one-shot leg ends at grid[-1]: half + (grid[-1] - half) is exact
+        # made before the workers fork, so that the fork stops the OpenBLAS
+        # threads it leaves spinning, not after the command; its error is
+        # raised only after the rows are made, since theirs comes first.  The
+        # one-shot leg ends at grid[-1]: half + (grid[-1] - half) is exact
         half = 0.5 * grid[-1]
-        gap = semigroup_gap(psi0, generator, half, grid[-1] - half, epsilon, constants)
-        verdicts.append(CheckResult.bounded("s-semigroup-composition", gap, 1e-10))
-    return outputs, verdicts, _trajectory_table("tau", "expect_S", trajectory)
+        try:
+            gap = semigroup_gap(psi0, generator, half, grid[-1] - half, epsilon, constants)
+        except (*_NUMERICAL_ERRORS, MemoryError, ValueError) as exc:
+            gap = exc
+    norms = _NormFold(epsilon)
+    producer = functools.partial(_evolve_s_rows, psi0, generator, grid, epsilon, constants.kB,
+                                 schedule_kind)
+    table = _csv_lines(_trajectory_header("tau", "expect_S", hamiltonian.dim), producer,
+                       len(grid), norms.merge)
+
+    def summary():
+        if isinstance(gap, Exception):
+            raise gap
+        outputs = {
+            "epsilon": float(epsilon),
+            "schedule": schedule_kind,
+            "final_norm": float(norms.last),
+            "norm_ratio": float(norms.last / norms.first),
+        }
+        verdicts = []
+        if epsilon == 0.0:
+            verdicts.append(CheckResult.bounded("s-unitary-norms", norms.wander, 1e-12))
+        else:
+            bottom = float(spectral_decompose(hamiltonian)[0][0])
+            if bottom >= -1e-12:
+                name = "s-dilatation" if epsilon < 0 else "s-contraction"
+                verdicts.append(CheckResult.bounded(name, norms.against, 1e-12))
+        if gap is not None:
+            verdicts.append(CheckResult.bounded("s-semigroup-composition", gap, 1e-10))
+        return outputs, verdicts
+
+    return table, summary
 
 
 def _run_compare_pictures(config: dict, base_dir: Path):
@@ -245,9 +336,9 @@ def _run_compare_pictures(config: dict, base_dir: Path):
         psi0, hamiltonian, block["reference_temperature"], mode, grid, epsilon, constants
     )
     outputs = {"mode": mode, "epsilon": float(epsilon), "max_deviation": float(deviation)}
-    table = _csv_lines(list(outputs), *([value] for value in outputs.values()))
+    table = _csv_lines(list(outputs), *_columns(*([value] for value in outputs.values())))
     verdicts = [CheckResult.bounded("picture-deviation", deviation, 1e-10)]
-    return outputs, verdicts, table
+    return table, lambda: (outputs, verdicts)
 
 
 def _run_gravity(config: dict, base_dir: Path):
@@ -256,7 +347,7 @@ def _run_gravity(config: dict, base_dir: Path):
     seed = config.get("seed", 0)
     probes = np.asarray(block.get("probes", []), dtype=float).reshape(-1, 3)
     potentials = trace_potential(source, probes)
-    table = _csv_lines(["x", "y", "z", "h"], *probes.T, potentials)
+    table = _csv_lines(["x", "y", "z", "h"], *_columns(*probes.T, potentials))
     outputs = {"total_mass": float(source.total_mass)}
     verdicts = []
     if potentials.size:
@@ -273,7 +364,7 @@ def _run_gravity(config: dict, base_dir: Path):
             source, block["laplacian"]["point"], block["laplacian"].get("step")
         )
         outputs["laplacian_residual"] = float(residual)
-    return outputs, verdicts, table
+    return table, lambda: (outputs, verdicts)
 
 
 def _run_onsager(config: dict, base_dir: Path):
@@ -283,7 +374,7 @@ def _run_onsager(config: dict, base_dir: Path):
     ys, rates = relax(system, grid)
     table = _csv_lines(
         ["step", "tprime", "entropy_rate"] + [f"y_{k}" for k in range(system.dim)],
-        np.arange(len(grid)), grid, rates, *ys.T,
+        *_columns(np.arange(len(grid)), grid, rates, *ys.T),
     )
     via_velocities, via_forces = entropy_rate(system, system.y0)
     asymmetry = reciprocity_check(system.kinetic)
@@ -300,30 +391,34 @@ def _run_onsager(config: dict, base_dir: Path):
         verdicts.append(
             CheckResult.bounded("entropy-rate-nonnegative", max(worst, 0.0), 1e-12)
         )
-    return outputs, verdicts, table
+    return table, lambda: (outputs, verdicts)
 
 
 def _run_fluct(config: dict, base_dir: Path):
     constants = constants_from(config)
     block = config["fluct"]
-    reference = reference_from(block["reference"])
-    samples = gaussian_sample(
-        reference, block["n"], seed=config.get("seed", 0), constants=constants
-    )
-    table = _csv_lines(["dp", "dV", "dT", "dS"], samples.dp, samples.dV, samples.dT, samples.dS)
-    outputs = {"n": len(samples)}
-    verdicts = []
-    if len(samples) >= 1000:
-        outputs["covariance"] = report = covariance_report(samples, reference, constants)
-        z = standardized_deviations(report)
-        for name, statistic in (
-            ("fluct-ds-dt", "ds_dt_over_kBT"),
-            ("fluct-dp-dv", "dp_dv_over_kBT"),
-            ("fluct-ds-dtau", "ds_dtau_over_kB"),
-            ("fluct-dt-dv-uncorrelated", "dt_dv_correlation"),
-        ):
-            verdicts.append(CheckResult.bounded(name, z[statistic], 3.0))
-    return outputs, verdicts, table
+    n = block["n"]
+    moments = _Moments(reference_from(block["reference"]), constants)
+    producer = functools.partial(_fluct_rows, moments, config.get("seed", 0))
+    table = _csv_lines(_FLUCT_HEADER, producer, n, moments.merge)
+
+    def summary():
+        outputs = {"n": n}
+        verdicts = []
+        if n >= 1000:
+            # covariance_report of the samples: the same groups, merged in order
+            outputs["covariance"] = report = moments.report()
+            z = standardized_deviations(report)
+            for name, statistic in (
+                ("fluct-ds-dt", "ds_dt_over_kBT"),
+                ("fluct-dp-dv", "dp_dv_over_kBT"),
+                ("fluct-ds-dtau", "ds_dtau_over_kB"),
+                ("fluct-dt-dv-uncorrelated", "dt_dv_correlation"),
+            ):
+                verdicts.append(CheckResult.bounded(name, z[statistic], 3.0))
+        return outputs, verdicts
+
+    return table, summary
 
 
 def _run_stokes(config: dict, base_dir: Path):
@@ -335,7 +430,7 @@ def _run_stokes(config: dict, base_dir: Path):
     gaps = np.abs(areas - circulations)
     table = _csv_lines(
         ["resolution", "area", "boundary_action", "abs_gap"],
-        resolutions, areas, circulations, gaps,
+        *_columns(resolutions, areas, circulations, gaps),
     )
     outputs = {"gaps": gaps.tolist()}
     verdicts = []
@@ -345,15 +440,15 @@ def _run_stokes(config: dict, base_dir: Path):
         verdicts.append(CheckResult("stokes-order", 1.9, order, order >= 1.9))
     else:  # the schema asks for at least one resolution
         verdicts.append(CheckResult.bounded("stokes-gap", float(max(gaps)), 1e-9))
-    return outputs, verdicts, table
+    return table, lambda: (outputs, verdicts)
 
 
 def _run_check_all(config: dict, base_dir: Path):
     results = run_all(seed=config.get("seed", 0))
     rows = [(result.name, float(result.tolerance), float(result.measured),
              str(bool(result.passed)).lower()) for result in results]
-    table = _csv_lines(["criterion", "tolerance", "measured", "passed"], *zip(*rows))
-    return {"criteria": [result.to_dict() for result in results]}, results, table
+    table = _csv_lines(["criterion", "tolerance", "measured", "passed"], *_columns(*zip(*rows)))
+    return table, lambda: ({"criteria": [result.to_dict() for result in results]}, results)
 
 
 _RUNNERS = {
@@ -413,30 +508,45 @@ def _write_record(path: Path, config: dict, outputs: dict, verdicts, wall_clock:
     _write_atomically(path, [text, "\n"])
 
 
-def _write_artifacts(csv_path: Path, table, record_path: Path, config, outputs, verdicts,
-                     wall_clock: float) -> int:
-    """Write the CSV, then its run record; 0 on success, 5 on an I/O failure,
-    3 when formatting or writing runs out of memory.
+def _write_artifacts(csv_path: Path, table, record_path: Path, config, summary,
+                     started: float) -> list:
+    """Write the CSV, then its run record; return the run's verdicts.
 
-    Each file appears only once it is complete, and a CSV whose record
-    could not be written is removed, so a failed write leaves neither a
-    partial artifact nor a data artifact without its record.
+    ``summary()`` gives the outputs and verdicts once the CSV is written,
+    since a table may make its rows, and their summary, as it is written.
+    The record's ``wall_clock_s`` runs from ``started`` until then.  Each
+    file appears only once it is complete, and a CSV whose record could not
+    be made or written is removed, so a failed run leaves neither a partial
+    artifact nor a data artifact without its record.
     """
+    _write_csv(csv_path, table)
     try:
-        _write_csv(csv_path, table)
-        try:
-            _write_record(record_path, config, outputs, verdicts, wall_clock)
-        except BaseException:
-            if csv_path.is_file():  # never a device such as /dev/null
-                csv_path.unlink()
-            raise
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return 5
-    except MemoryError as exc:
-        print(f"out of memory: {exc}", file=sys.stderr)
-        return 3
-    return 0
+        outputs, verdicts = summary()
+        _write_record(record_path, config, outputs, verdicts, time.perf_counter() - started)
+    except BaseException:
+        if csv_path.is_file():  # never a device such as /dev/null
+            csv_path.unlink()
+        raise
+    return verdicts
+
+
+# what a failed run prints and its exit code, by the exception it raised;
+# numerical errors first, since np.linalg.LinAlgError is itself a ValueError
+_FAILURES = (
+    (_NUMERICAL_ERRORS, "numerical failure", 3),
+    (MemoryError, "out of memory", 3),
+    (OSError, "io error", 5),
+    (ValueError, "config error", 2),
+)
+
+
+def _failure(exc: BaseException) -> int:
+    """Print the line of a run that raised ``exc`` to stderr; return its exit code."""
+    for kinds, label, code in _FAILURES:
+        if isinstance(exc, kinds):
+            print(f"{label}: {exc}", file=sys.stderr)
+            return code
+    raise exc
 
 
 def _verdict_table(results) -> str:
@@ -480,26 +590,21 @@ def _command(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
+    # a runner raises before its table is written, or its table and summary
+    # while they are made; an OSError is an artifact's only while writing
     started = time.perf_counter()
     try:
-        outputs, verdicts, table = _RUNNERS[args.command](config, base_dir)
-    # before ValueError: np.linalg.LinAlgError is itself a ValueError
-    except _NUMERICAL_ERRORS as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except MemoryError as exc:
-        print(f"out of memory: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    wall_clock = time.perf_counter() - started
-
-    code = _write_artifacts(
-        Path(out_path), table, Path(record_path), config, outputs, verdicts, wall_clock
-    )
-    if code or args.command != "check-all":
-        return code
+        table, summary = _RUNNERS[args.command](config, base_dir)
+    except (*_NUMERICAL_ERRORS, MemoryError, ValueError) as exc:
+        return _failure(exc)
+    try:
+        verdicts = _write_artifacts(
+            Path(out_path), table, Path(record_path), config, summary, started
+        )
+    except (*_NUMERICAL_ERRORS, MemoryError, OSError, ValueError) as exc:
+        return _failure(exc)
+    if args.command != "check-all":
+        return 0
     print(_verdict_table(verdicts))
     return 0 if all(result.passed for result in verdicts) else 4
 

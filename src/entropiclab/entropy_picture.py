@@ -122,7 +122,12 @@ def evolve_s(
     needed to test the contraction property but describes no physical
     dissipation.
     """
-    entries, eigenvalues, eigenvectors = generator
+    grid = _checked_grid(psi0, generator, tau_grid, epsilon, schedule, allow_antidissipative)
+    return _thermal_trajectory(psi0, generator, grid, epsilon, constants.kB, schedule)
+
+
+def _checked_grid(psi0, generator, tau_grid, epsilon, schedule, allow_antidissipative):
+    """``evolve_s``'s checks of its arguments; the grid as an array."""
     if schedule not in ("frozen", "chart"):
         raise ValueError(f"unknown schedule {schedule!r}; expected frozen or chart")
     grid = evolution_grid(tau_grid, "tau_grid")
@@ -135,12 +140,20 @@ def evolve_s(
         )
     if psi0.norm() == 0.0:
         raise ValueError("initial state must be nonzero")
-    if psi0.dim != len(entries):
-        raise ValueError(f"dimension mismatch: operator {len(entries)} vs state {psi0.dim}")
+    if psi0.dim != len(generator[0]):
+        raise ValueError(f"dimension mismatch: operator {len(generator[0])} vs state {psi0.dim}")
+    return grid
 
+
+def _thermal_trajectory(psi0, generator, grid, epsilon, kB, schedule) -> Trajectory:
+    """``evolve_s`` over ``grid``, a checked grid or a slice of one.
+
+    Each row depends only on its own grid point, so the rows of a slice are
+    those of the whole grid bit for bit.
+    """
+    entries, eigenvalues, eigenvectors = generator
     elapsed = grid if schedule == "frozen" else -np.expm1(-grid)
-    amplitudes = _thermal_rows(eigenvalues, eigenvectors, psi0.amplitudes, elapsed, epsilon,
-                               constants.kB)
+    amplitudes = _thermal_rows(eigenvalues, eigenvectors, psi0.amplitudes, elapsed, epsilon, kB)
     trajectory = Trajectory.from_amplitudes(grid, amplitudes, entries)
     if schedule == "frozen":
         return trajectory

@@ -205,11 +205,11 @@ def standardized_deviations(report: dict) -> dict:
     return deviations
 
 
-# samples per group of the covariance moments: four sample blocks, as many
-# rows as a block of fluct's CSV.  The seed-7 criterion's report (1e6
-# samples) took a median of 36.6 ms in process at four blocks and at two,
-# 37.7 at eight, 40.0 at one and 39.9 at sixteen (15 interleaved calls,
-# 2-core x86-64).
+# samples per group of the covariance moments: four sample blocks, and the
+# rows of a block of fluct's CSV, which cli derives from it.  The seed-7
+# criterion's report (1e6 samples) took a median of 36.6 ms in process at
+# four blocks and at two, 37.7 at eight, 40.0 at one and 39.9 at sixteen
+# (15 interleaved calls, 2-core x86-64).
 _GROUP = 4 * BLOCK_SAMPLES
 
 
@@ -217,15 +217,15 @@ class _Moments:
     """Count, mean and M2 (the sum of squared deviations) of six quantities of
     the samples: dS dT/(kB T), dp dV/(kB T), dT dV, dS (dT/T)/kB, dT and dV.
 
-    ``add`` takes one group of samples at a time.  Within a group the mean
-    and M2 come from two passes over the group; across groups they are
-    merged in group order with the pairwise update of Chan, Golub & LeVeque
-    (Am. Stat. 37, 1983), so the whole columns are never needed.
+    ``of_group`` takes the mean and M2 of one group of samples in two
+    passes over it, and ``merge`` merges the groups in group order with the
+    pairwise update of Chan, Golub & LeVeque (Am. Stat. 37, 1983), so the
+    whole columns are never needed.
     """
 
     def __init__(self, ref: ThermoReference, constants: Constants):
-        self._ref = ref
-        self._constants = constants
+        self.ref = ref
+        self.constants = constants
         self._quantities = np.empty((6, _GROUP))
         self.count = 0
         self.mean = np.zeros(6)
@@ -233,23 +233,28 @@ class _Moments:
 
     def quantities(self, dp, dV, dT, dS, out):
         """The six quantities of the samples, as the rows of ``out``."""
-        kbt = self._constants.kB * self._ref.temperature
+        kbt = self.constants.kB * self.ref.temperature
         np.divide(np.multiply(dS, dT, out=out[0]), kbt, out=out[0])
         np.divide(np.multiply(dp, dV, out=out[1]), kbt, out=out[1])
         np.multiply(dT, dV, out=out[2])
-        np.divide(dT, self._ref.temperature, out=out[3])
-        np.divide(np.multiply(dS, out[3], out=out[3]), self._constants.kB, out=out[3])
+        np.divide(dT, self.ref.temperature, out=out[3])
+        np.divide(np.multiply(dS, out[3], out=out[3]), self.constants.kB, out=out[3])
         out[4] = dT
         out[5] = dV
         return out
 
-    def add(self, dp, dV, dT, dS) -> None:
-        """Merge one group of samples."""
+    def of_group(self, dp, dV, dT, dS) -> tuple:
+        """``(count, mean, M2)`` of one group of samples, in two passes over it;
+        nothing is merged, and a forked worker may call it for the parent."""
         size = dT.size
         deviations = self.quantities(dp, dV, dT, dS, self._quantities[:, :size])
         mean = deviations.sum(axis=1) / size
         deviations -= mean[:, None]
-        m2 = np.square(deviations, out=deviations).sum(axis=1)
+        return size, mean, np.square(deviations, out=deviations).sum(axis=1)
+
+    def merge(self, group: tuple) -> None:
+        """Merge one group's ``(count, mean, M2)``, as ``of_group`` gives it."""
+        size, mean, m2 = group
         total = self.count + size
         delta = mean - self.mean
         self.mean = self.mean + delta * (size / total)
@@ -294,18 +299,33 @@ def covariance_report(
     moments = _Moments(ref, constants)
     columns = (samples.dp, samples.dV, samples.dT, samples.dS)
     for start in range(0, n, _GROUP):
-        moments.add(*(column[start:start + _GROUP] for column in columns))
+        moments.merge(moments.of_group(*(column[start:start + _GROUP] for column in columns)))
     return moments.report()
+
+
+def _draw_group(ref, constants, seed, start, stop, out=None):
+    """Samples ``start``..``stop`` of ``gaussian_sample``'s stream as the rows dp, dV,
+    dT, dS of ``out[:, :stop - start]`` (a new array if ``out`` is None).
+
+    ``start`` is a multiple of ``BLOCK_SAMPLES``, and ``stop`` is one too or
+    the end of the stream, so each sample block is drawn by ``_fill_block``
+    as ``gaussian_sample`` draws it.  A sample past the double range raises
+    ``ValueError``.
+    """
+    group = np.empty((4, stop - start)) if out is None else out[:, :stop - start]
+    for block, begin, end in block_ranges(stop - start):
+        _fill_block(ref, constants, seed, start // BLOCK_SAMPLES + block, begin, end, *group)
+    if not np.isfinite(group).all():
+        raise ValueError("samples must be finite")
+    return group
 
 
 def _streamed_moments(ref, n, seed, constants) -> _Moments:
     moments = _Moments(ref, constants)
-    group = np.empty((4, _GROUP))
+    buffer = np.empty((4, _GROUP))
     for start in range(0, n, _GROUP):
-        size = min(_GROUP, n - start)
-        for block, begin, stop in block_ranges(size):
-            _fill_block(ref, constants, seed, start // BLOCK_SAMPLES + block, begin, stop, *group)
-        moments.add(*group[:, :size])
+        group = _draw_group(ref, constants, seed, start, min(start + _GROUP, n), buffer)
+        moments.merge(moments.of_group(*group))
     return moments
 
 

@@ -669,7 +669,8 @@ class TestFailureModes:
         assert multiprocessing.active_children() == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
         # the writer closes the table itself, while its caller still holds it
-        table = cli_module._csv_lines(["x", "y"], np.arange(40), np.arange(40.0))
+        columns = cli_module._columns(np.arange(40), np.arange(40.0))
+        table = cli_module._csv_lines(["x", "y"], *columns)
         with pytest.raises(OSError):
             cli_module._write_atomically(tmp_path / "part.csv", table)
         assert multiprocessing.active_children() == []
@@ -796,7 +797,8 @@ class TestFailureModes:
         def exhausted(*args, **kwargs):
             raise MemoryError("Unable to allocate 29.1 TiB")
 
-        monkeypatch.setattr(cli_module, "gaussian_sample", exhausted)
+        # fluct's producer runs as its CSV is written, block by block
+        monkeypatch.setattr(cli_module, "_fluct_rows", exhausted)
         monkeypatch.setattr(cli_module, "run_all", exhausted)
         config = write_config(tmp_path / "cfg.json", {
             "scenario": "fluct",
@@ -1236,7 +1238,7 @@ class TestCsvFormat:
         expected = csv_writer_text(header, [*columns[:2], *group.T, *columns[3:]]).encode("utf-8")
         for cpus in (1, 2):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-            text = "".join(cli_module._csv_lines(header, *columns))
+            text = "".join(cli_module._csv_lines(header, *cli_module._columns(*columns)))
             assert text.encode("utf-8") == expected, f"{cpus} CPU(s)"
 
     def test_wide_table_is_cut_into_blocks(self, monkeypatch):
@@ -1255,7 +1257,7 @@ class TestCsvFormat:
         rng = np.random.default_rng(3)
         columns = list(rng.standard_normal((1_200, 120)))
         header = [f"c{k}" for k in range(len(columns))]
-        text = "".join(cli_module._csv_lines(header, *columns))
+        text = "".join(cli_module._csv_lines(header, *cli_module._columns(*columns)))
         assert len(blocks) > 1 and sum(blocks) == 120
         assert max(blocks) * len(columns) <= cli_module._CSV_BLOCK_CELLS
         assert text.encode("utf-8") == csv_writer_text(header, columns).encode("utf-8")
@@ -1265,9 +1267,10 @@ class TestCsvFormat:
 
         import entropiclab.cli as cli_module
 
-        monkeypatch.setattr(cli_module, "_CSV_BLOCK_CELLS", 1_000)
+        # a block per row; fluct's blocks are its moment groups and cannot shrink
+        monkeypatch.setattr(cli_module, "_CSV_BLOCK_CELLS", 8)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        out, header, columns = run_case(tmp_path, fluct_case)
+        out, header, columns = run_case(tmp_path, lambda: evolve_s_case("chart"))
         assert out.read_bytes() == csv_writer_text(header, columns).encode("utf-8")
         assert multiprocessing.active_children() == []
         assert not list(tmp_path.glob("*.tmp"))
@@ -1426,3 +1429,125 @@ class TestConfigLoading:
         })
         out = tmp_path / "samples.csv"
         assert main(["fluct", "--config", config, "--out", str(out)]) == 0
+
+
+EDGE_REFERENCE = {"preset": "ideal_gas", "pressure": 1.3, "volume": 0.7, "temperature": 1.1}
+TWO_LEVEL = {"kind": "two_level", "e0": 0.0, "e1": 1.0}
+
+
+def edge_evolve_s(schedule, points, stop=4.0, epsilon=-0.2):
+    block = {"hamiltonian": TWO_LEVEL, "state": {"kind": "random", "seed": 4},
+             "grid": {"start": 0.0, "stop": stop, "num": points}, "epsilon": epsilon,
+             "schedule": schedule}
+    block["temperature" if schedule == "frozen" else "reference_temperature"] = 1.3
+    return {"scenario": "evolve-s", "constants": {"kB": 1.3}, "evolve_s": block}
+
+
+def memory_peaks(tmp_path, config):
+    """``(own, workers)`` peak RSS in MB of a fresh interpreter running ``config``."""
+    path = write_config(tmp_path / "cfg.json", config)
+    script = textwrap.dedent(f"""\
+        import resource
+        from entropiclab.cli import main
+        assert main([{config["scenario"]!r}, "--config", {path!r},
+                     "--out", {str(tmp_path / "o.csv")!r}]) == 0
+        with open("/proc/self/status") as status:
+            print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+        print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+    """)
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env=cli_env(), check=True)
+    # VmHWM, since RUSAGE_SELF keeps the peak from before exec; both in kB
+    own, workers = (int(line) / 1024.0 for line in result.stdout.split())
+    return own, workers
+
+
+class TestBlockProducers:
+    """fluct and evolve-s make their rows block by block as the CSV is written,
+    with the bytes of the whole-column reference at every CPU count."""
+
+    @staticmethod
+    def runs(tmp_path, monkeypatch, config):
+        """``(CSV bytes, record without wall_clock_s)`` at one CPU and at two."""
+        found = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
+            path = write_config(tmp_path / f"cfg{cpus}.json", config)
+            out = tmp_path / f"out{cpus}.csv"
+            assert main([config["scenario"], "--config", path, "--out", str(out)]) == 0
+            record = json.loads((tmp_path / f"out{cpus}.csv.record.json").read_text())
+            del record["wall_clock_s"], record["config"]
+            found.append((out.read_bytes(), record))
+        assert found[0] == found[1]
+        return found[0]
+
+    def test_fluct_blocks_are_the_whole_columns(self, tmp_path, monkeypatch):
+        import entropiclab.cli as cli_module
+        from entropiclab.fluctuations import covariance_report
+
+        # three CSV blocks (moment groups) and part of a fourth, which ends
+        # in part of a sample block
+        n = 50_001
+        config = {"scenario": "fluct", "seed": 8, "constants": {"kB": 1.3},
+                  "fluct": {"reference": EDGE_REFERENCE, "n": n}}
+        data, record = self.runs(tmp_path, monkeypatch, config)
+        reference, constants = ThermoReference.ideal_gas(1.3, 0.7, 1.1), Constants(kB=1.3)
+        samples = gaussian_sample(reference, n, seed=8, constants=constants)
+        columns = cli_module._columns(samples.dp, samples.dV, samples.dT, samples.dS)
+        expected = "".join(cli_module._csv_lines(["dp", "dV", "dT", "dS"], *columns))
+        assert data == expected.encode("utf-8")
+        assert record["outputs"]["covariance"] == covariance_report(samples, reference, constants)
+        assert record["outputs"]["n"] == n and len(record["verdicts"]) == 4
+
+    @pytest.mark.parametrize("schedule", ["frozen", "chart"])
+    def test_evolve_s_blocks_are_the_whole_trajectory(self, tmp_path, monkeypatch, schedule):
+        import entropiclab.cli as cli_module
+        from entropiclab.suite import monotonicity_violation
+
+        # two CSV blocks of 8,192 two-level rows and part of a third
+        config = edge_evolve_s(schedule, 20_001)
+        data, record = self.runs(tmp_path, monkeypatch, config)
+        constants = Constants(kB=1.3)
+        hamiltonian = hamiltonian_from(TWO_LEVEL, constants)
+        trajectory = evolve_s(
+            state_from({"kind": "random", "seed": 4}, 2), entropy_operator(hamiltonian, 1.3),
+            grid_from(config["evolve_s"]["grid"]), -0.2, constants, schedule=schedule,
+        )
+        columns = cli_module._columns(*cli_module._trajectory_columns(trajectory))
+        header = cli_module._trajectory_header("tau", "expect_S", 2)
+        assert data == "".join(cli_module._csv_lines(header, *columns)).encode("utf-8")
+        norms = trajectory.norms
+        assert record["outputs"]["final_norm"] == float(norms[-1])
+        assert record["outputs"]["norm_ratio"] == float(norms[-1] / norms[0])
+        dilatation = record["verdicts"][0]
+        assert dilatation["name"] == "s-dilatation"
+        assert dilatation["measured"] == monotonicity_violation(norms, -0.2)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="workers need fork")
+    def test_overflow_in_a_later_block_exits_3(self, tmp_path, monkeypatch, capsys):
+        import multiprocessing
+
+        # the excited amplitude grows as exp(tau / 1.3^2), so the squared norm
+        # passes the double range near tau = 600, in row 12,006, which lies in
+        # the second block of 8,192 rows
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        config = write_config(tmp_path / "cfg.json",
+                              edge_evolve_s("frozen", 20_001, stop=1000.0, epsilon=-1.0))
+        assert main(["evolve-s", "--config", config, "--out", str(tmp_path / "o.csv")]) == 3
+        assert "numerical failure: the evolved state" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_evolve_s_memory_is_bounded_by_the_block(self, tmp_path):
+        # a million two-level rows: whole columns peaked at about 200 MB in the
+        # command's process and 183 MB in a worker; blocks at about 58 and 47 MB
+        own, workers = memory_peaks(tmp_path, edge_evolve_s("frozen", 10**6, stop=1.0))
+        assert own < 150.0 and workers < 150.0
+
+    def test_fluct_memory_is_bounded_by_the_block(self, tmp_path):
+        # 2e6 samples: whole columns peaked at about 110 MB in the command's
+        # process and 97 MB in a worker; blocks at about 48 and 41 MB
+        config = {"scenario": "fluct", "seed": 2, "fluct": {"reference": IDEAL_GAS, "n": 2 * 10**6}}
+        own, workers = memory_peaks(tmp_path, config)
+        assert own < 80.0 and workers < 80.0

@@ -12,7 +12,6 @@ from entropiclab import (
     SymplecticPatch,
     ThermoReference,
     boundary_action,
-    covariance_report,
     disk_patch,
     fourier_patch,
     gaussian_sample,
@@ -25,6 +24,7 @@ from entropiclab import (
     two_plane_patch,
 )
 from entropiclab.cli import main
+from entropiclab.fluctuations import covariance_report
 from entropiclab.suite import check_fluctuation_covariance
 
 REF = ThermoReference.ideal_gas(1.0, 1.0, 1.0)

@@ -1,4 +1,3 @@
-import concurrent.futures
 import json
 import math
 import os
@@ -362,17 +361,17 @@ class TestRowSplit:
         assert cells == 328 and gravity._row_step(cells) == 399
         expected = self.results(source)
         pools, whats = [], []
-        executor, ordered = concurrent.futures.ProcessPoolExecutor, _fanout.ordered
+        fork, ordered = _fanout._fork, _fanout.ordered
 
-        def counted_pool(count, **kwargs):
+        def counted_pool(function, count):
             pools.append(count)
-            return executor(count, **kwargs)
+            return fork(function, count)
 
         def counted_ordered(function, tasks, what):
             whats.append(what)
             return ordered(function, tasks, what)
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted_pool)
+        monkeypatch.setattr(_fanout, "_fork", counted_pool)
         monkeypatch.setattr(_fanout, "ordered", counted_ordered)
         monkeypatch.setattr(gravity, "_FORK_PAIRS", 1)
         monkeypatch.setattr(gravity, "_TASK_PAIRS", 1)

@@ -19,7 +19,10 @@ row ranges that run in forked workers, and adds the small scenario runs of
 kB = 1.3``, all three ``compare-pictures`` modes, a ``gravity`` whose
 record holds a weak-field epsilon, an ``onsager`` of a symmetric system
 given as flat lists and one of an asymmetric system given as nested rows,
-and a ``stokes`` over three resolutions.  It runs each operation through
+a ``stokes`` over three resolutions, and the runs that cross CSV block
+edges: a ``fluct`` of ``EDGE_SAMPLES`` samples under ``kB = 1.3`` and a
+two-level ``evolve-s`` of ``EDGE_POINTS`` points on each schedule.  It runs
+each operation through
 ``cli.main`` in process and records the sha256 of every CSV and of every
 run record without its ``wall_clock_s``.  Run either once per checkout,
 with that checkout's ``src`` first on ``PYTHONPATH``, and ``diff`` the two
@@ -57,6 +60,12 @@ BIG_FLUCT = 1_000_000
 BIG_GRAVITY_PROBES = 1_000
 # three whole sample blocks of seeding.BLOCK_SAMPLES and one sample more
 BIG_GRAVITY_SAMPLES = 3 * 4_096 + 1
+# three whole CSV blocks of fluct (moment groups of 16,384 samples) and part
+# of a fourth, which ends in part of a sample block
+EDGE_SAMPLES = 50_001
+# two whole CSV blocks of a two-level evolve-s (8,192 rows of 8 cells) and
+# part of a third
+EDGE_POINTS = 20_001
 MOMENTS_TOLERANCE = 1e-12
 # the quantities of fluctuations._Moments, in its order
 QUANTITIES = ("dS dT/(kB T)", "dp dV/(kB T)", "dT dV", "dS (dT/T)/kB", "dT", "dV")
@@ -231,6 +240,8 @@ def scenario_configs(seed: int) -> list:
     and every ``compare-pictures`` mode.  The ``onsager`` systems are drawn
     from the seed: the symmetric one's record holds the production-rate
     verdict, and the asymmetric one's kinetic matrix is flagged instead.
+    The edge runs end in part of a CSV block, after whole ones, so that
+    the blocks' producers meet at their edges.
     """
     import numpy as np
 
@@ -283,6 +294,11 @@ def scenario_configs(seed: int) -> list:
     resolutions = [16, 32, 64]
     stokes = {"scenario": "stokes", "stokes": {"patch": {"kind": "fourier", "seed": 4},
                                                "resolutions": resolutions}}
+    fluct = {"scenario": "fluct", "seed": seed, "constants": {"kB": 1.3}, "fluct": {
+        "reference": {"preset": "ideal_gas", "pressure": 1.3, "volume": 0.7, "temperature": 1.1},
+        "n": EDGE_SAMPLES}}
+    two_level = {"kind": "two_level", "e0": 0.0, "e1": 1.0}
+    long_grid = {"start": 0.0, "stop": 4.0, "num": EDGE_POINTS}
     return [
         ("evolve-h-hbar", evolve_h(), 9),
         ("evolve-h-exact-hbar", evolve_h(epsilon_prime=0.3, mode="exact"), 9),
@@ -300,6 +316,11 @@ def scenario_configs(seed: int) -> list:
         ("onsager-symmetric-flat", onsager(3, 31, symmetric=True), 31),
         ("onsager-asymmetric-rows", onsager(2, 4, symmetric=False), 4),
         ("stokes-fourier", stokes, len(resolutions)),
+        ("fluct-edges", fluct, EDGE_SAMPLES),
+        ("evolve-s-frozen-edges", evolve_s(two_level, grid=long_grid, temperature=1.7,
+                                           strength=0.1), EDGE_POINTS),
+        ("evolve-s-chart-edges", evolve_s(two_level, grid=long_grid, schedule="chart",
+                                          reference_temperature=1.3, epsilon=-0.2), EDGE_POINTS),
     ]
 
 
