@@ -145,9 +145,9 @@ def ordered(function, tasks, what: str):
 
     With fewer than 2 ``_workers(len(tasks))``, the tasks run in process, one
     as each result is taken.  Otherwise that many workers are forked when the
-    first result is taken, and each task goes to the worker with the fewest
-    in flight, at most ``_DEPTH`` tasks per worker in all; ``tasks`` is read
-    only as they are sent.  The results are received in the calling thread,
+    first result is taken, and task ``i`` goes to worker ``i mod count``, with
+    at most ``_DEPTH`` tasks per worker in flight; ``tasks`` is read only as
+    they are sent.  The results are received in the calling thread,
     in task order, one as each is taken, so a finished task's result waits
     in its worker's pipe rather than in this process, and this process runs
     no thread of its own for the pool.
@@ -190,15 +190,16 @@ def _stop(workers: dict) -> None:
 
 def _results(workers: dict, tasks, what: str):
     """``ordered``'s results from ``workers``, as ``_fork`` gives them."""
-    load = dict.fromkeys(workers, 0)  # tasks in flight per worker
+    # results are received in task order, so a round-robin deal refills the
+    # worker whose result was just taken: each keeps _DEPTH tasks in flight
+    rotation = itertools.cycle(workers)
     owners = collections.deque()  # the worker of each task in flight, in task order
     pending = iter(tasks)
     while True:
         try:
             for task in itertools.islice(pending, _DEPTH * len(workers) - len(owners)):
-                connection = min(load, key=load.get)
+                connection = next(rotation)
                 connection.send(task)
-                load[connection] += 1
                 owners.append(connection)
             if not owners:
                 return
@@ -208,7 +209,6 @@ def _results(workers: dict, tasks, what: str):
             process = workers[connection]
             process.join()
             raise MemoryError(f"a {what} worker died (exit code {process.exitcode})") from exc
-        load[connection] -= 1
         if not succeeded:
             raise value
         yield value

@@ -282,16 +282,17 @@ def _run_evolve_s(config: dict, base_dir: Path):
         if temperature is None:
             raise ConfigError("chart schedule needs reference_temperature")
     generator = entropy_operator(hamiltonian, temperature)
-    grid = _checked_grid(psi0, generator, grid, epsilon, schedule_kind, allow)
+    grid = _checked_grid(psi0, grid, epsilon, schedule_kind, allow)
     gap = None
-    if schedule_kind == "frozen" and grid.size >= 2 and grid[-1] > 0:
+    if schedule_kind == "frozen" and grid.size >= 2:
         # made before the workers fork, so that the fork stops the OpenBLAS
         # threads it leaves spinning, not after the command; its error is
         # raised only after the rows are made, since theirs comes first.  The
         # one-shot leg ends at grid[-1]: half + (grid[-1] - half) is exact
         half = 0.5 * grid[-1]
         try:
-            gap = semigroup_gap(psi0, generator, half, grid[-1] - half, epsilon, constants)
+            gap = float(semigroup_gap(*generator[1:], psi0.amplitudes, half, grid[-1] - half,
+                                      epsilon, constants.kB))
         except (*_NUMERICAL_ERRORS, MemoryError, ValueError) as exc:
             gap = exc
     norms = _NormFold(epsilon)

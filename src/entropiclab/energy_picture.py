@@ -12,7 +12,7 @@ import numpy as np
 
 from ._grid import evolution_grid
 from .constants import NATURAL, Constants
-from .operators import HermitianOperator, StateVector, Trajectory, exponential_rows
+from .operators import HermitianOperator, StateVector, Trajectory, _evolve, spectral_decompose
 
 __all__ = [
     "evolve_h",
@@ -33,7 +33,9 @@ def evolve_h(
     exactly from the eigensystem, so norms and energy averages are
     conserved to rounding.
     """
-    return _evolve(psi0, hamiltonian, t_grid, lambda grid: -1j * (grid / constants.hbar))
+    grid = _checked_grid(psi0, t_grid)
+    return _evolve(psi0, (hamiltonian.entries, *spectral_decompose(hamiltonian)), grid,
+                   -1j * (grid / constants.hbar))
 
 
 def evolve_h_perturbed(
@@ -59,17 +61,17 @@ def evolve_h_perturbed(
         raise ValueError(f"mode must be 'exact' or 'first_order', got {mode!r}")
     scale = 1.0 / (1.0 + epsilon_prime**2) if mode == "exact" else 1.0
     rate = (epsilon_prime - 1j) * scale / constants.hbar
-    return _evolve(psi0, hamiltonian, t_grid, lambda grid: rate * grid)
+    grid = _checked_grid(psi0, t_grid)
+    return _evolve(psi0, (hamiltonian.entries, *spectral_decompose(hamiltonian)), grid,
+                   rate * grid)
 
 
-def _evolve(psi0: StateVector, hamiltonian: HermitianOperator, t_grid, exponents) -> Trajectory:
-    """``exp(z H) psi0`` for each ``z`` of ``exponents(grid)``; each caller keeps its own
-    expression, as ``-1j * (grid / hbar)`` and ``rate * grid`` round differently."""
+def _checked_grid(psi0: StateVector, t_grid):
+    """The time grid as an array, once it and the initial state are checked."""
     grid = evolution_grid(t_grid, "t_grid")
     if psi0.norm() == 0.0:
         raise ValueError("initial state must be nonzero")
-    amplitudes = exponential_rows(hamiltonian, exponents(grid), psi0)
-    return Trajectory.from_amplitudes(grid, amplitudes, hamiltonian.entries)
+    return grid
 
 
 def noether_energy_drift(trajectory: Trajectory) -> float:

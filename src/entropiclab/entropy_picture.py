@@ -23,12 +23,12 @@ from .operators import (
     StateVector,
     Trajectory,
     _check_hermitian,
+    _evolve,
+    _exp_rows,
     _expectations,
     _norms,
     _rows,
     _spreads,
-    eigenbasis_rows,
-    exponential_rows,
     spectral_decompose,
 )
 
@@ -113,20 +113,22 @@ def evolve_s(
     the chart ``t(tau) = hbar / (kB T0 exp(tau))``.  Either way ``S(tau)`` is
     ``S0`` times a scalar, so the ordered exponential is exact in closed
     form, ``exp[(i - eps)/kB * S0 * g(tau)]`` with ``g(tau) = tau`` or
-    ``1 - exp(-tau)``: one eigenbasis product on ``S0``'s eigensystem per
-    grid point, and the chart averages are ``exp(-tau) <S0>``.  A row or a
-    norm past the double range raises ``OverflowError``.
+    ``1 - exp(-tau)``.  That is the exponential of ``evolve_h`` read in
+    thermal time: the same row kernel on ``S0``'s eigensystem, one row per
+    grid point, with ``epsilon < 0`` dilating the norm.  The chart averages
+    are ``exp(-tau) <S0>``.  A state whose dimension is not ``S0``'s raises
+    ``ValueError``, and a row or a norm past the double range ``OverflowError``.
 
     ``epsilon > 0`` selects the contraction (norm-shrinking) branch, which
     is rejected unless ``allow_antidissipative`` is set explicitly; it is
     needed to test the contraction property but describes no physical
     dissipation.
     """
-    grid = _checked_grid(psi0, generator, tau_grid, epsilon, schedule, allow_antidissipative)
+    grid = _checked_grid(psi0, tau_grid, epsilon, schedule, allow_antidissipative)
     return _thermal_trajectory(psi0, generator, grid, epsilon, constants.kB, schedule)
 
 
-def _checked_grid(psi0, generator, tau_grid, epsilon, schedule, allow_antidissipative):
+def _checked_grid(psi0, tau_grid, epsilon, schedule, allow_antidissipative):
     """``evolve_s``'s checks of its arguments; the grid as an array."""
     if schedule not in ("frozen", "chart"):
         raise ValueError(f"unknown schedule {schedule!r}; expected frozen or chart")
@@ -140,8 +142,6 @@ def _checked_grid(psi0, generator, tau_grid, epsilon, schedule, allow_antidissip
         )
     if psi0.norm() == 0.0:
         raise ValueError("initial state must be nonzero")
-    if psi0.dim != len(generator[0]):
-        raise ValueError(f"dimension mismatch: operator {len(generator[0])} vs state {psi0.dim}")
     return grid
 
 
@@ -151,10 +151,8 @@ def _thermal_trajectory(psi0, generator, grid, epsilon, kB, schedule) -> Traject
     Each row depends only on its own grid point, so the rows of a slice are
     those of the whole grid bit for bit.
     """
-    entries, eigenvalues, eigenvectors = generator
     elapsed = grid if schedule == "frozen" else -np.expm1(-grid)
-    amplitudes = _thermal_rows(eigenvalues, eigenvectors, psi0.amplitudes, elapsed, epsilon, kB)
-    trajectory = Trajectory.from_amplitudes(grid, amplitudes, entries)
+    trajectory = _evolve(psi0, generator, grid, _thermal_exponents(elapsed, epsilon, kB))
     if schedule == "frozen":
         return trajectory
     return replace(trajectory, expectations=np.exp(-grid) * trajectory.expectations)
@@ -167,15 +165,16 @@ def _thermal_rows(eigenvalues, eigenvectors, states, elapsed, epsilons, kB):
 
     The result ``(..., n, d)`` equals ``evolve_s`` on each system alone bit for bit.
     An exponent past the double range raises ``ValueError``; a row that overflows
-    or underflows raises as in ``eigenbasis_rows``.
+    or underflows raises as in ``_exp_rows``.
     """
+    return _exp_rows(eigenvalues, eigenvectors, _thermal_exponents(elapsed, epsilons, kB), states)
+
+
+def _thermal_exponents(elapsed, epsilons, kB):
+    """``(i - eps)/kB * g`` for elapsed grids ``g`` ``(..., n)`` and epsilons ``(...)``."""
     # part by part, as Python's complex (1j - eps) / kB divides; NumPy's complex
     # division would multiply by the reciprocal of kB instead
-    rates = 1j / kB - np.asarray(epsilons, dtype=float)[..., None] / kB
-    z = rates * elapsed
-    if not np.isfinite(z).all():
-        raise ValueError("exponent must be finite")
-    return _rows(eigenvectors, z[..., None] * eigenvalues[..., None, :], states)
+    return (1j / kB - np.asarray(epsilons, dtype=float)[..., None] / kB) * elapsed
 
 
 @dataclass(frozen=True)
@@ -258,43 +257,30 @@ def entropy_production_via_chart(
     return (chart_generator(1.0 + 1e-4) - chart_generator(1.0 - 1e-4)) / 2e-4
 
 
-def uncertainty_product(
-    psi: StateVector,
-    generator: tuple,
-    observable: HermitianOperator,
-    tau_probe: float,
-    constants: Constants = NATURAL,
-) -> tuple:
+def uncertainty_product(generator: tuple, observables, states, taus,
+                        constants: Constants = NATURAL) -> tuple:
     """The generator spread and the probe-observable evolution time, ``(delta_s, delta_tau)``.
 
-    ``generator`` is ``S0`` as ``entropy_operator`` gives it.  The state is
-    carried to ``tau_probe`` with epsilon = 0; ``delta_tau`` is the spread of
-    the observable over its clock rate |d<A>/dtau|, computed exactly from
-    the commutator, so the product ``delta_s * delta_tau`` is the sharp
-    two-spread bound, not a finite difference, and obeys the kB/2 bound.
-    A stationary probe (rate below 1e-14) yields an infinite ``delta_tau``.
+    ``generator`` is ``S0`` as ``entropy_operator`` gives it,
+    ``(entries, eigenvalues, eigenvectors)``, or a stack of them
+    (``(..., d, d)``, ``(..., d)``, ``(..., d, d)``); ``observables``
+    ``(..., d, d)``, ``states`` ``(..., d)`` and probe points ``taus`` ``(...)``
+    stack alike, and one system is the stack with no leading axes.  Each state
+    is carried to its ``tau`` with epsilon = 0; ``delta_tau`` is the spread of
+    the observable over its clock rate |d<A>/dtau|, computed exactly from the
+    commutator, so the product ``delta_s * delta_tau`` is the sharp two-spread
+    bound, not a finite difference, and obeys the kB/2 bound.  A stationary
+    probe (rate below 1e-14) yields an infinite ``delta_tau``.
     """
-    if psi.dim != len(generator[0]) or psi.dim != observable.dim:
-        raise ValueError("state, generator and observable dimensions must agree")
-    delta_s, delta_tau = _uncertainty_products(*generator, observable.entries, psi.amplitudes,
-                                               tau_probe, constants)
-    return float(delta_s), float(delta_tau)
-
-
-def _uncertainty_products(s_entries, eigenvalues, eigenvectors, observables, states, taus,
-                          constants):
-    """``(delta_s, delta_tau)`` for stacks of generators ``(..., d, d)`` with their
-    eigensystems, observables ``(..., d, d)``, states ``(..., d)`` and probe points
-    ``(...)``; ``delta_tau`` is infinite for a stationary probe.  See
-    ``uncertainty_product``."""
+    s_entries, eigenvalues, eigenvectors = generator
     taus = np.asarray(taus, dtype=float)
     if not np.isfinite(taus).all():
-        raise ValueError("tau_probe must be finite")
+        raise ValueError("taus must be finite")
     if not (_norms(states) != 0.0).all():
         raise ValueError("state must be nonzero")
+    _check_hermitian(observables)
     z = np.asarray(1j * (taus / constants.kB))  # exp(z S) carries each state to its tau
-    exponents = z[..., None, None] * eigenvalues[..., None, :]
-    probes = _rows(eigenvectors, exponents, states)[..., 0, :]
+    probes = _exp_rows(eigenvalues, eigenvectors, z[..., None], states)[..., 0, :]
     delta_s = _spreads(s_entries, probes)
     delta_a = _spreads(observables, probes)
     commutator = observables @ s_entries - s_entries @ observables
@@ -315,7 +301,7 @@ def _closed_form_rows(mode, psi0, hamiltonian, reference_temperature, taus, epsi
         # math.exp, not np.exp, whose SIMD kernel may round differently
         elapsed = np.array([1.0 - math.exp(-tau) for tau in taus])
         phases = (1j - epsilon) * (h / (constants.kB * reference_temperature)) * elapsed[:, None]
-    return eigenbasis_rows(vectors, phases, psi0)
+    return _rows(vectors, phases, psi0.amplitudes)
 
 
 def picture_consistency(
@@ -345,11 +331,6 @@ def picture_consistency(
     ``chart_S``  -- the chart schedule against the spectral solution with
                     the integrated exponent (i-eps)(h / (kB T0))(1 - exp(-tau)).
     """
-    if not (np.isfinite(reference_temperature) and reference_temperature > 0.0):
-        raise ValueError("reference_temperature must be positive")
-    grid = evolution_grid(tau_grid, "tau_grid")
-    if psi0.norm() == 0.0:
-        raise ValueError("initial state must be nonzero")
     schedules = {"real_C": "chart", "frozen_S": "frozen", "chart_S": "chart"}
     if mode not in schedules:
         raise ValueError(f"unknown mode {mode!r}; expected real_C, frozen_S or chart_S")
@@ -357,11 +338,12 @@ def picture_consistency(
         raise ValueError("real_C mode is defined for epsilon = 0")
 
     generator = entropy_operator(hamiltonian, reference_temperature)
-    s_side = evolve_s(psi0, generator, grid, epsilon, constants, schedule=schedules[mode])
+    s_side = evolve_s(psi0, generator, tau_grid, epsilon, constants, schedule=schedules[mode])
+    grid = s_side.grid
     if mode == "real_C":
         t_of_tau = constants.hbar / (constants.kB * reference_temperature * np.exp(grid))
         exponents = -1j * ((t_of_tau - t_of_tau[0]) / constants.hbar)
-        reference = exponential_rows(hamiltonian, exponents, psi0)
+        reference = _exp_rows(*spectral_decompose(hamiltonian), exponents, psi0.amplitudes)
     else:
         reference = _closed_form_rows(
             mode, psi0, hamiltonian, reference_temperature, grid, epsilon, constants

@@ -174,13 +174,7 @@ def gaussian_sample(
     depends only on (seed, b), so a seed reproduces its stream bit for bit.
     """
     _check_sample_count(n)
-    dp = np.empty(n)
-    dV = np.empty(n)
-    dT = np.empty(n)
-    dS = np.empty(n)
-    for block, start, stop in block_ranges(n):
-        _fill_block(ref, constants, seed, block, start, stop, dp, dV, dT, dS)
-    return FluctuationSamples(dp, dV, dT, dS)
+    return FluctuationSamples(*_draw_group(ref, constants, seed, 0, n))
 
 
 # the cross-moments of a covariance report, in the order of _Moments' first
@@ -296,21 +290,20 @@ def covariance_report(
     """
     n = len(samples)
     _check_report_size(n)
-    moments = _Moments(ref, constants)
     columns = (samples.dp, samples.dV, samples.dT, samples.dS)
-    for start in range(0, n, _GROUP):
-        moments.merge(moments.of_group(*(column[start:start + _GROUP] for column in columns)))
-    return moments.report()
+    return _merged_moments(ref, constants, n, lambda start, stop: (
+        column[start:stop] for column in columns)).report()
 
 
 def _draw_group(ref, constants, seed, start, stop, out=None):
-    """Samples ``start``..``stop`` of ``gaussian_sample``'s stream as the rows dp, dV,
-    dT, dS of ``out[:, :stop - start]`` (a new array if ``out`` is None).
+    """Samples ``start``..``stop`` of the seed's stream as the rows dp, dV, dT, dS of
+    ``out[:, :stop - start]`` (a new array if ``out`` is None); the package's one
+    sampling path, ``gaussian_sample`` included.
 
     ``start`` is a multiple of ``BLOCK_SAMPLES``, and ``stop`` is one too or
-    the end of the stream, so each sample block is drawn by ``_fill_block``
-    as ``gaussian_sample`` draws it.  A sample past the double range raises
-    ``ValueError``.
+    the end of the stream, so each sample block is drawn whole by
+    ``_fill_block``, as in the whole stream.  A sample past the double range
+    raises ``ValueError``.
     """
     group = np.empty((4, stop - start)) if out is None else out[:, :stop - start]
     for block, begin, end in block_ranges(stop - start):
@@ -320,13 +313,19 @@ def _draw_group(ref, constants, seed, start, stop, out=None):
     return group
 
 
-def _streamed_moments(ref, n, seed, constants) -> _Moments:
+def _merged_moments(ref, constants, n, samples) -> _Moments:
+    """The ``_Moments`` of ``n`` samples, merged group by group in order;
+    ``samples(start, stop)`` gives a group's columns dp, dV, dT, dS."""
     moments = _Moments(ref, constants)
-    buffer = np.empty((4, _GROUP))
     for start in range(0, n, _GROUP):
-        group = _draw_group(ref, constants, seed, start, min(start + _GROUP, n), buffer)
-        moments.merge(moments.of_group(*group))
+        moments.merge(moments.of_group(*samples(start, min(start + _GROUP, n))))
     return moments
+
+
+def _streamed_moments(ref, n, seed, constants) -> _Moments:
+    buffer = np.empty((4, _GROUP))
+    return _merged_moments(ref, constants, n, lambda start, stop: _draw_group(
+        ref, constants, seed, start, stop, buffer))
 
 
 def streamed_covariance_report(

@@ -104,7 +104,7 @@ def _checked_eigh(entries):
 
 def _rows(vectors, exponents, amplitudes):
     """Rows ``V (exp(e_k) * V* psi)`` for stacks of eigenbases ``(..., d, d)``,
-    per-mode exponents ``(..., m, d)`` and states ``(..., d)``; see ``eigenbasis_rows``."""
+    per-mode exponents ``(..., m, d)`` and states ``(..., d)``; see ``_exp_rows``."""
     coefficients = (_adjoint(vectors) @ amplitudes[..., :, None])[..., 0]
     with np.errstate(over="ignore", invalid="ignore"):
         # one matrix-vector product per row, so that every row equals the
@@ -370,38 +370,46 @@ def build_hamiltonian(
     return operator
 
 
-def eigenbasis_rows(eigenvectors, exponents, state: StateVector):
-    """Rows ``V (exp(e_k) * V* state)``, one per row ``e_k`` of per-mode exponents.
+def _exp_rows(eigenvalues, eigenvectors, z, states):
+    """Rows ``exp(z_k L) psi``: stacks of eigensystems ``L = V diag(l) V*`` (eigenvalues
+    ``(..., d)``, eigenvectors ``(..., d, d)``), complex exponents ``z`` ``(..., m)`` and
+    states ``(..., d)`` give ``(..., m, d)``.
 
-    ``exponents`` is an ``(n, dim)`` array in the basis of the columns
-    ``eigenvectors``: row k carries ``state`` by the operator whose
-    eigenvalues are ``e_k``.  ``V* state`` is projected once; each row is
-    then one matrix-vector product.  A row that overflows the double range,
-    whether in one exponential or in the product, raises ``OverflowError``
-    instead of saturating, and a nonzero state whose image underflows to
-    zero weight raises ``FloatingPointError`` instead of being returned as
-    the zero vector.
+    The one exponential of both pictures: ``V* psi`` is projected once and
+    each row is then one matrix-vector product, so a row equals the one-row
+    case bit for bit.  A nonfinite exponent raises ``ValueError``.  A row
+    that overflows the double range, whether in one exponential or in the
+    product, raises ``OverflowError`` instead of saturating, and a nonzero
+    state whose image underflows to zero weight raises ``FloatingPointError``
+    instead of being returned as the zero vector.
     """
-    if eigenvectors.shape[0] != state.dim:
-        raise ValueError(f"dimension mismatch: operator {len(eigenvectors)} vs state {state.dim}")
-    return _rows(eigenvectors, np.asarray(exponents, dtype=complex), state.amplitudes)
-
-
-def exponential_rows(operator: HermitianOperator, exponents, state: StateVector):
-    """Rows ``exp(z_k * operator) state``, one per scalar exponent ``z_k``."""
-    exponents = np.asarray(exponents, dtype=complex)
-    if not np.isfinite(exponents).all():
+    if not np.isfinite(z).all():
         raise ValueError("exponent must be finite")
-    eigenvalues, eigenvectors = spectral_decompose(operator)
-    return eigenbasis_rows(eigenvectors, np.multiply.outer(exponents, eigenvalues), state)
+    return _rows(eigenvectors, z[..., None] * eigenvalues[..., None, :], states)
+
+
+def _evolve(psi0: StateVector, generator: tuple, grid, z) -> Trajectory:
+    """The trajectory ``exp(z_k L) psi0`` over ``grid``, one row per exponent ``z_k``.
+
+    ``generator`` is ``(entries, eigenvalues, eigenvectors)`` of ``L``; each
+    caller forms its own exponents, as their expressions round differently.
+    """
+    entries, eigenvalues, eigenvectors = generator
+    if psi0.dim != len(entries):
+        raise ValueError(f"dimension mismatch: operator {len(entries)} vs state {psi0.dim}")
+    return Trajectory.from_amplitudes(grid, _exp_rows(eigenvalues, eigenvectors, z,
+                                                      psi0.amplitudes), entries)
 
 
 def apply_exponential(operator: HermitianOperator, z: complex, state: StateVector) -> StateVector:
     """Apply ``exp(z * operator)`` to ``state`` exactly via the eigensystem.
 
-    The one-row case of ``exponential_rows``.  The result is independent of
-    the eigenbasis chosen inside degenerate clusters because the
-    exponential weights coincide there.  Overflow and underflow are
-    reported as by ``eigenbasis_rows``.
+    The one-row case of ``_exp_rows``.  The result is independent of the
+    eigenbasis chosen inside degenerate clusters because the exponential
+    weights coincide there.
     """
-    return StateVector(exponential_rows(operator, [z], state)[0])
+    if operator.dim != state.dim:
+        raise ValueError(f"dimension mismatch: operator {operator.dim} vs state {state.dim}")
+    eigenvalues, eigenvectors = spectral_decompose(operator)
+    return StateVector(_exp_rows(eigenvalues, eigenvectors, np.array([z], dtype=complex),
+                                 state.amplitudes)[0])

@@ -19,7 +19,6 @@ from .energy_picture import evolve_h
 from .entropy_picture import (
     EigenSolutionSpec,
     _thermal_rows,
-    _uncertainty_products,
     dissipative_part,
     eigen_solution,
     entropy_operator,
@@ -85,18 +84,13 @@ class CheckResult:
         return {**self.verdict(), "requirement": self.requirement, "details": self.details}
 
 
-def semigroup_gap(psi0, generator, tau1, tau2, epsilon, constants) -> float:
-    """Distance between evolving by tau1 then tau2 and by tau1 + tau2 at once.
+def semigroup_gap(eigenvalues, eigenvectors, states, tau1, tau2, epsilons, kB):
+    """Distance between evolving by tau1 then tau2 and by tau1 + tau2 at once, under
+    the frozen entropy generator, for stacks of ``S0``'s eigensystems (eigenvalues
+    ``(..., d)``, eigenvectors ``(..., d, d)``), states ``(..., d)`` and tau1, tau2
+    and epsilons ``(...)``; one system is the stack with no leading axes.
 
-    The inputs are not validated again: the caller has run ``evolve_s`` on them."""
-    _, eigenvalues, eigenvectors = generator
-    return float(_semigroup_gaps(eigenvalues, eigenvectors, psi0.amplitudes, tau1, tau2,
-                                 epsilon, constants.kB))
-
-
-def _semigroup_gaps(eigenvalues, eigenvectors, states, tau1, tau2, epsilons, kB):
-    # semigroup_gap for stacks of eigensystems (..., d, d), states (..., d) and
-    # tau1, tau2 and epsilons (...)
+    The inputs are not validated again: the caller has checked them as ``evolve_s`` does."""
     tau1, tau2 = np.asarray(tau1, dtype=float), np.asarray(tau2, dtype=float)
     legs = _thermal_rows(eigenvalues, eigenvectors, states,
                          np.stack([tau1, tau1 + tau2], axis=-1), epsilons, kB)
@@ -196,8 +190,8 @@ def check_semigroup_law(seed: int) -> CheckResult:
     for basis, levels, epsilons, tau1, tau2, states in _draw_by_dim(rng, 100, 2, 13,
                                                                     _semigroup_draw):
         _, eigenvalues, eigenvectors = _spectrum_stack(basis, levels)
-        gaps = _semigroup_gaps(eigenvalues, eigenvectors, _unit_rows(states), tau1, tau2,
-                               epsilons, NATURAL.kB)
+        gaps = semigroup_gap(eigenvalues, eigenvectors, _unit_rows(states), tau1, tau2,
+                             epsilons, NATURAL.kB)
         worst = max(worst, float(gaps.max()))
     return CheckResult.bounded(
         "semigroup-law",
@@ -375,10 +369,9 @@ def check_uncertainty_bound(seed: int) -> CheckResult:
         hamiltonians, eigenvalues, eigenvectors = _spectrum_stack(basis, levels)
         states = _unit_rows(states)
         observables = (raw + _adjoint(raw)) / 2.0
-        _check_hermitian(observables)
         # at temperature 1 the generator S = H / T is H itself, eigensystem included
-        delta_s, delta_tau = _uncertainty_products(
-            hamiltonians, eigenvalues, eigenvectors, observables, states, taus, constants
+        delta_s, delta_tau = uncertainty_product(
+            (hamiltonians, eigenvalues, eigenvectors), observables, states, taus, constants
         )
         moving = delta_tau != math.inf
         evaluated += int(moving.sum())
@@ -389,11 +382,9 @@ def check_uncertainty_bound(seed: int) -> CheckResult:
     generator = entropy_operator(
         HermitianOperator(np.diag([0.0, 2.0 * constants.kB]), unit="energy"), 1.0
     )
-    plus = StateVector(np.array([1.0, 1.0]) / math.sqrt(2.0))
-    projector = HermitianOperator(
-        np.outer(plus.amplitudes, plus.amplitudes.conj()), unit="dimensionless"
-    )
-    delta_s, delta_tau = uncertainty_product(plus, generator, projector, math.pi / 4.0)
+    plus = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
+    delta_s, delta_tau = uncertainty_product(generator, np.outer(plus, plus.conj()), plus,
+                                             math.pi / 4.0)
     saturation_gap = abs(delta_s * delta_tau - half_kb)
 
     passed = (min_margin >= -1e-12) and (saturation_gap <= 1e-10) and evaluated >= 900

@@ -31,10 +31,10 @@ def assert_matches_per_point(trajectory, generator, psi, exponents):
     ``generator`` is ``(entries, eigenvalues, eigenvectors)``; each point is
     ``apply_exponential``'s product ``V exp(z L) V* psi`` on that eigensystem.
     """
-    from entropiclab.operators import _expectations, eigenbasis_rows
+    from entropiclab.operators import _expectations, _rows
 
     entries, eigenvalues, eigenvectors = generator
-    rows = [eigenbasis_rows(eigenvectors, np.multiply.outer([complex(z)], eigenvalues), psi)[0]
+    rows = [_rows(eigenvectors, np.multiply.outer([complex(z)], eigenvalues), psi.amplitudes)[0]
             for z in exponents]
     assert np.array_equal(trajectory.amplitudes, np.array(rows))
     assert np.array_equal(trajectory.norms, [np.linalg.norm(row) for row in rows])

@@ -62,6 +62,22 @@ def test_a_task_may_fork_workers_of_its_own(monkeypatch):
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="workers need fork")
+def test_tasks_of_uneven_length_are_dealt_round_robin(monkeypatch):
+    # results are taken in task order, so task i goes to worker i mod 2
+    # however long the tasks before it ran
+    def task(seconds):
+        time.sleep(seconds)
+        return os.getpid()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    lengths = [0.05, 0.0, 0.0, 0.03, 0.0, 0.0, 0.04, 0.0, 0.0]
+    pids = list(_fanout.ordered(task, [(seconds,) for seconds in lengths], "sleeping"))
+    assert len(set(pids)) == 2 and os.getpid() not in pids
+    assert pids == [pids[k % 2] for k in range(len(lengths))]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="workers need fork")
 def test_workers_left_open_end_with_the_interpreter():
     script = textwrap.dedent("""\
         import os

@@ -6,6 +6,11 @@ from entropiclab import (
     HermitianOperator,
     StateVector,
     build_hamiltonian,
+    entropy_operator,
+    evolve_h,
+    evolve_h_perturbed,
+    evolve_s,
+    picture_consistency,
     spectral_decompose,
 )
 from entropiclab.operators import _expectations, _spreads, apply_exponential
@@ -250,3 +255,20 @@ class TestQuadraticForms:
     def test_uncertainty_zero_vector_rejected(self):
         with pytest.raises(ValueError, match="zero"):
             spread(HermitianOperator(np.eye(2)), StateVector([0.0, 0.0]))
+
+
+TWO_LEVEL = build_hamiltonian("two_level", e0=0.0, e1=1.0)
+THREE_STATE = StateVector([1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: evolve_h(THREE_STATE, TWO_LEVEL, [0.0, 1.0]),
+    lambda: evolve_h_perturbed(THREE_STATE, TWO_LEVEL, [0.0, 1.0], 0.1),
+    lambda: evolve_s(THREE_STATE, entropy_operator(TWO_LEVEL, 1.0), [0.0, 1.0], -0.1),
+    lambda: picture_consistency(THREE_STATE, TWO_LEVEL, 1.0, "frozen_S", [0.0, 1.0], -0.1),
+    lambda: apply_exponential(TWO_LEVEL, 0.5j, THREE_STATE),
+], ids=["evolve_h", "evolve_h_perturbed", "evolve_s", "picture_consistency",
+        "apply_exponential"])
+def test_a_state_of_another_dimension_is_rejected(call):
+    with pytest.raises(ValueError, match="dimension mismatch: operator 2 vs state 3"):
+        call()

@@ -101,3 +101,28 @@ def test_one_route_into_the_worker_pool():
     assert functions_using("_fanout", set(vars(_fanout)) - {"ordered"}) == set()
     assert functions_using("_fanout", {"ordered"}) == {
         "cli._csv_lines", "gravity._split_rows", "suite.run_all"}
+
+
+def functions_naming(name: str):
+    """``module.function`` of each package function whose body names ``name``,
+    called or passed on, bare or as a module's attribute (not ``self``'s)."""
+    found = set()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for function in ast.walk(tree):
+            if isinstance(function, ast.FunctionDef) and any(
+                (isinstance(node, ast.Name) and node.id == name)
+                or (isinstance(node, ast.Attribute) and node.attr == name
+                    and isinstance(node.value, ast.Name) and node.value.id != "self")
+                for node in ast.walk(function)
+            ):
+                found.add(f"{path.stem}.{function.name}")
+    return found
+
+
+def test_one_exponential_and_one_sampling_path():
+    # every eigenbasis exponential is a _exp_rows row, bar the closed-form
+    # reference it is compared against; every sample is drawn by _draw_group
+    assert functions_naming("_rows") == {"operators._exp_rows",
+                                         "entropy_picture._closed_form_rows"}
+    assert functions_naming("_fill_block") == {"fluctuations._draw_group"}

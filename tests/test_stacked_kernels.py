@@ -25,12 +25,7 @@ from entropiclab.entropy_picture import (
     evolve_s,
 )
 from entropiclab.onsager import _check_systems, _relaxations
-from entropiclab.operators import (
-    _check_hermitian,
-    eigenbasis_rows,
-    exponential_rows,
-    spectral_decompose,
-)
+from entropiclab.operators import _check_hermitian, _exp_rows, _rows, spectral_decompose
 from entropiclab.suite import (
     CheckResult,
     _complex_normal,
@@ -316,11 +311,14 @@ def test_array_exponents_match_per_row_lists(hbar, kB):
     psi = _random_state(rng, 4)
     h, vectors = spectral_decompose(hamiltonian)
 
+    def rows(phases):
+        return _rows(vectors, np.asarray(phases, dtype=complex), psi.amplitudes).tobytes()
+
     def per_row(exponents):
-        return eigenbasis_rows(vectors, [complex(z) * h for z in exponents], psi).tobytes()
+        return rows([complex(z) * h for z in exponents])
 
     zs = [0j, complex(-0.0, -0.0), 1.5 - 2j, -1j * 0.0]
-    assert exponential_rows(hamiltonian, zs, psi).tobytes() == per_row(zs)
+    assert _exp_rows(h, vectors, np.array(zs), psi.amplitudes).tobytes() == per_row(zs)
     assert (evolve_h(psi, hamiltonian, grid, constants).amplitudes.tobytes()
             == per_row([-1j * t / hbar for t in grid]))
     for epsilon_prime in (0.0, -0.0, 0.3):
@@ -332,8 +330,8 @@ def test_array_exponents_match_per_row_lists(hbar, kB):
         frozen = [(1j - epsilon) * (h / 1.7) * tau / kB for tau in grid]
         chart = [(1j - epsilon) * (h / (kB * 1.7)) * (1.0 - math.exp(-tau)) for tau in grid]
         for mode, phases in (("frozen_S", frozen), ("chart_S", chart)):
-            rows = _closed_form_rows(mode, psi, hamiltonian, 1.7, grid, epsilon, constants)
-            assert rows.tobytes() == eigenbasis_rows(vectors, phases, psi).tobytes()
+            closed = _closed_form_rows(mode, psi, hamiltonian, 1.7, grid, epsilon, constants)
+            assert closed.tobytes() == rows(phases)
 
 
 def message(call):
