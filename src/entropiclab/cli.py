@@ -282,7 +282,7 @@ def _run_evolve_s(config: dict, base_dir: Path):
         if temperature is None:
             raise ConfigError("chart schedule needs reference_temperature")
     generator = entropy_operator(hamiltonian, temperature)
-    grid = _checked_grid(psi0, grid, epsilon, schedule_kind, allow)
+    grid = _checked_grid(grid, epsilon, schedule_kind, allow)
     gap = None
     if schedule_kind == "frozen" and grid.size >= 2:
         # made before the workers fork, so that the fork stops the OpenBLAS

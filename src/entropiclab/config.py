@@ -112,14 +112,16 @@ def constants_from(config: dict) -> Constants:
     return Constants(hbar=block.get("hbar", 1.0), kB=block.get("kB", 1.0))
 
 
-def hamiltonian_from(block: dict, constants: Constants) -> HermitianOperator:
-    params = dict(block)
-    kind = params.pop("kind")
-    shift = params.pop("shift_nonnegative", False)
+def _built(what: str, make, *args, **params):
+    """``make(*args, **params)``, with a ``ValueError`` it raises reported as a bad ``what``."""
     try:
-        return build_hamiltonian(kind, constants=constants, shift_nonnegative=shift, **params)
+        return make(*args, **params)
     except ValueError as exc:
-        raise ConfigError(f"bad hamiltonian block: {exc}") from exc
+        raise ConfigError(f"bad {what}: {exc}") from exc
+
+
+def hamiltonian_from(block: dict, constants: Constants) -> HermitianOperator:
+    return _built("hamiltonian block", build_hamiltonian, constants=constants, **block)
 
 
 def state_from(block: dict, dim: int) -> StateVector:
@@ -137,15 +139,12 @@ def state_from(block: dict, dim: int) -> StateVector:
         rng = np.random.default_rng(block.get("seed", 0))
         raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         return StateVector(raw / np.linalg.norm(raw))
-    if kind == "amplitudes":
-        re = np.asarray(block["re"], dtype=float)
-        im = np.asarray(block.get("im", np.zeros_like(re)), dtype=float)
-        if re.size != dim or im.size != dim:
-            raise ConfigError(
-                f"amplitude lists must have length {dim}, got {re.size} and {im.size}"
-            )
-        return StateVector(re + 1j * im)
-    raise ConfigError(f"unknown state kind {kind!r}")
+    # "amplitudes", the schema's last kind
+    re = np.asarray(block["re"], dtype=float)
+    im = np.asarray(block.get("im", np.zeros_like(re)), dtype=float)
+    if re.size != dim or im.size != dim:
+        raise ConfigError(f"amplitude lists must have length {dim}, got {re.size} and {im.size}")
+    return StateVector(re + 1j * im)
 
 
 def grid_from(block: dict) -> np.ndarray:
@@ -160,29 +159,12 @@ def grid_from(block: dict) -> np.ndarray:
 
 def reference_from(block: dict) -> ThermoReference:
     params = dict(block)
-    preset = params.pop("preset", None)
-    try:
-        if preset == "ideal_gas":
-            return ThermoReference.ideal_gas(
-                pressure=params.pop("pressure"),
-                volume=params.pop("volume"),
-                temperature=params.pop("temperature"),
-                heat_capacity_cv=params.pop("heat_capacity_cv", None),
-            )
-        return ThermoReference(**params)
-    except ValueError as exc:
-        raise ConfigError(f"bad thermodynamic reference: {exc}") from exc
+    make = ThermoReference.ideal_gas if params.pop("preset", None) else ThermoReference
+    return _built("thermodynamic reference", make, **params)
 
 
 def region_from(block: dict) -> RegionSpec:
-    try:
-        if block["shape"] == "ball":
-            return RegionSpec.ball(
-                center=block["center"], radius=block["radius"], samples=block["samples"]
-            )
-        return RegionSpec.box(bounds=block["bounds"], samples=block["samples"])
-    except ValueError as exc:
-        raise ConfigError(f"bad region block: {exc}") from exc
+    return _built("region block", RegionSpec, **block)
 
 
 def _block_or_file(value, base_dir: Path, definition: str, what: str):
@@ -204,27 +186,17 @@ def source_from(value, base_dir: Path) -> SourceDistribution:
 
 def system_from(value, base_dir: Path) -> OnsagerSystem:
     system, _ = _block_or_file(value, base_dir, "onsager_system", "system file")
-    try:
-        return OnsagerSystem.from_dict(system)
-    except ValueError as exc:
-        raise ConfigError(f"bad system: {exc}") from exc
+    return _built("system", OnsagerSystem.from_dict, system)
+
+
+_PATCHES = {
+    "rectangle": rectangle_patch,
+    "disk": disk_patch,
+    "two_plane": two_plane_patch,
+    "fourier": fourier_patch,
+}
 
 
 def patch_from(block: dict) -> SymplecticPatch:
-    kind = block["kind"]
-    try:
-        if kind == "rectangle":
-            return rectangle_patch(block["q1_extent"], block["p1_extent"])
-        if kind == "disk":
-            return disk_patch(block["radius"])
-        if kind == "two_plane":
-            return two_plane_patch(block["area1"], block["area2"])
-        if kind == "fourier":
-            return fourier_patch(
-                block.get("seed", 0),
-                modes=block.get("modes", 2),
-                amplitude=block.get("amplitude", 0.08),
-            )
-    except ValueError as exc:
-        raise ConfigError(f"bad patch block: {exc}") from exc
-    raise ConfigError(f"unknown patch kind {kind!r}")
+    params = dict(block)
+    return _built("patch block", _PATCHES[params.pop("kind")], **params)

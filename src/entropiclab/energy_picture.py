@@ -33,7 +33,7 @@ def evolve_h(
     exactly from the eigensystem, so norms and energy averages are
     conserved to rounding.
     """
-    grid = _checked_grid(psi0, t_grid)
+    grid = evolution_grid(t_grid, "t_grid")
     return _evolve(psi0, (hamiltonian.entries, *spectral_decompose(hamiltonian)), grid,
                    -1j * (grid / constants.hbar))
 
@@ -61,17 +61,9 @@ def evolve_h_perturbed(
         raise ValueError(f"mode must be 'exact' or 'first_order', got {mode!r}")
     scale = 1.0 / (1.0 + epsilon_prime**2) if mode == "exact" else 1.0
     rate = (epsilon_prime - 1j) * scale / constants.hbar
-    grid = _checked_grid(psi0, t_grid)
+    grid = evolution_grid(t_grid, "t_grid")
     return _evolve(psi0, (hamiltonian.entries, *spectral_decompose(hamiltonian)), grid,
                    rate * grid)
-
-
-def _checked_grid(psi0: StateVector, t_grid):
-    """The time grid as an array, once it and the initial state are checked."""
-    grid = evolution_grid(t_grid, "t_grid")
-    if psi0.norm() == 0.0:
-        raise ValueError("initial state must be nonzero")
-    return grid
 
 
 def noether_energy_drift(trajectory: Trajectory) -> float:

@@ -468,7 +468,7 @@ def two_plane_patch(area1: float, area2: float) -> SymplecticPatch:
     return SymplecticPatch(chart=chart)
 
 
-def fourier_patch(seed: int, modes: int = 2, amplitude: float = 0.08) -> SymplecticPatch:
+def fourier_patch(seed: int = 0, modes: int = 2, amplitude: float = 0.08) -> SymplecticPatch:
     """Randomized smooth patch: a positively oriented base sheet plus a short
     trigonometric series in both parameters.  Deterministic in the seed."""
     rng = np.random.default_rng(seed)

@@ -142,6 +142,7 @@ class RegionSpec:
             if self.radius is None or not np.isfinite(self.radius) or self.radius < 0.0:
                 raise ValueError("ball region needs a finite radius >= 0")
             object.__setattr__(self, "center", center)
+            object.__setattr__(self, "radius", float(self.radius))
         else:
             bounds = np.asarray(self.bounds, dtype=float)
             if bounds.shape != (2, 3) or not np.all(np.isfinite(bounds)):
@@ -152,7 +153,7 @@ class RegionSpec:
 
     @classmethod
     def ball(cls, center, radius: float, samples: int) -> "RegionSpec":
-        return cls(shape="ball", samples=samples, center=center, radius=float(radius))
+        return cls(shape="ball", samples=samples, center=center, radius=radius)
 
     @classmethod
     def box(cls, bounds, samples: int) -> "RegionSpec":

@@ -20,13 +20,11 @@ from .constants import NATURAL, Constants
 HERMITICITY_RTOL = 1e-12
 RECONSTRUCTION_RTOL = 1e-10
 ORTHONORMALITY_ATOL = 1e-12
-UNIT_LABELS = ("energy", "dimensionless")
 
 _TINY = np.finfo(float).tiny
 
 __all__ = [
     "HERMITICITY_RTOL",
-    "UNIT_LABELS",
     "HermitianOperator",
     "StateVector",
     "Trajectory",
@@ -207,7 +205,8 @@ class Trajectory:
     The grid is laboratory time t for Hamiltonian evolution and thermal
     time tau for entropy evolution; ``amplitudes`` holds one read-only row
     per grid point and ``expectations`` the matching averages of the
-    generator (energy or entropy).
+    generator (energy or entropy).  A plain record: ``_evolve`` makes and
+    checks what it holds.
     """
 
     grid: np.ndarray
@@ -215,36 +214,9 @@ class Trajectory:
     norms: np.ndarray
     expectations: np.ndarray
 
-    def __post_init__(self):
-        n = len(self.grid)
-        if not (len(self.amplitudes) == len(self.norms) == len(self.expectations) == n):
-            raise ValueError("trajectory fields must have equal lengths")
-        if np.any(np.asarray(self.norms) <= 0.0):
-            raise ValueError("trajectory norms must be positive")
-
-    @classmethod
-    def from_amplitudes(cls, grid, amplitudes, entries) -> "Trajectory":
-        """Take the norm and the generator average of each amplitude row.
-
-        ``amplitudes`` holds one row per grid point and is made read-only.
-        ``entries`` is the generator's matrix; the averages are one stacked
-        product.  A norm or average past the double range raises
-        ``OverflowError``.
-        """
-        amplitudes.setflags(write=False)
-        with np.errstate(over="ignore", invalid="ignore"):
-            norms = _norms(amplitudes)
-            averages = _expectations(entries, amplitudes)
-        if not (np.isfinite(norms).all() and np.isfinite(averages).all()):
-            raise OverflowError(
-                "the evolved state's norm or generator average exceeds the double range; "
-                "rescale the generator or shorten the evolution interval"
-            )
-        return cls(grid, amplitudes, norms, averages)
-
 
 class HermitianOperator:
-    """Immutable dense self-adjoint matrix carrying a unit label.
+    """Immutable dense self-adjoint matrix.
 
     Entries that deviate from their conjugate transpose by more than
     ``HERMITICITY_RTOL`` (relative Frobenius norm) are rejected rather than
@@ -252,18 +224,15 @@ class HermitianOperator:
     being averaged away.
     """
 
-    __slots__ = ("_entries", "_unit", "_decomposition")
+    __slots__ = ("_entries", "_decomposition")
 
-    def __init__(self, entries, unit: str = "dimensionless"):
+    def __init__(self, entries):
         arr = np.array(entries, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise ValueError(f"operator entries must form a square matrix, got shape {arr.shape}")
         _check_hermitian(arr)
-        if unit not in UNIT_LABELS:
-            raise ValueError(f"unit must be one of {UNIT_LABELS}, got {unit!r}")
         arr.setflags(write=False)
         self._entries = arr
-        self._unit = unit
         self._decomposition = None
 
     @property
@@ -274,20 +243,8 @@ class HermitianOperator:
     def entries(self) -> np.ndarray:
         return self._entries
 
-    @property
-    def unit(self) -> str:
-        return self._unit
-
-    def shifted(self, offset: float) -> "HermitianOperator":
-        """Add ``offset`` times identity."""
-        if not np.isfinite(offset):
-            raise ValueError("offset must be finite")
-        return HermitianOperator(
-            self._entries + float(offset) * np.eye(self.dim), self._unit
-        )
-
     def __repr__(self) -> str:
-        return f"HermitianOperator(dim={self.dim}, unit={self._unit!r})"
+        return f"HermitianOperator(dim={self.dim})"
 
 
 def spectral_decompose(operator: HermitianOperator) -> tuple:
@@ -333,7 +290,7 @@ def build_hamiltonian(
 
     With ``shift_nonnegative`` the spectrum is raised by ``-min(eigenvalue)``
     whenever the bottom of the spectrum is negative, so the ground level
-    sits exactly at zero.
+    sits at zero to rounding.
     """
     if kind == "two_level":
         e0, e1 = params.pop("e0"), params.pop("e1")
@@ -362,11 +319,11 @@ def build_hamiltonian(
     if params:
         raise ValueError(f"unexpected parameters for {kind!r}: {sorted(params)}")
 
-    operator = HermitianOperator(matrix, unit="energy")
+    operator = HermitianOperator(matrix)
     if shift_nonnegative:
         bottom = float(spectral_decompose(operator)[0][0])
         if bottom < 0.0:
-            operator = operator.shifted(-bottom)
+            operator = HermitianOperator(operator.entries + (-bottom) * np.eye(operator.dim))
     return operator
 
 
@@ -393,12 +350,26 @@ def _evolve(psi0: StateVector, generator: tuple, grid, z) -> Trajectory:
 
     ``generator`` is ``(entries, eigenvalues, eigenvectors)`` of ``L``; each
     caller forms its own exponents, as their expressions round differently.
+    The rows are read-only; the averages of ``L`` are one stacked product.  A
+    zero state or one of another dimension raises ``ValueError``, and a norm
+    or average past the double range ``OverflowError``.
     """
     entries, eigenvalues, eigenvectors = generator
     if psi0.dim != len(entries):
         raise ValueError(f"dimension mismatch: operator {len(entries)} vs state {psi0.dim}")
-    return Trajectory.from_amplitudes(grid, _exp_rows(eigenvalues, eigenvectors, z,
-                                                      psi0.amplitudes), entries)
+    if psi0.norm() == 0.0:
+        raise ValueError("initial state must be nonzero")
+    amplitudes = _exp_rows(eigenvalues, eigenvectors, z, psi0.amplitudes)
+    amplitudes.setflags(write=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = _norms(amplitudes)
+        averages = _expectations(entries, amplitudes)
+    if not (np.isfinite(norms).all() and np.isfinite(averages).all()):
+        raise OverflowError(
+            "the evolved state's norm or generator average exceeds the double range; "
+            "rescale the generator or shorten the evolution interval"
+        )
+    return Trajectory(grid, amplitudes, norms, averages)
 
 
 def apply_exponential(operator: HermitianOperator, z: complex, state: StateVector) -> StateVector:

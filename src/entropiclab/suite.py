@@ -45,7 +45,6 @@ from .operators import (
     HermitianOperator,
     StateVector,
     _adjoint,
-    _check_hermitian,
     _checked_eigh,
     _norms,
     build_hamiltonian,
@@ -136,7 +135,7 @@ def _random_state(rng, dim) -> StateVector:
 
 def _random_hermitian(rng, dim) -> HermitianOperator:
     raw = _complex_normal(rng, (dim, dim))
-    return HermitianOperator((raw + raw.conj().T) / 2.0, unit="energy")
+    return HermitianOperator((raw + raw.conj().T) / 2.0)
 
 
 def _spectrum_draw(rng, dim, high):
@@ -147,11 +146,10 @@ def _spectrum_draw(rng, dim, high):
 
 def _spectrum_stack(basis, levels):
     """Hamiltonians ``(k, d, d)`` with the sorted ``levels`` as eigenvalues, in the
-    QR of ``basis``, checked Hermitian, and their checked eigensystems."""
+    QR of ``basis``, and their checked eigensystems."""
     q, _ = np.linalg.qr(basis)
     matrices = q @ (np.sort(levels, axis=-1)[..., :, None] * _adjoint(q))
     hamiltonians = (matrices + _adjoint(matrices)) / 2.0
-    _check_hermitian(hamiltonians)
     return (hamiltonians, *_checked_eigh(hamiltonians))
 
 
@@ -380,7 +378,7 @@ def check_uncertainty_bound(seed: int) -> CheckResult:
 
     # saturating two-level configuration: projector probe on an equal superposition
     generator = entropy_operator(
-        HermitianOperator(np.diag([0.0, 2.0 * constants.kB]), unit="energy"), 1.0
+        HermitianOperator(np.diag([0.0, 2.0 * constants.kB])), 1.0
     )
     plus = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
     delta_s, delta_tau = uncertainty_product(generator, np.outer(plus, plus.conj()), plus,

@@ -20,7 +20,9 @@ from entropiclab import (
     evolve_h,
     evolve_h_perturbed,
     evolve_s,
+    fourier_patch,
     gaussian_sample,
+    mean_h,
     picture_consistency,
     relax,
     symplectic_area,
@@ -33,6 +35,7 @@ from entropiclab.config import (
     hamiltonian_from,
     load_config,
     patch_from,
+    region_from,
     source_from,
     state_from,
     validate_config,
@@ -1430,6 +1433,15 @@ class TestConfigLoading:
         out = tmp_path / "samples.csv"
         assert main(["fluct", "--config", config, "--out", str(out)]) == 0
 
+    def test_builders_pass_blocks_through(self, tmp_path):
+        # an integer radius is the float one; a fourier patch without a seed is seed 0
+        source = source_from(GRAVITY_SOURCE, tmp_path)
+        ball = {"shape": "ball", "center": [4.0, 0.5, 0.5], "samples": 64}
+        whole, real = (region_from(dict(ball, radius=radius)) for radius in (1, 1.0))
+        assert type(whole.radius) is float
+        assert mean_h(source, whole, 3).hex() == mean_h(source, real, 3).hex()
+        unseeded = patch_from({"kind": "fourier"})
+        assert symplectic_area(unseeded, 16).hex() == symplectic_area(fourier_patch(0), 16).hex()
 
 EDGE_REFERENCE = {"preset": "ideal_gas", "pressure": 1.3, "volume": 0.7, "temperature": 1.1}
 TWO_LEVEL = {"kind": "two_level", "e0": 0.0, "e1": 1.0}
@@ -1523,6 +1535,25 @@ class TestBlockProducers:
         dilatation = record["verdicts"][0]
         assert dilatation["name"] == "s-dilatation"
         assert dilatation["measured"] == monotonicity_violation(norms, -0.2)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("scenario", ["evolve-h", "evolve-s"])
+    def test_a_zero_state_exits_2(self, tmp_path, monkeypatch, capsys, scenario, cpus):
+        # evolve-s checks the state as it makes each of its three CSV blocks
+        import multiprocessing
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        zero = {"kind": "amplitudes", "re": [0.0, 0.0]}
+        config = edge_evolve_s("frozen", 20_001)
+        config["evolve_s"]["state"] = zero
+        if scenario == "evolve-h":
+            config = {"scenario": "evolve-h", "evolve_h": {
+                "hamiltonian": TWO_LEVEL, "state": zero, "grid": config["evolve_s"]["grid"]}}
+        path = write_config(tmp_path / "cfg.json", config)
+        assert main([scenario, "--config", path, "--out", str(tmp_path / "o.csv")]) == 2
+        assert "config error: initial state must be nonzero" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="workers need fork")
     def test_overflow_in_a_later_block_exits_3(self, tmp_path, monkeypatch, capsys):

@@ -19,7 +19,7 @@ from entropiclab import (
 
 def random_hermitian(rng, dim):
     raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return HermitianOperator((raw + raw.conj().T) / 2, unit="energy")
+    return HermitianOperator((raw + raw.conj().T) / 2)
 
 
 def random_state(rng, dim):
@@ -69,7 +69,7 @@ class TestEvolveH:
         h = random_hermitian(rng, 6)
         psi = random_state(rng, 6)
         forward = final_state(evolve_h(psi, h, [0.0, 3.2]))
-        back = evolve_h(forward, HermitianOperator(-h.entries, unit="energy"), [0.0, 3.2])
+        back = evolve_h(forward, HermitianOperator(-h.entries), [0.0, 3.2])
         assert np.linalg.norm(back.amplitudes[-1] - psi.amplitudes) <= 1e-10
 
     def test_grid_contract(self):
@@ -94,19 +94,19 @@ class TestEvolveHPerturbed:
 
     def test_scalar_closed_form_norm(self):
         # 1x1 generator: |psi(t)| = exp(e' E t / (hbar (1 + e'^2)))
-        h = HermitianOperator(np.diag([1.0]), unit="energy")
+        h = HermitianOperator(np.diag([1.0]))
         traj = evolve_h_perturbed(StateVector([1.0]), h, [0.0, 1.0], 0.1, mode="exact")
         assert abs(traj.norms[-1] - math.exp(0.1 / 1.01)) <= 1e-14
 
     def test_first_order_drops_quadratic_factor(self):
-        h = HermitianOperator(np.diag([1.0]), unit="energy")
+        h = HermitianOperator(np.diag([1.0]))
         traj = evolve_h_perturbed(StateVector([1.0]), h, [0.0, 1.0], 0.1, mode="first_order")
         assert abs(traj.norms[-1] - math.exp(0.1)) <= 1e-14
 
     def test_mode_discrepancy_scales_quadratically(self):
         # log-norm gap between modes is e'^2/(1+e'^2) * e' E t; the ratio to
         # e'^2 stays bounded by e' E t over the sweep
-        h = HermitianOperator(np.diag([1.0]), unit="energy")
+        h = HermitianOperator(np.diag([1.0]))
         psi = StateVector([1.0])
         ratios = []
         for eps in (0.2, 0.1, 0.05):

@@ -25,9 +25,9 @@ from entropiclab import (
 from entropiclab.operators import RECONSTRUCTION_RTOL, _exp_rows, _expectations
 
 
-def random_hermitian(rng, dim, unit="energy"):
+def random_hermitian(rng, dim):
     raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return HermitianOperator((raw + raw.conj().T) / 2, unit=unit)
+    return HermitianOperator((raw + raw.conj().T) / 2)
 
 
 def random_state(rng, dim):
@@ -56,7 +56,7 @@ def spectrum_operator(rng, dim, low, high):
     q, _ = np.linalg.qr(raw)
     levels = np.sort(rng.uniform(low, high, dim))
     matrix = q @ (levels[:, None] * q.conj().T)
-    return HermitianOperator((matrix + matrix.conj().T) / 2, unit="energy")
+    return HermitianOperator((matrix + matrix.conj().T) / 2)
 
 
 class TestWickFactor:
@@ -87,7 +87,7 @@ class TestEntropyOperator:
         assert eigenvectors is spectral_decompose(h)[1]
 
     def test_scalar_division(self):
-        h = HermitianOperator(np.diag([2.0, 4.0]), unit="energy")
+        h = HermitianOperator(np.diag([2.0, 4.0]))
         entries, eigenvalues, _ = entropy_operator(h, 2.0)
         np.testing.assert_allclose(entries, np.diag([1.0, 2.0]))
         np.testing.assert_allclose(eigenvalues, [1.0, 2.0])
@@ -99,21 +99,17 @@ class TestEntropyOperator:
         with pytest.raises(ValueError):
             entropy_operator(h, -3.0)
 
-    def test_requires_energy_units(self):
-        with pytest.raises(ValueError, match="energy"):
-            entropy_operator(HermitianOperator(np.eye(2)), 1.0)
-
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("temperature", [1e-320, 1e-300])
     def test_generator_past_the_double_range_rejected(self, temperature):
         # 1 / 1e-320 is infinite; 1e10 / 1e-300 overflows.  The ValueError is
         # the one diagnostic: no NumPy warning comes before it
-        h = HermitianOperator(np.diag([0.0, 1e10]), unit="energy")
+        h = HermitianOperator(np.diag([0.0, 1e10]))
         with pytest.raises(ValueError, match="finite"):
             entropy_operator(h, temperature)
 
     def test_operator_is_derived_from_source(self):
-        h = HermitianOperator(np.diag([2.0, 4.0]), unit="energy")
+        h = HermitianOperator(np.diag([2.0, 4.0]))
         by_int = entropy_operator(h, 3)
         assert by_int[0].tobytes() == (h.entries * (1.0 / 3.0)).tobytes()
         for a, b in zip(by_int, entropy_operator(h, 3.0)):
@@ -143,7 +139,7 @@ class TestEntropyOperator:
 
 class TestEvolveS:
     def test_pure_phase_on_identity_generator(self):
-        generator = entropy_operator(HermitianOperator(np.eye(2), unit="energy"), 1.0)
+        generator = entropy_operator(HermitianOperator(np.eye(2)), 1.0)
         psi = StateVector(np.array([1.0, 1.0]) / np.sqrt(2.0))
         traj = evolve_s(psi, generator, [0.0, np.pi], 0.0)
         np.testing.assert_allclose(traj.amplitudes[-1], -psi.amplitudes, atol=1e-14)
@@ -151,7 +147,7 @@ class TestEvolveS:
 
     def test_eigenvector_growth_factor(self):
         # scalar exponential on an s = 2 mode: exp((i + 0.1) * 2)
-        generator = entropy_operator(HermitianOperator(np.diag([0.0, 2.0]), unit="energy"), 1.0)
+        generator = entropy_operator(HermitianOperator(np.diag([0.0, 2.0])), 1.0)
         chi = StateVector([0.0, 1.0])
         traj = evolve_s(chi, generator, [0.0, 1.0], -0.1)
         expected = np.array([0.0, cmath.exp((1j + 0.1) * 2.0)])
@@ -300,7 +296,7 @@ class TestEigenSolution:
 
     def test_zero_mode_never_moves(self):
         generator = entropy_operator(
-            HermitianOperator(np.diag([0.0, 1.0]), unit="energy"), 1.0
+            HermitianOperator(np.diag([0.0, 1.0])), 1.0
         )
         spec = EigenSolutionSpec(
             mode=StateVector([1.0, 0.0]), entropic_eigenvalue=0.0, generator=generator
@@ -312,7 +308,7 @@ class TestEigenSolution:
 
     def test_full_phase_revolution(self):
         generator = entropy_operator(
-            HermitianOperator(np.diag([0.0, 1.0]), unit="energy"), 1.0
+            HermitianOperator(np.diag([0.0, 1.0])), 1.0
         )
         spec = EigenSolutionSpec(
             mode=StateVector([0.0, 1.0]), entropic_eigenvalue=1.0, generator=generator
@@ -322,7 +318,7 @@ class TestEigenSolution:
 
     def test_modulus_growth(self):
         generator = entropy_operator(
-            HermitianOperator(np.diag([0.0, 1.0]), unit="energy"), 1.0
+            HermitianOperator(np.diag([0.0, 1.0])), 1.0
         )
         spec = EigenSolutionSpec(
             mode=StateVector([0.0, 1.0]), entropic_eigenvalue=1.0, generator=generator
@@ -340,7 +336,7 @@ class TestEigenSolution:
 
     def test_non_eigenvector_rejected(self):
         generator = entropy_operator(
-            HermitianOperator(np.diag([0.0, 1.0]), unit="energy"), 1.0
+            HermitianOperator(np.diag([0.0, 1.0])), 1.0
         )
         with pytest.raises(ValueError, match="eigenvalue equation"):
             EigenSolutionSpec(
@@ -350,14 +346,14 @@ class TestEigenSolution:
 
 class TestEntropyProduction:
     def test_dissipation_free_rate(self):
-        h = HermitianOperator(np.diag([1.0]), unit="energy")
+        h = HermitianOperator(np.diag([1.0]))
         rates = entropy_production(h, weak_field_epsilon(0.0))
         assert rates[0] == 1.0 + 0.0j
 
     def test_imaginary_part_from_chart_oracle(self):
         # independent route: finite differences of the chart generator
         eps = weak_field_epsilon(-2.0 * -0.05 / math.pi)
-        h = HermitianOperator(np.diag([2.0]), unit="energy")
+        h = HermitianOperator(np.diag([2.0]))
         rates = entropy_production(h, eps)
         assert abs(rates[0].imag - 0.1) <= 1e-12
         derivative = entropy_production_via_chart(h, eps)
@@ -387,7 +383,7 @@ class TestEntropyProduction:
         eps = -0.2
         strength = -2.0 * eps / math.pi
         phase = -(math.pi / 2.0) * (1.0 - math.exp(-strength))
-        h = HermitianOperator(np.diag([1.0]), unit="energy")
+        h = HermitianOperator(np.diag([1.0]))
         first = entropy_production_via_chart(h, weak_field_epsilon(strength))[0, 0]
         exact = cmath.exp(-1j * phase)
         gap = abs(first - exact)
@@ -396,7 +392,7 @@ class TestEntropyProduction:
 
 class TestUncertaintyProduct:
     TWO_LEVEL_S = entropy_operator(
-        HermitianOperator(np.diag([0.0, 2.0]), unit="energy"), 1.0
+        HermitianOperator(np.diag([0.0, 2.0])), 1.0
     )
 
     def test_stationary_probe_reports_no_product(self):
@@ -406,6 +402,27 @@ class TestUncertaintyProduct:
         )
         assert delta_s == 0.0
         assert delta_tau == math.inf
+
+    def test_probes_commuting_with_the_generator_are_stationary(self):
+        # H^2, H and the identity commute with S = H / T: no clock, an infinite
+        # delta_tau, on each system alone and on the stack of all of them
+        hamiltonians = [build_hamiltonian("random_hermitian", dim=6, seed=seed)
+                        for seed in range(100)]
+        states = np.random.default_rng(5).standard_normal((100, 6)) + 0j
+        generators = [entropy_operator(h, 1.0) for h in hamiltonians]
+        squares = np.array([h.entries @ h.entries for h in hamiltonians])
+        probes = {
+            "H^2": (squares + squares.conj().swapaxes(-1, -2)) / 2.0,
+            "H": np.array([h.entries for h in hamiltonians]),
+            "identity": np.broadcast_to(np.eye(6, dtype=complex), (100, 6, 6)),
+        }
+        stack = tuple(np.array(part) for part in zip(*generators))
+        for name, observables in probes.items():
+            for generator, observable, psi in zip(generators, observables, states):
+                _, delta_tau = uncertainty_product(generator, observable, psi, 0.5)
+                assert delta_tau == math.inf, name
+            _, delta_tau = uncertainty_product(stack, observables, states, np.full(100, 0.5))
+            assert (delta_tau == math.inf).all(), name
 
     def test_two_level_saturation(self):
         # closed-form probe average (1 + cos 2 tau)/2 has slope -1 at tau = pi/4,
@@ -424,7 +441,7 @@ class TestUncertaintyProduct:
             dim = 8
             generator = entropy_operator(spectrum_operator(rng, dim, 0.0, 2.0), 1.0)
             psi = random_state(rng, dim)
-            observable = random_hermitian(rng, dim, unit="dimensionless")
+            observable = random_hermitian(rng, dim)
             delta_s, delta_tau = uncertainty_product(generator, observable.entries,
                                                      psi.amplitudes, float(rng.uniform(0.1, 2.0)))
             if delta_tau != math.inf:

@@ -126,3 +126,10 @@ def test_one_exponential_and_one_sampling_path():
     assert functions_naming("_rows") == {"operators._exp_rows",
                                          "entropy_picture._closed_form_rows"}
     assert functions_naming("_fill_block") == {"fluctuations._draw_group"}
+
+
+def test_hermiticity_is_checked_where_a_matrix_enters():
+    # the operator constructor and uncertainty_product's observables; a matrix
+    # the package derives itself, such as a commutator, is not checked again
+    assert functions_naming("_check_hermitian") == {"operators.__init__",
+                                                    "entropy_picture.uncertainty_product"}

@@ -25,7 +25,14 @@ from entropiclab.entropy_picture import (
     evolve_s,
 )
 from entropiclab.onsager import _check_systems, _relaxations
-from entropiclab.operators import _check_hermitian, _exp_rows, _rows, spectral_decompose
+from entropiclab.operators import (
+    _check_hermitian,
+    _exp_rows,
+    _expectations,
+    _norms,
+    _rows,
+    spectral_decompose,
+)
 from entropiclab.suite import (
     CheckResult,
     _complex_normal,
@@ -47,7 +54,7 @@ def random_spectrum_operator(rng, dim, low, high):
     q, _ = np.linalg.qr(_complex_normal(rng, (dim, dim)))
     levels = np.sort(rng.uniform(low, high, dim))
     matrix = q @ (levels[:, None] * q.conj().T)
-    return HermitianOperator((matrix + matrix.conj().T) / 2.0, unit="energy")
+    return HermitianOperator((matrix + matrix.conj().T) / 2.0)
 
 
 def reference_spread(entries, amplitudes):
@@ -90,7 +97,7 @@ def reference_uncertainty_bound(seed):
             evaluated += 1
             min_margin = min(min_margin, product - 0.5)
     plus = (np.array([1.0, 1.0]) / math.sqrt(2.0)).astype(complex)
-    generator = entropy_operator(HermitianOperator(np.diag([0.0, 2.0]), unit="energy"), 1.0)
+    generator = entropy_operator(HermitianOperator(np.diag([0.0, 2.0])), 1.0)
     saturating = reference_product(plus, generator, np.outer(plus, plus.conj()), math.pi / 4.0)
     saturation_gap = abs(saturating - 0.5)
     return CheckResult(
@@ -254,10 +261,10 @@ def test_kernel_on_one_system_is_evolve_s(schedule, epsilon):
         elapsed = grid if schedule == "frozen" else -np.expm1(-grid)
         rows = _thermal_rows(eigenvalues[None], eigenvectors[None], psi.amplitudes[None],
                              elapsed[None], [epsilon], constants.kB)
-        kernel = Trajectory.from_amplitudes(grid, rows[0], entries)
+        averages = _expectations(entries, rows[0])
         if schedule == "chart":
-            kernel = Trajectory(grid, kernel.amplitudes, kernel.norms,
-                                np.exp(-grid) * kernel.expectations)
+            averages = np.exp(-grid) * averages
+        kernel = Trajectory(grid, rows[0], _norms(rows[0]), averages)
         alone = evolve_s(psi, generator, grid, epsilon, constants, schedule=schedule,
                          allow_antidissipative=True)
         assert same_trajectory(kernel, alone)
