@@ -9,6 +9,11 @@ exit codes: 2 for configuration/schema problems, 3 for numerical failures
 ``check-all`` finds an invariant violation, and 5 when an artifact cannot
 be written.  ``check-all`` is one more runner: its configuration may come
 from flags instead of a file, and it also prints the verdict table.
+
+The module itself loads only what parsing arguments, loading a
+configuration and writing artifacts need.  Each runner imports the kernel
+modules of its scenario when it is called, before any worker forks, so
+that a command loads only the modules it runs and its workers inherit them.
 """
 from __future__ import annotations
 
@@ -24,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, _fanout, _shortest
+from . import __version__
 from .config import (
     ConfigError,
     constants_from,
@@ -39,26 +44,7 @@ from .config import (
     system_from,
     validate_config,
 )
-from .entropy_picture import (
-    _checked_grid,
-    _thermal_trajectory,
-    entropy_operator,
-    picture_consistency,
-    weak_field_epsilon,
-)
-from .energy_picture import evolve_h, evolve_h_perturbed, noether_energy_drift
-from .fluctuations import (
-    _GROUP,
-    _draw_group,
-    _Moments,
-    boundary_action,
-    standardized_deviations,
-    symplectic_area,
-)
-from .gravity import laplacian_spot_check, mean_h, trace_potential
-from .onsager import RECIPROCITY_RTOL, _relative_gaps, entropy_rate, reciprocity_check, relax
-from .operators import spectral_decompose
-from .suite import CheckResult, fitted_order, monotonicity_violation, run_all, semigroup_gap
+from .verdicts import CheckResult, fitted_order, monotonicity_violation
 
 __all__ = ["main"]
 
@@ -73,9 +59,10 @@ _FLUCT_HEADER = ("dp", "dV", "dT", "dS")
 # cells per block, 0.147 and 0.160 s at 2^15, 0.161 and 0.156 s at 2^17
 # and 0.174 and 0.172 s at 2^18; formatted in process on one CPU, 0.185
 # and 0.156 s (11 interleaved calls each).  2^16 cells are one covariance
-# moment group of fluct's four columns, so that a block of fluct's CSV
-# draws and summarizes whole groups, as the covariance report merges them.
-_CSV_BLOCK_CELLS = len(_FLUCT_HEADER) * _GROUP
+# moment group (fluctuations._GROUP samples) of fluct's four columns, so
+# that a block of fluct's CSV draws and summarizes whole groups, as the
+# covariance report merges them.
+_CSV_BLOCK_CELLS = 1 << 16
 
 
 def _format_block(columns) -> str:
@@ -91,6 +78,8 @@ def _format_block(columns) -> str:
     no Python object is made per float cell; integer and label cells are
     encoded one by one, as ``repr`` and UTF-8 give them.
     """
+    from . import _shortest
+
     rows = len(columns[0])
     # (rows, columns, width) cells: one per group, one per run of other float
     # columns, one per other column
@@ -151,6 +140,9 @@ def _csv_lines(header, producer, rows: int, merge=None):
     summaries are the same at any CPU count.  Closing the generator shuts
     the workers down.
     """
+    # the float kernel too is imported before the workers fork, to be inherited
+    from . import _fanout, _shortest  # noqa: F401
+
     step = max(1, _CSV_BLOCK_CELLS // max(1, len(header)))
     yield ",".join(header) + "\r\n"
     blocks = _fanout.ordered(producer, _RowRanges(rows, step), "CSV formatting")
@@ -213,6 +205,8 @@ class _NormFold:
 
 def _evolve_s_rows(psi0, generator, grid, epsilon, kB, schedule, start, stop):
     """evolve-s's CSV rows ``start..stop``, made from the grid slice, and their norms."""
+    from .entropy_picture import _thermal_trajectory
+
     trajectory = _thermal_trajectory(psi0, generator, grid[start:stop], epsilon, kB, schedule)
     return _format_block(_trajectory_columns(trajectory, start)), trajectory.norms
 
@@ -220,11 +214,15 @@ def _evolve_s_rows(psi0, generator, grid, epsilon, kB, schedule, start, stop):
 def _fluct_rows(moments, seed, start, stop):
     """fluct's CSV rows ``start..stop``, one moment group drawn from the seed's
     sample blocks, and that group's ``(count, mean, M2)``."""
+    from .fluctuations import _draw_group
+
     group = _draw_group(moments.ref, moments.constants, seed, start, stop)
     return _format_block(list(group)), moments.of_group(*group)
 
 
 def _run_evolve_h(config: dict, base_dir: Path):
+    from .energy_picture import evolve_h, evolve_h_perturbed, noether_energy_drift
+
     constants = constants_from(config)
     block = config["evolve_h"]
     hamiltonian = hamiltonian_from(block["hamiltonian"], constants)
@@ -255,6 +253,8 @@ def _run_evolve_h(config: dict, base_dir: Path):
 
 
 def _epsilon_from(block: dict) -> float:
+    from .entropy_picture import weak_field_epsilon
+
     if "epsilon" in block and "strength" in block:
         raise ConfigError("give either 'epsilon' or 'strength', not both")
     if "strength" in block:
@@ -263,6 +263,9 @@ def _epsilon_from(block: dict) -> float:
 
 
 def _run_evolve_s(config: dict, base_dir: Path):
+    from .entropy_picture import _checked_grid, entropy_operator, semigroup_gap
+    from .operators import spectral_decompose
+
     constants = constants_from(config)
     block = config["evolve_s"]
     hamiltonian = hamiltonian_from(block["hamiltonian"], constants)
@@ -326,6 +329,8 @@ def _run_evolve_s(config: dict, base_dir: Path):
 
 
 def _run_compare_pictures(config: dict, base_dir: Path):
+    from .entropy_picture import picture_consistency
+
     constants = constants_from(config)
     block = config["compare_pictures"]
     hamiltonian = hamiltonian_from(block["hamiltonian"], constants)
@@ -343,6 +348,9 @@ def _run_compare_pictures(config: dict, base_dir: Path):
 
 
 def _run_gravity(config: dict, base_dir: Path):
+    from .entropy_picture import weak_field_epsilon
+    from .gravity import laplacian_spot_check, mean_h, trace_potential
+
     block = config["gravity"]
     source = source_from(block["source"], base_dir)
     seed = config.get("seed", 0)
@@ -369,6 +377,8 @@ def _run_gravity(config: dict, base_dir: Path):
 
 
 def _run_onsager(config: dict, base_dir: Path):
+    from .onsager import RECIPROCITY_RTOL, _relative_gaps, entropy_rate, reciprocity_check, relax
+
     block = config["onsager"]
     system = system_from(block["system"], base_dir)
     grid = grid_from(block["grid"])
@@ -396,6 +406,8 @@ def _run_onsager(config: dict, base_dir: Path):
 
 
 def _run_fluct(config: dict, base_dir: Path):
+    from .fluctuations import _Moments, standardized_deviations
+
     constants = constants_from(config)
     block = config["fluct"]
     n = block["n"]
@@ -423,6 +435,8 @@ def _run_fluct(config: dict, base_dir: Path):
 
 
 def _run_stokes(config: dict, base_dir: Path):
+    from .fluctuations import boundary_action, symplectic_area
+
     block = config["stokes"]
     patch = patch_from(block["patch"])
     resolutions = block["resolutions"]
@@ -445,6 +459,8 @@ def _run_stokes(config: dict, base_dir: Path):
 
 
 def _run_check_all(config: dict, base_dir: Path):
+    from .suite import run_all
+
     results = run_all(seed=config.get("seed", 0))
     rows = [(result.name, float(result.tolerance), float(result.measured),
              str(bool(result.passed)).lower()) for result in results]

@@ -166,6 +166,21 @@ def _thermal_rows(eigenvalues, eigenvectors, states, elapsed, epsilons, kB):
     return _exp_rows(eigenvalues, eigenvectors, _thermal_exponents(elapsed, epsilons, kB), states)
 
 
+def semigroup_gap(eigenvalues, eigenvectors, states, tau1, tau2, epsilons, kB):
+    """Distance between evolving by tau1 then tau2 and by tau1 + tau2 at once, under
+    the frozen entropy generator, for stacks of ``S0``'s eigensystems (eigenvalues
+    ``(..., d)``, eigenvectors ``(..., d, d)``), states ``(..., d)`` and tau1, tau2
+    and epsilons ``(...)``; one system is the stack with no leading axes.
+
+    The inputs are not validated again: the caller has checked them as ``evolve_s`` does."""
+    tau1, tau2 = np.asarray(tau1, dtype=float), np.asarray(tau2, dtype=float)
+    legs = _thermal_rows(eigenvalues, eigenvectors, states,
+                         np.stack([tau1, tau1 + tau2], axis=-1), epsilons, kB)
+    two_step = _thermal_rows(eigenvalues, eigenvectors, legs[..., 0, :], tau2[..., None],
+                             epsilons, kB)
+    return _norms(two_step[..., 0, :] - legs[..., 1, :])
+
+
 def _thermal_exponents(elapsed, epsilons, kB):
     """``(i - eps)/kB * g`` for elapsed grids ``g`` ``(..., n)`` and epsilons ``(...)``."""
     # part by part, as Python's complex (1j - eps) / kB divides; NumPy's complex

@@ -155,10 +155,6 @@ class RegionSpec:
     def ball(cls, center, radius: float, samples: int) -> "RegionSpec":
         return cls(shape="ball", samples=samples, center=center, radius=radius)
 
-    @classmethod
-    def box(cls, bounds, samples: int) -> "RegionSpec":
-        return cls(shape="box", samples=samples, bounds=bounds)
-
 
 class _Centred(NamedTuple):
     """A source's occupied cells for the blocked kernel: their centres less

@@ -133,10 +133,9 @@ def _quadratic_forms(entries, amplitudes):
 
 
 def _expectations(entries, amplitudes):
-    """Normalized quadratic form ``<a, A a> / <a, a>`` per stack entry."""
+    """Normalized quadratic form ``<a, A a> / <a, a>`` per stack entry; the callers
+    have checked their states nonzero."""
     forms, weights, _ = _quadratic_forms(entries, amplitudes)
-    if not weights.all():
-        raise ValueError("expectation of the zero vector is undefined")
     # part by part, as Python's complex / float divides; NumPy's complex
     # division would multiply by the reciprocal instead
     real, imag = forms.real / weights, forms.imag / weights
@@ -153,11 +152,10 @@ def _spreads(entries, amplitudes):
     """Standard deviation ``sqrt(<A^2> - <A>^2)`` of each ``A`` on each state.
 
     A tiny negative variance (within -1e-12 of zero, rounding) is clamped
-    to zero; anything more negative is reported as an error.
+    to zero; anything more negative is reported as an error.  The callers
+    have checked their states nonzero.
     """
     forms, weights, images = _quadratic_forms(entries, amplitudes)
-    if not weights.all():
-        raise ValueError("uncertainty of the zero vector is undefined")
     mean = forms.real / weights
     second = _dots(images.conj(), images).real / weights
     variance = second - mean * mean

@@ -8,8 +8,9 @@ block can be regenerated on its own without drawing the blocks before it.
 from __future__ import annotations
 
 import numpy as np
-# bound here, in every process that imports the package, so that a forked
-# worker inherits numpy.random instead of importing it on its first draw
+# bound here, in every process that imports a sampling module (a command
+# imports its modules before it forks), so that a forked worker inherits
+# numpy.random instead of importing it on its first draw
 from numpy.random import Generator, Philox
 
 BLOCK_SAMPLES = 4096

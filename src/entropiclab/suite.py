@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,6 +25,7 @@ from .entropy_picture import (
     entropy_production_via_chart,
     evolve_s,
     picture_consistency,
+    semigroup_gap,
     uncertainty_product,
     weak_field_epsilon,
 )
@@ -50,74 +50,9 @@ from .operators import (
     build_hamiltonian,
     spectral_decompose,
 )
+from .verdicts import CheckResult, fitted_order, monotonicity_violation
 
-__all__ = ["CheckResult", "criterion_names", "run_all"]
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    """Outcome of one named invariant check, from the suite or a scenario run."""
-
-    name: str
-    tolerance: float
-    measured: float
-    passed: bool
-    requirement: str = ""
-    details: dict = field(default_factory=dict)
-
-    @classmethod
-    def bounded(cls, name: str, measured: float, tolerance: float, **fields) -> "CheckResult":
-        """A check that passes when ``measured <= tolerance``."""
-        return cls(name, tolerance, measured, measured <= tolerance, **fields)
-
-    def verdict(self) -> dict:
-        """The run record's view: name, tolerance, measured, passed."""
-        return {
-            "name": self.name,
-            "tolerance": float(self.tolerance),
-            "measured": float(self.measured),
-            "passed": bool(self.passed),
-        }
-
-    def to_dict(self) -> dict:
-        return {**self.verdict(), "requirement": self.requirement, "details": self.details}
-
-
-def semigroup_gap(eigenvalues, eigenvectors, states, tau1, tau2, epsilons, kB):
-    """Distance between evolving by tau1 then tau2 and by tau1 + tau2 at once, under
-    the frozen entropy generator, for stacks of ``S0``'s eigensystems (eigenvalues
-    ``(..., d)``, eigenvectors ``(..., d, d)``), states ``(..., d)`` and tau1, tau2
-    and epsilons ``(...)``; one system is the stack with no leading axes.
-
-    The inputs are not validated again: the caller has checked them as ``evolve_s`` does."""
-    tau1, tau2 = np.asarray(tau1, dtype=float), np.asarray(tau2, dtype=float)
-    legs = _thermal_rows(eigenvalues, eigenvectors, states,
-                         np.stack([tau1, tau1 + tau2], axis=-1), epsilons, kB)
-    two_step = _thermal_rows(eigenvalues, eigenvectors, legs[..., 0, :], tau2[..., None],
-                             epsilons, kB)
-    return _norms(two_step[..., 0, :] - legs[..., 1, :])
-
-
-def monotonicity_violation(norms, epsilon) -> float:
-    """Largest step against the branch: a norm drop for epsilon < 0 (dilatation),
-    a norm rise for epsilon > 0 (contraction); 0 when the norms are monotone.
-
-    ``norms`` may be a stack ``(..., n)`` with one epsilon per row ``(...)``;
-    the result is then the largest over all rows."""
-    norms = np.asarray(norms, dtype=float)
-    if norms.shape[-1] < 2:
-        return 0.0
-    steps = np.diff(norms)
-    against = np.where(np.asarray(epsilon)[..., None] < 0, -steps, steps)
-    return float(max(against.max(), 0.0))
-
-
-def fitted_order(resolutions, gaps) -> float:
-    """Convergence order: minus the slope of log2(gap) against log2(resolution)."""
-    x = np.log2(np.asarray(resolutions, dtype=float))
-    y = np.log2(np.asarray(gaps, dtype=float))
-    slope = np.polyfit(x, y, 1)[0]
-    return float(-slope)
+__all__ = ["criterion_names", "run_all"]
 
 
 def _rng(seed: int, tag: int) -> np.random.Generator:

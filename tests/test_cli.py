@@ -25,6 +25,7 @@ from entropiclab import (
     mean_h,
     picture_consistency,
     relax,
+    suite,
     symplectic_area,
     trace_potential,
 )
@@ -42,7 +43,7 @@ from entropiclab.config import (
 )
 from entropiclab.constants import NATURAL
 from entropiclab.seeding import BLOCK_SAMPLES
-from entropiclab.suite import CheckResult
+from entropiclab.verdicts import CheckResult
 
 
 def run_cli(*args, cwd=None, preexec_fn=None):
@@ -789,7 +790,7 @@ class TestFailureModes:
         import entropiclab.cli as cli_module
 
         passing = CheckResult.bounded("synthetic", 0.0, 1.0)
-        monkeypatch.setattr(cli_module, "run_all", lambda seed: [passing])
+        monkeypatch.setattr(suite, "run_all", lambda seed: [passing])
         blocker = tmp_path / "not_a_dir"
         blocker.write_text("")
         assert cli_module.main(["check-all", "--outdir", str(blocker)]) == 5
@@ -802,7 +803,7 @@ class TestFailureModes:
 
         # fluct's producer runs as its CSV is written, block by block
         monkeypatch.setattr(cli_module, "_fluct_rows", exhausted)
-        monkeypatch.setattr(cli_module, "run_all", exhausted)
+        monkeypatch.setattr(suite, "run_all", exhausted)
         config = write_config(tmp_path / "cfg.json", {
             "scenario": "fluct",
             "fluct": {"reference": IDEAL_GAS, "n": 10**12},
@@ -854,7 +855,7 @@ class TestFailureModes:
             name="synthetic", requirement="forced failure", tolerance=0.0,
             measured=1.0, passed=False, details={},
         )
-        monkeypatch.setattr(cli_module, "run_all", lambda seed: [failing])
+        monkeypatch.setattr(suite, "run_all", lambda seed: [failing])
         code = cli_module.main(["check-all", "--outdir", str(tmp_path / "out")])
         assert code == 4
 
@@ -1211,7 +1212,7 @@ class TestCsvFormat:
             CheckResult("stokes-identity", 1.9, 1.7600000000000002, False),
             CheckResult.bounded("gravity-falloff", 0.0, 5),
         ]
-        monkeypatch.setattr(cli_module, "run_all", lambda seed: results)
+        monkeypatch.setattr(suite, "run_all", lambda seed: results)
         assert main(["check-all", "--outdir", str(tmp_path)]) == 4
         expected = csv_writer_text(
             ["criterion", "tolerance", "measured", "passed"],
@@ -1353,7 +1354,7 @@ class TestVerdictTable:
             CheckResult.bounded("unitary-limit", 3.4e-17, 1e-12),
             CheckResult("stokes-identity", 1.9, 1.76, False),
         ]
-        monkeypatch.setattr(cli_module, "run_all", lambda seed: results)
+        monkeypatch.setattr(suite, "run_all", lambda seed: results)
         assert main(["check-all", "--outdir", str(tmp_path)]) == 4
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].split() == ["scenario", "check", "tolerance", "measured", "verdict"]
@@ -1493,6 +1494,13 @@ class TestBlockProducers:
             found.append((out.read_bytes(), record))
         assert found[0] == found[1]
         return found[0]
+
+    def test_a_fluct_block_is_one_moment_group(self):
+        # the CLI sets its block size without importing the sampler
+        import entropiclab.cli as cli_module
+        from entropiclab.fluctuations import _GROUP
+
+        assert cli_module._CSV_BLOCK_CELLS == len(cli_module._FLUCT_HEADER) * _GROUP
 
     def test_fluct_blocks_are_the_whole_columns(self, tmp_path, monkeypatch):
         import entropiclab.cli as cli_module

@@ -128,7 +128,7 @@ class TestMeanH:
 
     def test_box_region(self):
         source = point_mass_source()
-        region = RegionSpec.box(bounds=[[2.0, -0.5, -0.5], [3.0, 0.5, 0.5]], samples=4000)
+        region = RegionSpec("box", 4000, bounds=[[2.0, -0.5, -0.5], [3.0, 0.5, 0.5]])
         value = mean_h(source, region, seed=1)
         assert 4.0 / 3.5 <= value <= 4.0 / 1.5
 
@@ -154,7 +154,7 @@ class TestMeanH:
         if shape == "ball":
             region = RegionSpec.ball(center=[3.0, 0.0, 0.0], radius=0.5, samples=samples)
         else:
-            region = RegionSpec.box(bounds=[[2.0, -0.5, -0.5], [3.0, 0.5, 0.5]], samples=samples)
+            region = RegionSpec("box", samples, bounds=[[2.0, -0.5, -0.5], [3.0, 0.5, 0.5]])
         mean_h(point_mass_source(), region, seed=2)
         # a ball's clearance is one support_distance call, itself one pass
         checks = 1 if shape == "ball" else 0
@@ -173,7 +173,7 @@ class TestMeanH:
         with pytest.raises(ValueError, match="samples"):
             RegionSpec.ball(center=[0, 0, 0], radius=1.0, samples=0)
         with pytest.raises(ValueError, match="bounds"):
-            RegionSpec.box(bounds=[[1, 0, 0], [0, 1, 1]], samples=10)
+            RegionSpec("box", 10, bounds=[[1, 0, 0], [0, 1, 1]])
 
 
 class TestBlockedKernel:
@@ -339,7 +339,7 @@ class TestRowSplit:
         probes = 0.6 + 4.0 * directions / np.linalg.norm(directions, axis=1)[:, None]
         samples = 3 * BLOCK_SAMPLES + 1
         ball = RegionSpec.ball([3.0, 0.5, 0.5], 0.4, samples)
-        box = RegionSpec.box([[2.5, 0.0, 0.0], [3.5, 1.0, 1.0]], samples)
+        box = RegionSpec("box", samples, bounds=[[2.5, 0.0, 0.0], [3.5, 1.0, 1.0]])
         return {
             "trace_potential": trace_potential(source, probes),
             "support_distance": source.support_distance(probes),
@@ -427,7 +427,7 @@ class TestRowSplit:
         if shape == "ball":
             region = RegionSpec.ball([3.0, 0.5, 0.5], 0.4, samples)
         else:
-            region = RegionSpec.box([[2.5, 0.0, 0.0], [3.5, 1.0, 1.0]], samples)
+            region = RegionSpec("box", samples, bounds=[[2.5, 0.0, 0.0], [3.5, 1.0, 1.0]])
         total = 0.0
         for block, start, stop in block_ranges(samples):
             points = gravity._sample_region(region, block_generator(9, block), stop - start)

