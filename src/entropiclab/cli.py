@@ -44,7 +44,7 @@ from .config import (
     system_from,
     validate_config,
 )
-from .verdicts import CheckResult, fitted_order, monotonicity_violation
+from .verdicts import fitted_order, monotonicity_violation, verdict
 
 __all__ = ["main"]
 
@@ -244,9 +244,9 @@ def _run_evolve_h(config: dict, base_dir: Path):
     verdicts = []
     if epsilon_prime == 0.0:
         norm_wander = float(np.max(np.abs(trajectory.norms - trajectory.norms[0])))
-        verdicts.append(CheckResult.bounded("h-norm-preservation", norm_wander, 1e-12))
+        verdicts.append(verdict("h-norm-preservation", norm_wander))
         e0 = abs(float(trajectory.expectations[0]))
-        verdicts.append(CheckResult.bounded("h-energy-conservation", drift, 1e-10 * e0 + 1e-12))
+        verdicts.append(verdict("h-energy-conservation", drift, scale=e0))
     table = _csv_lines(_trajectory_header("t", "expect_H", hamiltonian.dim),
                        *_columns(*_trajectory_columns(trajectory)))
     return table, lambda: (outputs, verdicts)
@@ -315,14 +315,14 @@ def _run_evolve_s(config: dict, base_dir: Path):
         }
         verdicts = []
         if epsilon == 0.0:
-            verdicts.append(CheckResult.bounded("s-unitary-norms", norms.wander, 1e-12))
+            verdicts.append(verdict("s-unitary-norms", norms.wander))
         else:
             bottom = float(spectral_decompose(hamiltonian)[0][0])
             if bottom >= -1e-12:
-                name = "s-dilatation" if epsilon < 0 else "s-contraction"
-                verdicts.append(CheckResult.bounded(name, norms.against, 1e-12))
+                verdicts.append(verdict("s-dilatation" if epsilon < 0 else "s-contraction",
+                                        norms.against))
         if gap is not None:
-            verdicts.append(CheckResult.bounded("s-semigroup-composition", gap, 1e-10))
+            verdicts.append(verdict("s-semigroup-composition", gap))
         return outputs, verdicts
 
     return table, summary
@@ -343,7 +343,7 @@ def _run_compare_pictures(config: dict, base_dir: Path):
     )
     outputs = {"mode": mode, "epsilon": float(epsilon), "max_deviation": float(deviation)}
     table = _csv_lines(list(outputs), *_columns(*([value] for value in outputs.values())))
-    verdicts = [CheckResult.bounded("picture-deviation", deviation, 1e-10)]
+    verdicts = [verdict("picture-deviation", deviation)]
     return table, lambda: (outputs, verdicts)
 
 
@@ -360,10 +360,7 @@ def _run_gravity(config: dict, base_dir: Path):
     outputs = {"total_mass": float(source.total_mass)}
     verdicts = []
     if potentials.size:
-        lowest = float(potentials.min())
-        verdicts.append(
-            CheckResult("potential-nonnegative", 0.0, min(lowest, 0.0), lowest >= 0.0)
-        )
+        verdicts.append(verdict("potential-nonnegative", min(float(potentials.min()), 0.0)))
     if "region" in block:
         strength = mean_h(source, region_from(block["region"]), seed)
         outputs["mean_h"] = float(strength)
@@ -396,12 +393,10 @@ def _run_onsager(config: dict, base_dir: Path):
         "kinetic_asymmetry_norm": asymmetry,
     }
     gap = float(_relative_gaps(via_velocities, via_forces))
-    verdicts = [CheckResult.bounded("entropy-forms-agree", gap, 1e-12)]
+    verdicts = [verdict("entropy-forms-agree", gap)]
     if symmetric:
         worst = float(np.max(-rates))
-        verdicts.append(
-            CheckResult.bounded("entropy-rate-nonnegative", max(worst, 0.0), 1e-12)
-        )
+        verdicts.append(verdict("entropy-rate-nonnegative", max(worst, 0.0)))
     return table, lambda: (outputs, verdicts)
 
 
@@ -422,13 +417,10 @@ def _run_fluct(config: dict, base_dir: Path):
             # covariance_report of the samples: the same groups, merged in order
             outputs["covariance"] = report = moments.report()
             z = standardized_deviations(report)
-            for name, statistic in (
-                ("fluct-ds-dt", "ds_dt_over_kBT"),
-                ("fluct-dp-dv", "dp_dv_over_kBT"),
-                ("fluct-ds-dtau", "ds_dtau_over_kB"),
-                ("fluct-dt-dv-uncorrelated", "dt_dv_correlation"),
-            ):
-                verdicts.append(CheckResult.bounded(name, z[statistic], 3.0))
+            verdicts += [verdict("fluct-ds-dt", z["ds_dt_over_kBT"]),
+                         verdict("fluct-dp-dv", z["dp_dv_over_kBT"]),
+                         verdict("fluct-ds-dtau", z["ds_dtau_over_kB"]),
+                         verdict("fluct-dt-dv-uncorrelated", z["dt_dv_correlation"])]
         return outputs, verdicts
 
     return table, summary
@@ -452,9 +444,9 @@ def _run_stokes(config: dict, base_dir: Path):
     if len(resolutions) >= 3 and all(g > 1e-13 for g in gaps):
         order = fitted_order(resolutions, gaps)
         outputs["convergence_order"] = order
-        verdicts.append(CheckResult("stokes-order", 1.9, order, order >= 1.9))
+        verdicts.append(verdict("stokes-order", order))
     else:  # the schema asks for at least one resolution
-        verdicts.append(CheckResult.bounded("stokes-gap", float(max(gaps)), 1e-9))
+        verdicts.append(verdict("stokes-gap", float(max(gaps))))
     return table, lambda: (outputs, verdicts)
 
 

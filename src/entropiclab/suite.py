@@ -1,9 +1,10 @@
 """Machine-checkable invariant suite.
 
-Every structural claim the package makes is pinned here as a named check
-with an explicit tolerance, runnable from the command line (``check-all``)
-and from the test suite.  All randomness is derived from one seed, so a
-fixed seed reproduces every number in every check.
+Every structural claim the package makes is checked here by one criterion,
+runnable from the command line (``check-all``) and from the test suite.  A
+criterion measures its claim; the claim's statement and bound are those of
+its entry in ``verdicts.CLAIMS``.  All randomness is derived from one seed,
+so a fixed seed reproduces every number in every check.
 """
 from __future__ import annotations
 
@@ -50,7 +51,7 @@ from .operators import (
     build_hamiltonian,
     spectral_decompose,
 )
-from .verdicts import CheckResult, fitted_order, monotonicity_violation
+from .verdicts import CheckResult, fitted_order, monotonicity_violation, verdict
 
 __all__ = ["criterion_names", "run_all"]
 
@@ -93,7 +94,6 @@ def _unit_rows(states):
 
 
 def check_unitary_limit(seed: int) -> CheckResult:
-    """Zero field strength must keep the thermal-time evolution unitary."""
     rng = _rng(seed, 1)
     hamiltonian = _random_hermitian(rng, 64)
     generator = entropy_operator(hamiltonian, temperature=1.0)
@@ -101,13 +101,8 @@ def check_unitary_limit(seed: int) -> CheckResult:
     grid = np.linspace(0.0, 50.0, 26)
     epsilon = weak_field_epsilon(0.0)
     trajectory = evolve_s(psi0, generator, grid, epsilon)
-    return CheckResult.bounded(
-        "unitary-limit",
-        float(np.max(np.abs(trajectory.norms - 1.0))),
-        1e-12,
-        requirement="max |norm - 1| over tau in [0, 50], dim 64, strength 0",
-        details={"dim": 64, "tau_max": 50.0},
-    )
+    return verdict("unitary-limit", float(np.max(np.abs(trajectory.norms - 1.0))),
+                   {"dim": 64, "tau_max": 50.0})
 
 
 def _semigroup_draw(rng, dim):
@@ -116,7 +111,6 @@ def _semigroup_draw(rng, dim):
 
 
 def check_semigroup_law(seed: int) -> CheckResult:
-    """Constant-generator evolution composes: step tau1 then tau2 = step tau1+tau2."""
     rng = _rng(seed, 2)
     worst = 0.0
     # at temperature 1 the generator S = H / T is H itself, eigensystem included
@@ -126,17 +120,10 @@ def check_semigroup_law(seed: int) -> CheckResult:
         gaps = semigroup_gap(eigenvalues, eigenvectors, _unit_rows(states), tau1, tau2,
                              epsilons, NATURAL.kB)
         worst = max(worst, float(gaps.max()))
-    return CheckResult.bounded(
-        "semigroup-law",
-        worst,
-        1e-10,
-        requirement="composition error over 100 randomized (tau1, tau2, S) triples",
-        details={"triples": 100},
-    )
+    return verdict("semigroup-law", worst, {"triples": 100})
 
 
 def check_dilatation_contraction(seed: int) -> CheckResult:
-    """Nonnegative generator: norms never shrink for eps < 0, never grow for eps > 0."""
     rng = _rng(seed, 3)
     grid = np.linspace(0.0, 2.0, 21)
     runs = itertools.count()
@@ -154,17 +141,10 @@ def check_dilatation_contraction(seed: int) -> CheckResult:
         rows = _thermal_rows(eigenvalues, eigenvectors, _unit_rows(states), grid, epsilons,
                              NATURAL.kB)
         worst = max(worst, monotonicity_violation(_norms(rows), epsilons))
-    return CheckResult.bounded(
-        "dilatation-contraction",
-        worst,
-        1e-12,
-        requirement="worst monotonicity violation over 100 randomized runs, both branches",
-        details={"runs": 100},
-    )
+    return verdict("dilatation-contraction", worst, {"runs": 100})
 
 
 def check_eigen_solution_identity(seed: int) -> CheckResult:
-    """Factorized eigen-solutions agree with the integrated propagator."""
     rng = _rng(seed, 4)
     constants = NATURAL
     taus, epsilons = (0.4, 1.3), (0.0, -0.35)
@@ -187,18 +167,11 @@ def check_eigen_solution_identity(seed: int) -> CheckResult:
             for e, epsilon in enumerate(epsilons):
                 for t, tau in enumerate(taus):
                     direct[system, k, e, t] = eigen_solution(spec, tau, epsilon).amplitudes
-    points = math.prod(direct.shape[:-1])
-    return CheckResult.bounded(
-        "eigen-solution-identity",
-        float(_norms(direct - integrated).max()),
-        1e-10,
-        requirement=f"factorized vs integrated solution over {points} (s, tau, eps) points",
-        details={"points": points},
-    )
+    return verdict("eigen-solution-identity", float(_norms(direct - integrated).max()),
+                   {"points": math.prod(direct.shape[:-1])})
 
 
 def check_entropy_production_oracle(seed: int) -> CheckResult:
-    """Chart finite difference reproduces the per-mode production rates."""
     rng = _rng(seed, 5)
     constants = NATURAL
     worst = 0.0
@@ -219,17 +192,10 @@ def check_entropy_production_oracle(seed: int) -> CheckResult:
             np.max(np.abs(rates.imag - (-epsilon * constants.kB / constants.hbar) * energies))
         )
         worst = max(worst, mode_gap)
-    return CheckResult.bounded(
-        "entropy-production-oracle",
-        worst,
-        1e-6,
-        requirement="finite-difference chart derivative vs closed-form rates, 20 randomized pairs",
-        details={"pairs": 20, "step": 1e-4},
-    )
+    return verdict("entropy-production-oracle", worst, {"pairs": 20, "step": 1e-4})
 
 
 def check_picture_consistency(seed: int) -> CheckResult:
-    """Laboratory-time and thermal-time evolutions match through the chart."""
     rng = _rng(seed, 6)
     grid = np.linspace(0.0, 1.0, 5)
     two_level = build_hamiltonian("two_level", e0=0.0, e1=1.0)
@@ -240,13 +206,8 @@ def check_picture_consistency(seed: int) -> CheckResult:
     deviations.append(
         picture_consistency(_random_state(rng, 16), random_h, 1.0, "real_C", grid, 0.0)
     )
-    return CheckResult.bounded(
-        "picture-consistency",
-        float(max(deviations)),
-        1e-10,
-        requirement="real-factor chart deviation, two-level and dim-16 random generator",
-        details={"deviations": [float(d) for d in deviations]},
-    )
+    return verdict("picture-consistency", float(max(deviations)),
+                   {"deviations": [float(d) for d in deviations]})
 
 
 # systems per stack in the randomized criteria: large enough that the
@@ -291,7 +252,6 @@ def _uncertainty_draw(rng, dim):
 
 
 def check_uncertainty_bound(seed: int) -> CheckResult:
-    """Generator-spread times observable clock time never undershoots kB/2."""
     rng = _rng(seed, 7)
     constants = NATURAL
     half_kb = constants.kB / 2.0
@@ -320,20 +280,11 @@ def check_uncertainty_bound(seed: int) -> CheckResult:
                                              math.pi / 4.0)
     saturation_gap = abs(delta_s * delta_tau - half_kb)
 
-    passed = (min_margin >= -1e-12) and (saturation_gap <= 1e-10) and evaluated >= 900
-    measured = float(max(-min_margin, 0.0))
-    return CheckResult(
-        name="uncertainty-bound",
-        requirement="product >= kB/2 on randomized unitary samples; two-level case saturates",
-        tolerance=1e-12,
-        measured=measured,
-        passed=bool(passed),
-        details={
-            "evaluated": evaluated,
-            "min_margin": float(min_margin),
-            "saturation_gap": float(saturation_gap),
-        },
-    )
+    return verdict("uncertainty-bound", float(max(-min_margin, 0.0)), {
+        "evaluated": evaluated,
+        "min_margin": float(min_margin),
+        "saturation_gap": float(saturation_gap),
+    })
 
 
 def _onsager_draw(rng, dim):
@@ -341,7 +292,6 @@ def _onsager_draw(rng, dim):
 
 
 def check_onsager_forms(seed: int) -> CheckResult:
-    """Velocity and force quadratic forms agree; production stays nonnegative."""
     rng = _rng(seed, 8)
     grid = np.linspace(0.0, 2.0, 9)
     worst_gap = 0.0
@@ -357,37 +307,23 @@ def check_onsager_forms(seed: int) -> CheckResult:
         _, rates = _relaxations(kinetic, resistance, hessian, y0, grid)
         worst_gap = max(worst_gap, float(gaps.max()))
         worst_rate = max(worst_rate, float((-rates).max()))
-    passed = worst_gap <= 1e-12 and worst_rate <= 1e-12
-    return CheckResult(
-        name="onsager-forms",
-        requirement="form agreement (relative) and nonnegative production over 1000 systems",
-        tolerance=1e-12,
-        measured=float(max(worst_gap, worst_rate)),
-        passed=bool(passed),
-        details={"systems": 1000, "worst_form_gap": worst_gap, "worst_negative_rate": worst_rate},
-    )
+    return verdict("onsager-forms", float(max(worst_gap, worst_rate)), {
+        "systems": 1000, "worst_form_gap": worst_gap, "worst_negative_rate": worst_rate})
 
 
 def check_fluctuation_covariance(seed: int) -> CheckResult:
-    """Entropy-temperature cross moments hit their sharp Gaussian values."""
     ref = ThermoReference.ideal_gas(1.0, 1.0, 1.0)
     report = streamed_covariance_report(ref, 10**6, seed=seed)
     z = standardized_deviations(report)
-    return CheckResult.bounded(
-        "fluctuation-covariance",
-        float(max(z["ds_dt_over_kBT"], z["ds_dtau_over_kB"])),
-        3.0,
-        requirement="<dS dT>/(kB T) and <dS dtau>/kB within 3 standard errors of 1 at n = 1e6",
-        details={
-            "ds_dt_mean": report["ds_dt_over_kBT"]["mean"],
-            "ds_dtau_mean": report["ds_dtau_over_kB"]["mean"],
-            "n": report["n"],
-        },
-    )
+    measured = float(max(z["ds_dt_over_kBT"], z["ds_dtau_over_kB"]))
+    return verdict("fluctuation-covariance", measured, {
+        "ds_dt_mean": report["ds_dt_over_kBT"]["mean"],
+        "ds_dtau_mean": report["ds_dtau_over_kB"]["mean"],
+        "n": report["n"],
+    })
 
 
 def check_stokes_identity(seed: int) -> CheckResult:
-    """Area integral and boundary circulation converge together at order 2."""
     resolutions = (16, 32, 64, 128)
     patches = {
         "disk": disk_patch(0.8),
@@ -401,19 +337,11 @@ def check_stokes_identity(seed: int) -> CheckResult:
             for res in resolutions
         ]
         orders[label] = fitted_order(resolutions, gaps)
-    measured = float(min(orders.values()))
-    return CheckResult(
-        name="stokes-identity",
-        requirement="|area - circulation| convergence order over three dyadic refinements",
-        tolerance=1.9,
-        measured=measured,
-        passed=measured >= 1.9,
-        details={"orders": {k: float(v) for k, v in orders.items()}},
-    )
+    return verdict("stokes-identity", float(min(orders.values())),
+                   {"orders": {k: float(v) for k, v in orders.items()}})
 
 
 def check_gravity_falloff(seed: int) -> CheckResult:
-    """Compact sources look like 4M/r from afar; the potential is harmonic in vacuum."""
     radius = 0.45
     source = rasterize(
         [{"kind": "ball", "center": [0.0, 0.0, 0.0], "radius": radius, "trace": 1.0}],
@@ -430,19 +358,11 @@ def check_gravity_falloff(seed: int) -> CheckResult:
     probe = np.array([2.0, 0.6, -0.4])
     residuals = [abs(laplacian_spot_check(source, probe, step)) for step in (0.4, 0.2, 0.1)]
     order = fitted_order((1, 2, 4), residuals)
-    passed = worst_falloff <= 0.01 and order >= 1.9
-    return CheckResult(
-        name="gravity-falloff",
-        requirement="4M/r within 1% beyond 10 source radii; vacuum Laplacian order >= 1.9",
-        tolerance=0.01,
-        measured=float(worst_falloff),
-        passed=bool(passed),
-        details={"laplacian_order": float(order), "residuals": [float(r) for r in residuals]},
-    )
+    return verdict("gravity-falloff", float(worst_falloff),
+                   {"laplacian_order": float(order), "residuals": [float(r) for r in residuals]})
 
 
 def check_determinism(seed: int) -> CheckResult:
-    """Identical seeds reproduce streams bit for bit."""
     ref = ThermoReference.ideal_gas(1.0, 1.0, 1.0)
     samples = gaussian_sample(ref, 20000, seed=seed)
     repeat = gaussian_sample(ref, 20000, seed=seed)
@@ -467,19 +387,12 @@ def check_determinism(seed: int) -> CheckResult:
     second = evolve_h(psi0, hamiltonian, grid)
     trajectories_equal = np.array_equal(first.amplitudes, second.amplitudes)
 
-    passed = streams_equal and means_equal and trajectories_equal
-    return CheckResult(
-        name="determinism",
-        requirement="bit-identical streams across reruns",
-        tolerance=0.0,
-        measured=0.0 if passed else 1.0,
-        passed=bool(passed),
-        details={
-            "sample_streams_equal": bool(streams_equal),
-            "region_means_equal": bool(means_equal),
-            "trajectories_equal": bool(trajectories_equal),
-        },
-    )
+    equal = streams_equal and means_equal and trajectories_equal
+    return verdict("determinism", 0.0 if equal else 1.0, {
+        "sample_streams_equal": bool(streams_equal),
+        "region_means_equal": bool(means_equal),
+        "trajectories_equal": bool(trajectories_equal),
+    })
 
 
 _CRITERIA = (
@@ -502,23 +415,25 @@ def criterion_names() -> list:
     return [fn.__name__.removeprefix("check_").replace("_", "-") for fn in _CRITERIA]
 
 
-# _CRITERIA's indices, costliest first, so that no long criterion starts
-# last while the other workers idle; medians over three rounds of 21 seed-7
-# calls each in process on a 2-core x86-64 machine, in milliseconds:
+# the criteria, costliest first, so that no long criterion starts last while
+# the other workers idle; medians over three rounds of 21 seed-7 calls each
+# in process on a 2-core x86-64 machine, in milliseconds:
 _SUBMISSION_ORDER = (
-    8,   # fluctuation-covariance     36.6
-    6,   # uncertainty-bound          26.9
-    9,   # stokes-identity            19.8
-    7,   # onsager-forms              18.9
-    1,   # semigroup-law               4.8
-    2,   # dilatation-contraction      3.3
-    11,  # determinism                 3.2
-    3,   # eigen-solution-identity     2.9
-    4,   # entropy-production-oracle   2.0
-    0,   # unitary-limit               1.1
-    5,   # picture-consistency         0.61
-    10,  # gravity-falloff             0.52
+    "fluctuation-covariance",     # 36.6
+    "uncertainty-bound",          # 26.9
+    "stokes-identity",            # 19.8
+    "onsager-forms",              # 18.9
+    "semigroup-law",              #  4.8
+    "dilatation-contraction",     #  3.3
+    "determinism",                #  3.2
+    "eigen-solution-identity",    #  2.9
+    "entropy-production-oracle",  #  2.0
+    "unitary-limit",              #  1.1
+    "picture-consistency",        #  0.61
+    "gravity-falloff",            #  0.52
 )
+# each criterion's index in _CRITERIA, fixed before a caller may replace its functions
+_INDEX = {name: index for index, name in enumerate(criterion_names())}
 
 
 def run_all(seed: int = 0) -> list:
@@ -530,16 +445,16 @@ def run_all(seed: int = 0) -> list:
     exception is that of the first failing check in that order, so neither
     depends on the CPU count.
     """
-    def run(index):
+    def run(name):
         # read at call time, so functions installed in _CRITERIA run too
         try:
-            return _CRITERIA[index](seed)
+            return _CRITERIA[_INDEX[name]](seed)
         except Exception as exc:  # raised below, in criterion order
             return exc
 
-    tasks = [(index,) for index in _SUBMISSION_ORDER]
+    tasks = [(name,) for name in _SUBMISSION_ORDER]
     done = dict(zip(_SUBMISSION_ORDER, _fanout.ordered(run, tasks, "criterion")))
-    results = [done[index] for index in range(len(_CRITERIA))]
+    results = [done[name] for name in _INDEX]
     for result in results:
         if isinstance(result, Exception):
             raise result

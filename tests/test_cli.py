@@ -400,6 +400,15 @@ class TestFailureModes:
         assert result.returncode == 2
         assert "config error" in result.stderr
 
+    def test_missing_scenario_is_the_only_error(self, tmp_path, capsys):
+        # no scenario rule applies to a config that names no scenario
+        config = write_config(tmp_path / "cfg.json", {})
+        assert main(["evolve-s", "--config", config, "--out", str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: configuration failed schema validation:",
+            "  at <root>: 'scenario' is a required property",
+        ]
+
     @pytest.mark.parametrize("key", ["mystery", "first_order_mode"])
     def test_unknown_keys_rejected(self, tmp_path, key):
         payload = dict(EVOLVE_S_CONFIG)
@@ -789,7 +798,7 @@ class TestFailureModes:
     def test_check_all_unwritable_outdir_exits_5(self, tmp_path, monkeypatch):
         import entropiclab.cli as cli_module
 
-        passing = CheckResult.bounded("synthetic", 0.0, 1.0)
+        passing = CheckResult("synthetic", 1.0, 0.0, True)
         monkeypatch.setattr(suite, "run_all", lambda seed: [passing])
         blocker = tmp_path / "not_a_dir"
         blocker.write_text("")
@@ -916,7 +925,7 @@ class TestCheckAll:
         from entropiclab import suite
 
         def passing(index):
-            return lambda seed: CheckResult.bounded(f"c{index}", float(seed + index), 100.0)
+            return lambda seed: CheckResult(f"c{index}", 100.0, float(seed + index), True)
 
         def failing(index):
             def criterion(seed):
@@ -924,13 +933,13 @@ class TestCheckAll:
             return criterion
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        first_submitted = suite.criterion_names().index(suite._SUBMISSION_ORDER[0])
         criteria = [passing(index) for index in range(len(suite._CRITERIA))]
         monkeypatch.setattr(suite, "_CRITERIA", tuple(criteria))
         results = suite.run_all(7)
         assert [(r.name, r.measured) for r in results] == [
             (f"c{index}", 7.0 + index) for index in range(len(criteria))
         ]
-        first_submitted = suite._SUBMISSION_ORDER[0]
         assert first_submitted != 0
         for index in (0, first_submitted):
             criteria[index] = failing(index)
@@ -941,7 +950,7 @@ class TestCheckAll:
     def test_submission_order_covers_every_criterion_once(self):
         from entropiclab import suite
 
-        assert sorted(suite._SUBMISSION_ORDER) == list(range(len(suite._CRITERIA)))
+        assert sorted(suite._SUBMISSION_ORDER) == sorted(suite.criterion_names())
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="criterion workers need fork")
     @pytest.mark.parametrize("failure, message", [
@@ -962,7 +971,7 @@ class TestCheckAll:
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         criteria = list(suite._CRITERIA)
-        criteria[suite._SUBMISSION_ORDER[-1]] = criterion
+        criteria[suite.criterion_names().index(suite._SUBMISSION_ORDER[-1])] = criterion
         monkeypatch.setattr(suite, "_CRITERIA", tuple(criteria))
         assert main(["check-all", "--seed", "7", "--outdir", str(tmp_path / "out")]) == 3
         assert message in capsys.readouterr().err
@@ -1208,9 +1217,9 @@ class TestCsvFormat:
         import entropiclab.cli as cli_module
 
         results = [
-            CheckResult.bounded("unitary-limit", 3.4e-17, 1e-12),
+            CheckResult("unitary-limit", 1e-12, 3.4e-17, True),
             CheckResult("stokes-identity", 1.9, 1.7600000000000002, False),
-            CheckResult.bounded("gravity-falloff", 0.0, 5),
+            CheckResult("gravity-falloff", 5, 0.0, True),
         ]
         monkeypatch.setattr(suite, "run_all", lambda seed: results)
         assert main(["check-all", "--outdir", str(tmp_path)]) == 4
@@ -1351,7 +1360,7 @@ class TestVerdictTable:
         import entropiclab.cli as cli_module
 
         results = [
-            CheckResult.bounded("unitary-limit", 3.4e-17, 1e-12),
+            CheckResult("unitary-limit", 1e-12, 3.4e-17, True),
             CheckResult("stokes-identity", 1.9, 1.76, False),
         ]
         monkeypatch.setattr(suite, "run_all", lambda seed: results)

@@ -10,7 +10,8 @@ the config builders do.  The public names are those of the package's lazy
 claim and no command uses.  A second walk finds each function that parses
 an input file format, so that a second parser of one format cannot come
 back unseen, and each function that reaches the fork pool, so that no
-second route into it can.
+second route into it can.  A last walk checks that the command line and the
+suite make every verdict from the claims table, with no bound of their own.
 """
 import ast
 import inspect
@@ -22,8 +23,6 @@ PACKAGE = Path(entropiclab.__file__).parent
 ROOTS = ("cli", "config", "suite")
 # wired into the fluctuation-covariance criterion by a planned change
 PENDING = {"to_canonical", "log_probability", "CanonicalPoint"}
-# read by the benchmark harness, not by the package
-EXTERNAL = {"criterion_names"}
 
 
 def namespace(module: str):
@@ -81,7 +80,7 @@ def exported():
 def test_every_export_is_reached():
     reached = reached_closure()
     unreached = {name for name, origin in exported().items() if origin not in reached}
-    assert unreached == PENDING | EXTERNAL
+    assert unreached == PENDING
 
 
 def functions_using(module_name: str, attributes):
@@ -145,3 +144,46 @@ def test_hermiticity_is_checked_where_a_matrix_enters():
     # the package derives itself, such as a commutator, is not checked again
     assert functions_naming("_check_hermitian") == {"operators.__init__",
                                                     "entropy_picture.uncertainty_product"}
+
+
+def verdict_names(call, module: str) -> set:
+    """The verdict names a ``verdict`` call of ``module`` can make: its first
+    argument, a string or a choice between two strings."""
+    name = call.args[0] if call.args else None
+    choices = [name.body, name.orelse] if isinstance(name, ast.IfExp) else [name]
+    assert all(isinstance(choice, ast.Constant) and isinstance(choice.value, str)
+               for choice in choices), f"{module}.py:{call.lineno}: verdict name is not a literal"
+    return {choice.value for choice in choices}
+
+
+def is_number(node) -> bool:
+    if isinstance(node, ast.UnaryOp):
+        node = node.operand
+    return (isinstance(node, ast.Constant) and isinstance(node.value, (int, float))
+            and not isinstance(node.value, bool))
+
+
+def test_every_verdict_is_made_from_the_claims_table():
+    # cli.py and suite.py make each verdict with verdicts.verdict, by a name
+    # the claims table holds and with no number of their own: the bound is
+    # the table's.  Every name of the table is made somewhere.
+    from entropiclab.verdicts import CLAIMS
+
+    names = [name for claim in CLAIMS for name in (claim.criterion, *claim.commands) if name]
+    assert len(names) == len(set(names))
+    used = set()
+    for module in ("cli", "suite"):
+        tree, _, imports = namespace(module)
+        assert imports["verdict"] == ("verdicts", "verdict")
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            assert not any(isinstance(node, ast.Name) and node.id == "CheckResult"
+                           for node in ast.walk(call.func)), \
+                f"{module}.py:{call.lineno}: CheckResult made outside verdicts.verdict"
+            if isinstance(call.func, ast.Name) and call.func.id == "verdict":
+                used |= verdict_names(call, module)
+                arguments = call.args[1:] + [keyword.value for keyword in call.keywords]
+                assert not any(map(is_number, arguments)), \
+                    f"{module}.py:{call.lineno}: a number passed to verdict"
+    assert used == set(names)

@@ -34,7 +34,6 @@ from entropiclab.operators import (
     spectral_decompose,
 )
 from entropiclab.suite import (
-    CheckResult,
     _complex_normal,
     _random_hermitian,
     _random_state,
@@ -45,6 +44,7 @@ from entropiclab.suite import (
     check_semigroup_law,
     check_uncertainty_bound,
 )
+from entropiclab.verdicts import CheckResult
 
 SEEDS = (1, 2, 7, 14, 20)  # 14 and 20 catch a complex division by a reciprocal
 
@@ -169,8 +169,8 @@ def reference_semigroup_law(seed):
                              tau2, epsilon)
         one_shot = final_row(psi, generator, tau1 + tau2, epsilon)
         worst = max(worst, float(np.linalg.norm(two_step - one_shot)))
-    return CheckResult.bounded(
-        "semigroup-law", worst, 1e-10,
+    return CheckResult(
+        "semigroup-law", 1e-10, worst, worst <= 1e-10,
         requirement="composition error over 100 randomized (tau1, tau2, S) triples",
         details={"triples": 100},
     ).to_dict()
@@ -189,8 +189,8 @@ def reference_dilatation_contraction(seed):
             epsilon = -epsilon
         steps = np.diff(evolve_s(psi, generator, grid, epsilon, allow_antidissipative=True).norms)
         worst = max(worst, float(max(np.max(-steps) if epsilon < 0 else np.max(steps), 0.0)))
-    return CheckResult.bounded(
-        "dilatation-contraction", worst, 1e-12,
+    return CheckResult(
+        "dilatation-contraction", 1e-12, worst, worst <= 1e-12,
         requirement="worst monotonicity violation over 100 randomized runs, both branches",
         details={"runs": 100},
     ).to_dict()
@@ -211,8 +211,8 @@ def reference_eigen_solution_identity(seed):
                     gap = np.linalg.norm(direct - final_row(mode, generator, tau, epsilon))
                     worst = max(worst, float(gap))
                     points += 1
-    return CheckResult.bounded(
-        "eigen-solution-identity", worst, 1e-10,
+    return CheckResult(
+        "eigen-solution-identity", 1e-10, worst, worst <= 1e-10,
         requirement=f"factorized vs integrated solution over {points} (s, tau, eps) points",
         details={"points": points},
     ).to_dict()

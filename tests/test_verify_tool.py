@@ -71,8 +71,8 @@ def test_sweep_lists_each_failing_criterion(monkeypatch, capsys):
     from entropiclab.verdicts import CheckResult
 
     def run_all(seed):
-        return [CheckResult.bounded("kept", 0.5, 1.0),
-                CheckResult.bounded("broken", 2.0 + seed, 1.0, details={"seed": seed})]
+        return [CheckResult("kept", 1.0, 0.5, True),
+                CheckResult("broken", 1.0, 2.0 + seed, False, details={"seed": seed})]
 
     monkeypatch.setattr(suite, "run_all", run_all)
     assert tool.main(["sweep", "4:6"]) == 0
