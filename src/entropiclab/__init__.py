@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 # first use (PEP 562), so that a command loads only the modules it runs
 _ORIGINS = {
     "constants": ("NATURAL", "Constants"),
-    "energy_picture": ("evolve_h", "evolve_h_perturbed", "noether_energy_drift"),
+    "energy_picture": ("evolve_h",),
     "entropy_picture": (
         "EigenSolutionSpec",
         "dissipative_part",

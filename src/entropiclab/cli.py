@@ -183,32 +183,45 @@ def _trajectory_columns(trajectory, first: int = 0) -> list:
             trajectory.expectations, trajectory.amplitudes.view(float)]
 
 
-class _NormFold:
-    """A trajectory's norms, folded block by block in grid order: the ``first`` and
-    ``last``, the largest distance ``wander`` from the first, and the largest step
-    ``against`` the branch of ``epsilon``, as ``monotonicity_violation`` takes it."""
+class _Fold:
+    """A series folded block by block in order: its ``first`` and ``last`` values
+    and the largest distance ``wander`` from the first; given ``epsilon``, also the
+    largest step ``against`` its branch, as ``monotonicity_violation`` takes it."""
 
-    def __init__(self, epsilon: float):
+    def __init__(self, epsilon=None):
         self.epsilon = epsilon
         self.first = self.last = None
         self.wander = self.against = 0.0
 
-    def merge(self, norms) -> None:
+    def merge(self, values) -> None:
         if self.first is None:
-            self.first = norms[0]
+            self.first = values[0]
         else:  # the step from the block before
-            norms = np.concatenate(([self.last], norms))
-        self.wander = max(self.wander, float(np.max(np.abs(norms - self.first))))
-        self.against = max(self.against, monotonicity_violation(norms, self.epsilon))
-        self.last = norms[-1]
+            values = np.concatenate(([self.last], values))
+        self.wander = max(self.wander, float(np.max(np.abs(values - self.first))))
+        if self.epsilon is not None:
+            self.against = max(self.against, monotonicity_violation(values, self.epsilon))
+        self.last = values[-1]
 
 
-def _evolve_s_rows(psi0, generator, grid, epsilon, kB, schedule, start, stop):
-    """evolve-s's CSV rows ``start..stop``, made from the grid slice, and their norms."""
-    from .entropy_picture import _thermal_trajectory
+def _trajectory_rows(trajectory_of, start, stop):
+    """The CSV rows ``start..stop`` of a trajectory, which ``trajectory_of(start, stop)``
+    makes from the grid slice, and their ``(norms, averages)``."""
+    trajectory = trajectory_of(start, stop)
+    return (_format_block(_trajectory_columns(trajectory, start)),
+            (trajectory.norms, trajectory.expectations))
 
-    trajectory = _thermal_trajectory(psi0, generator, grid[start:stop], epsilon, kB, schedule)
-    return _format_block(_trajectory_columns(trajectory, start)), trajectory.norms
+
+def _trajectory_table(label: str, expect_label: str, dim: int, trajectory_of, rows: int,
+                      epsilon=None):
+    """``(table, norms, averages)``: the CSV of a trajectory of ``rows`` rows, made block
+    by block by ``trajectory_of``, and the folds of its norms (against the branch of
+    ``epsilon``, if given) and of its averages, which fill as the table is written."""
+    folds = _Fold(epsilon), _Fold()
+    table = _csv_lines(_trajectory_header(label, expect_label, dim),
+                       functools.partial(_trajectory_rows, trajectory_of), rows,
+                       lambda summary: [fold.merge(part) for fold, part in zip(folds, summary)])
+    return (table, *folds)
 
 
 def _fluct_rows(moments, seed, start, stop):
@@ -221,35 +234,35 @@ def _fluct_rows(moments, seed, start, stop):
 
 
 def _run_evolve_h(config: dict, base_dir: Path):
-    from .energy_picture import evolve_h, evolve_h_perturbed, noether_energy_drift
+    from .energy_picture import _checked_rate, _lab_trajectory
+    from .operators import spectral_decompose
 
     constants = constants_from(config)
     block = config["evolve_h"]
     hamiltonian = hamiltonian_from(block["hamiltonian"], constants)
     psi0 = state_from(block["state"], hamiltonian.dim)
-    grid = grid_from(block["grid"])
     epsilon_prime = block.get("epsilon_prime", 0.0)
     mode = block.get("mode", "exact")
-    if epsilon_prime == 0.0:
-        trajectory = evolve_h(psi0, hamiltonian, grid, constants)
-    else:
-        trajectory = evolve_h_perturbed(psi0, hamiltonian, grid, epsilon_prime, mode, constants)
-    drift = noether_energy_drift(trajectory)
-    outputs = {
-        "final_norm": float(trajectory.norms[-1]),
-        "energy_drift": float(drift),
-        "epsilon_prime": float(epsilon_prime),
-        "mode": mode,
-    }
-    verdicts = []
-    if epsilon_prime == 0.0:
-        norm_wander = float(np.max(np.abs(trajectory.norms - trajectory.norms[0])))
-        verdicts.append(verdict("h-norm-preservation", norm_wander))
-        e0 = abs(float(trajectory.expectations[0]))
-        verdicts.append(verdict("h-energy-conservation", drift, scale=e0))
-    table = _csv_lines(_trajectory_header("t", "expect_H", hamiltonian.dim),
-                       *_columns(*_trajectory_columns(trajectory)))
-    return table, lambda: (outputs, verdicts)
+    grid, rate = _checked_rate(grid_from(block["grid"]), epsilon_prime, mode, constants.hbar)
+    # decomposed before the workers fork, which inherit it: on one BLAS thread
+    # a worker would round the eigenpairs of dimension 128 and up differently
+    spectral_decompose(hamiltonian)
+    table, norms, energies = _trajectory_table(
+        "t", "expect_H", hamiltonian.dim,
+        lambda start, stop: _lab_trajectory(psi0, hamiltonian, grid[start:stop], rate,
+                                            constants.hbar),
+        len(grid))
+
+    def summary():
+        outputs = {"final_norm": float(norms.last), "energy_drift": energies.wander,
+                   "epsilon_prime": float(epsilon_prime), "mode": mode}
+        if epsilon_prime != 0.0:
+            return outputs, []
+        return outputs, [verdict("h-norm-preservation", norms.wander),
+                         verdict("h-energy-conservation", energies.wander,
+                                 scale=abs(float(energies.first)))]
+
+    return table, summary
 
 
 def _epsilon_from(block: dict) -> float:
@@ -263,7 +276,8 @@ def _epsilon_from(block: dict) -> float:
 
 
 def _run_evolve_s(config: dict, base_dir: Path):
-    from .entropy_picture import _checked_grid, entropy_operator, semigroup_gap
+    from .entropy_picture import (_checked_grid, _thermal_trajectory, entropy_operator,
+                                  semigroup_gap)
     from .operators import spectral_decompose
 
     constants = constants_from(config)
@@ -298,11 +312,11 @@ def _run_evolve_s(config: dict, base_dir: Path):
                                       epsilon, constants.kB))
         except (*_NUMERICAL_ERRORS, MemoryError, ValueError) as exc:
             gap = exc
-    norms = _NormFold(epsilon)
-    producer = functools.partial(_evolve_s_rows, psi0, generator, grid, epsilon, constants.kB,
-                                 schedule_kind)
-    table = _csv_lines(_trajectory_header("tau", "expect_S", hamiltonian.dim), producer,
-                       len(grid), norms.merge)
+    table, norms, _ = _trajectory_table(
+        "tau", "expect_S", hamiltonian.dim,
+        lambda start, stop: _thermal_trajectory(psi0, generator, grid[start:stop], epsilon,
+                                                constants.kB, schedule_kind),
+        len(grid), epsilon)
 
     def summary():
         if isinstance(gap, Exception):

@@ -283,11 +283,8 @@ def state_from(block: dict, dim: int) -> StateVector:
 
 
 def grid_from(block: dict) -> np.ndarray:
-    has_points = "points" in block
-    has_linspace = all(key in block for key in ("start", "stop", "num"))
-    if has_points == has_linspace:
-        raise ConfigError("grid needs either 'points' or all of 'start'/'stop'/'num'")
-    if has_points:
+    # the schema holds a grid to exactly one of its two forms
+    if "points" in block:
         return np.asarray(block["points"], dtype=float)
     return np.linspace(block["start"], block["stop"], block["num"])
 

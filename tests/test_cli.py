@@ -18,7 +18,6 @@ from entropiclab import (
     boundary_action,
     entropy_operator,
     evolve_h,
-    evolve_h_perturbed,
     evolve_s,
     fourier_patch,
     gaussian_sample,
@@ -428,6 +427,22 @@ class TestFailureModes:
         config = write_config(tmp_path / "cfg.json", payload)
         assert main(["evolve-s", "--config", config, "--out", str(tmp_path / "o.csv")]) == 2
         assert f"schedule does not read '{unread}'" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("grid", [
+        {"points": [0.0, 0.5, 1.0], "start": 0.0},
+        {"points": [0.0, 0.5, 1.0], "stop": 9.0},
+        {"points": [0.0, 0.5, 1.0], "num": 500, "stop": 9.0},
+        {"start": 0.0, "stop": 1.0},
+        {},
+    ])
+    def test_grid_not_of_exactly_one_form_exits_2(self, tmp_path, capsys, grid):
+        # a grid is exactly one of its two forms; stray keys are not dropped
+        payload = json.loads(json.dumps(EVOLVE_S_CONFIG))
+        payload["evolve_s"]["grid"] = grid
+        config = write_config(tmp_path / "cfg.json", payload)
+        assert main(["evolve-s", "--config", config, "--out", str(tmp_path / "o.csv")]) == 2
+        assert "at evolve_s/grid: " in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
 
     def test_scenario_subcommand_mismatch(self, tmp_path):
@@ -1080,11 +1095,10 @@ def evolve_h_case(hbar=1.0, epsilon_prime=0.0, mode="exact"):
         config["constants"] = {"hbar": hbar}
     hamiltonian = hamiltonian_from(block["hamiltonian"], constants)
     psi0, grid = state_from(block["state"], hamiltonian.dim), grid_from(block["grid"])
-    if epsilon_prime == 0.0:
-        trajectory = evolve_h(psi0, hamiltonian, grid, constants)
-    else:
+    if epsilon_prime != 0.0:
         block.update(epsilon_prime=epsilon_prime, mode=mode)
-        trajectory = evolve_h_perturbed(psi0, hamiltonian, grid, epsilon_prime, mode, constants)
+    trajectory = evolve_h(psi0, hamiltonian, grid, constants, epsilon_prime=epsilon_prime,
+                          mode=mode)
     return (config, *trajectory_case("t", "expect_H", trajectory))
 
 
@@ -1465,6 +1479,12 @@ def edge_evolve_s(schedule, points, stop=4.0, epsilon=-0.2):
     return {"scenario": "evolve-s", "constants": {"kB": 1.3}, "evolve_s": block}
 
 
+def edge_evolve_h(points, stop=4.0, **block):
+    return {"scenario": "evolve-h", "constants": {"hbar": 0.7}, "evolve_h": dict(
+        hamiltonian=TWO_LEVEL, state={"kind": "random", "seed": 4},
+        grid={"start": 0.0, "stop": stop, "num": points}, **block)}
+
+
 def memory_peaks(tmp_path, config):
     """``(own, workers)`` peak RSS in MB of a fresh interpreter running ``config``."""
     path = write_config(tmp_path / "cfg.json", config)
@@ -1485,8 +1505,8 @@ def memory_peaks(tmp_path, config):
 
 
 class TestBlockProducers:
-    """fluct and evolve-s make their rows block by block as the CSV is written,
-    with the bytes of the whole-column reference at every CPU count."""
+    """fluct, evolve-h and evolve-s make their rows block by block as the CSV is
+    written, with the bytes of the whole-column reference at every CPU count."""
 
     @staticmethod
     def runs(tmp_path, monkeypatch, config):
@@ -1553,10 +1573,38 @@ class TestBlockProducers:
         assert dilatation["name"] == "s-dilatation"
         assert dilatation["measured"] == monotonicity_violation(norms, -0.2)
 
+    @pytest.mark.parametrize("epsilon_prime", [0.0, 0.3])
+    def test_evolve_h_blocks_are_the_whole_trajectory(self, tmp_path, monkeypatch,
+                                                      epsilon_prime):
+        import entropiclab.cli as cli_module
+
+        # two CSV blocks of 8,192 two-level rows and part of a third
+        block = {"epsilon_prime": epsilon_prime, "mode": "exact"} if epsilon_prime else {}
+        config = edge_evolve_h(20_001, **block)
+        data, record = self.runs(tmp_path, monkeypatch, config)
+        constants = Constants(hbar=0.7)
+        trajectory = evolve_h(
+            state_from({"kind": "random", "seed": 4}, 2), hamiltonian_from(TWO_LEVEL, constants),
+            grid_from(config["evolve_h"]["grid"]), constants, epsilon_prime=epsilon_prime,
+        )
+        columns = cli_module._columns(*cli_module._trajectory_columns(trajectory))
+        header = cli_module._trajectory_header("t", "expect_H", 2)
+        assert data == "".join(cli_module._csv_lines(header, *columns)).encode("utf-8")
+        norms, energies = trajectory.norms, trajectory.expectations
+        drift = float(np.max(np.abs(energies - energies[0])))
+        assert record["outputs"]["final_norm"] == float(norms[-1])
+        assert record["outputs"]["energy_drift"] == drift
+        measured = {verdict["name"]: verdict["measured"] for verdict in record["verdicts"]}
+        if epsilon_prime:
+            assert measured == {}
+        else:
+            assert measured == {"h-norm-preservation": float(np.max(np.abs(norms - norms[0]))),
+                                "h-energy-conservation": drift}
+
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("scenario", ["evolve-h", "evolve-s"])
     def test_a_zero_state_exits_2(self, tmp_path, monkeypatch, capsys, scenario, cpus):
-        # evolve-s checks the state as it makes each of its three CSV blocks
+        # each evolution checks the state as it makes each of its three CSV blocks
         import multiprocessing
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
@@ -1587,6 +1635,22 @@ class TestBlockProducers:
         assert multiprocessing.active_children() == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="workers need fork")
+    def test_perturbed_evolve_h_overflow_in_a_later_block_exits_3(self, tmp_path, monkeypatch,
+                                                                   capsys):
+        import multiprocessing
+
+        # the excited amplitude grows as exp(0.9 t / (1.81 * 0.7)), so the
+        # squared norm passes the double range near t = 501, in row 10,021,
+        # which lies in the second block of 8,192 rows
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        config = write_config(tmp_path / "cfg.json", edge_evolve_h(
+            20_001, stop=1000.0, epsilon_prime=0.9, mode="exact"))
+        assert main(["evolve-h", "--config", config, "--out", str(tmp_path / "o.csv")]) == 3
+        assert "numerical failure: the evolved state" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
     def test_evolve_s_memory_is_bounded_by_the_block(self, tmp_path):
         # a million two-level rows: whole columns peaked at about 200 MB in the
         # command's process and 183 MB in a worker; blocks at about 58 and 47 MB
@@ -1599,3 +1663,9 @@ class TestBlockProducers:
         config = {"scenario": "fluct", "seed": 2, "fluct": {"reference": IDEAL_GAS, "n": 2 * 10**6}}
         own, workers = memory_peaks(tmp_path, config)
         assert own < 80.0 and workers < 80.0
+
+    def test_evolve_h_memory_is_bounded_by_the_block(self, tmp_path):
+        # a million two-level rows: the whole trajectory peaked at about 205 MB in
+        # the command's process and 110 MB in a worker; blocks at about 52 and 44 MB
+        own, workers = memory_peaks(tmp_path, edge_evolve_h(10**6, stop=1.0))
+        assert own < 150.0 and workers < 150.0

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,13 +9,11 @@ from entropiclab import (
     Constants,
     HermitianOperator,
     StateVector,
-    Trajectory,
     build_hamiltonian,
     evolve_h,
-    evolve_h_perturbed,
-    noether_energy_drift,
     spectral_decompose,
 )
+from entropiclab.cli import main
 
 
 def random_hermitian(rng, dim):
@@ -88,19 +87,20 @@ class TestEvolveHPerturbed:
         psi = random_state(rng, 5)
         grid = [0.0, 0.7, 1.4]
         plain = evolve_h(psi, h, grid)
-        perturbed = evolve_h_perturbed(psi, h, grid, 0.0)
+        perturbed = evolve_h(psi, h, grid, epsilon_prime=0.0)
         for a, b in zip(plain.amplitudes, perturbed.amplitudes):
             assert np.linalg.norm(a - b) <= 1e-12
 
     def test_scalar_closed_form_norm(self):
         # 1x1 generator: |psi(t)| = exp(e' E t / (hbar (1 + e'^2)))
         h = HermitianOperator(np.diag([1.0]))
-        traj = evolve_h_perturbed(StateVector([1.0]), h, [0.0, 1.0], 0.1, mode="exact")
+        traj = evolve_h(StateVector([1.0]), h, [0.0, 1.0], epsilon_prime=0.1, mode="exact")
         assert abs(traj.norms[-1] - math.exp(0.1 / 1.01)) <= 1e-14
 
     def test_first_order_drops_quadratic_factor(self):
         h = HermitianOperator(np.diag([1.0]))
-        traj = evolve_h_perturbed(StateVector([1.0]), h, [0.0, 1.0], 0.1, mode="first_order")
+        traj = evolve_h(StateVector([1.0]), h, [0.0, 1.0], epsilon_prime=0.1,
+                        mode="first_order")
         assert abs(traj.norms[-1] - math.exp(0.1)) <= 1e-14
 
     def test_mode_discrepancy_scales_quadratically(self):
@@ -110,8 +110,9 @@ class TestEvolveHPerturbed:
         psi = StateVector([1.0])
         ratios = []
         for eps in (0.2, 0.1, 0.05):
-            exact = evolve_h_perturbed(psi, h, [0.0, 1.0], eps, mode="exact").norms[-1]
-            first = evolve_h_perturbed(psi, h, [0.0, 1.0], eps, mode="first_order").norms[-1]
+            exact = evolve_h(psi, h, [0.0, 1.0], epsilon_prime=eps, mode="exact").norms[-1]
+            first = evolve_h(psi, h, [0.0, 1.0], epsilon_prime=eps,
+                             mode="first_order").norms[-1]
             ratios.append(abs(math.log(exact) - math.log(first)) / eps**2)
         assert max(ratios) <= 0.2
         assert min(ratios) > 0.0
@@ -121,18 +122,18 @@ class TestEvolveHPerturbed:
         h = build_hamiltonian("random_hermitian", dim=5, seed=9, shift_nonnegative=True)
         psi = random_state(rng, 5)
         grid = np.linspace(0.0, 3.0, 13)
-        growing = evolve_h_perturbed(psi, h, grid, 0.25, mode="exact").norms
-        shrinking = evolve_h_perturbed(psi, h, grid, -0.25, mode="exact").norms
+        growing = evolve_h(psi, h, grid, epsilon_prime=0.25, mode="exact").norms
+        shrinking = evolve_h(psi, h, grid, epsilon_prime=-0.25, mode="exact").norms
         assert np.all(np.diff(growing) >= -1e-12)
         assert np.all(np.diff(shrinking) <= 1e-12)
 
     def test_perturbation_bounds(self):
         with pytest.raises(ValueError):
-            evolve_h_perturbed(PLUS, TWO_LEVEL, [0.0, 1.0], 1.0)
+            evolve_h(PLUS, TWO_LEVEL, [0.0, 1.0], epsilon_prime=1.0)
         with pytest.raises(ValueError):
-            evolve_h_perturbed(PLUS, TWO_LEVEL, [0.0, 1.0], -1.5)
+            evolve_h(PLUS, TWO_LEVEL, [0.0, 1.0], epsilon_prime=-1.5)
         with pytest.raises(ValueError, match="mode"):
-            evolve_h_perturbed(PLUS, TWO_LEVEL, [0.0, 1.0], 0.1, mode="third_order")
+            evolve_h(PLUS, TWO_LEVEL, [0.0, 1.0], epsilon_prime=0.1, mode="third_order")
 
 
 class TestWholeGridProduct:
@@ -154,41 +155,62 @@ class TestWholeGridProduct:
         psi = random_state(rng, 16)
         grid = np.linspace(0.0, 3.0, 101)
         eps = -0.15
-        traj = evolve_h_perturbed(psi, h, grid, eps, mode, self.CONSTANTS)
+        traj = evolve_h(psi, h, grid, self.CONSTANTS, epsilon_prime=eps, mode=mode)
         scale = 1.0 / (1.0 + eps**2) if mode == "exact" else 1.0
         rate = (eps - 1j) * scale / self.CONSTANTS.hbar
         assert_matches_per_point(traj, (h.entries, *spectral_decompose(h)), psi,
                                  [rate * t for t in grid])
 
 
+def evolve_h_run(tmp_path, block):
+    """``main``'s exit code on an ``evolve-h`` run of ``block``, and its record if it wrote one."""
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"scenario": "evolve-h", "evolve_h": block}))
+    code = main(["evolve-h", "--config", str(config), "--out", str(tmp_path / "o.csv")])
+    record = tmp_path / "o.csv.record.json"
+    return code, json.loads(record.read_text()) if record.exists() else None
+
+
+TWO_LEVEL_BLOCK = {"kind": "two_level", "e0": 0.0, "e1": 1.0}
+
+
 class TestNoetherDrift:
-    def test_eigenstate_drift_vanishes(self):
-        traj = evolve_h(StateVector([0.0, 1.0]), TWO_LEVEL, [0.0, 1.0, 2.0])
-        assert noether_energy_drift(traj) <= 1e-12
+    """The record's energy_drift: the largest excursion of the energy average
+    from its initial value, as evolve-h folds it block by block."""
 
-    def test_unitary_drift_is_rounding_level(self):
-        rng = np.random.default_rng(5)
-        h = random_hermitian(rng, 12)
-        psi = random_state(rng, 12)
-        traj = evolve_h(psi, h, np.linspace(0.0, 20.0, 11))
-        e0 = abs(traj.expectations[0])
-        assert noether_energy_drift(traj) <= 1e-10 * e0 + 1e-12
+    def test_eigenstate_drift_vanishes(self, tmp_path):
+        code, record = evolve_h_run(tmp_path, {"hamiltonian": TWO_LEVEL_BLOCK,
+                                               "state": {"kind": "basis", "index": 1},
+                                               "grid": {"points": [0.0, 1.0, 2.0]}})
+        assert code == 0 and record["outputs"]["energy_drift"] <= 1e-12
 
-    def test_perturbed_evolution_breaks_conservation(self):
+    def test_unitary_drift_is_rounding_level(self, tmp_path):
+        code, record = evolve_h_run(tmp_path, {
+            "hamiltonian": {"kind": "random_hermitian", "dim": 12, "seed": 5},
+            "state": {"kind": "random", "seed": 6},
+            "grid": {"start": 0.0, "stop": 20.0, "num": 11}})
+        # the verdict's tolerance is 1e-10 |E0| + 1e-12
+        conservation = {v["name"]: v for v in record["verdicts"]}["h-energy-conservation"]
+        assert code == 0 and conservation["passed"]
+        assert record["outputs"]["energy_drift"] == conservation["measured"]
+
+    def test_perturbed_evolution_breaks_conservation(self, tmp_path):
         # closed-form reweighting: <H>(t) = w1/(w0+w1) with
         # w1 = exp(2 e' t / (1+e'^2))/2 and w0 = 1/2
         eps, t = -0.1, 1.0
-        traj = evolve_h_perturbed(PLUS, TWO_LEVEL, [0.0, t], eps, mode="exact")
-        drift = noether_energy_drift(traj)
+        code, record = evolve_h_run(tmp_path, {"hamiltonian": TWO_LEVEL_BLOCK,
+                                               "state": {"kind": "uniform"},
+                                               "grid": {"points": [0.0, t]},
+                                               "epsilon_prime": eps, "mode": "exact"})
+        drift = record["outputs"]["energy_drift"]
         w1 = math.exp(2.0 * eps * t / (1.0 + eps**2))
         expected = 0.5 - w1 / (1.0 + w1)
-        assert drift > 0.0
+        assert code == 0 and drift > 0.0
         assert abs(drift - expected) <= 1e-12
 
-    def test_empty_trajectory_rejected(self):
-        empty = Trajectory(
-            grid=np.array([]), amplitudes=np.empty((0, 2), dtype=complex),
-            norms=np.array([]), expectations=np.array([]),
-        )
-        with pytest.raises(ValueError, match="empty"):
-            noether_energy_drift(empty)
+    def test_empty_grid_rejected(self, tmp_path, capsys):
+        code, record = evolve_h_run(tmp_path, {"hamiltonian": TWO_LEVEL_BLOCK,
+                                               "state": {"kind": "uniform"},
+                                               "grid": {"points": []}})
+        assert code == 2 and record is None
+        assert "t_grid must be a nonempty 1-D sequence" in capsys.readouterr().err

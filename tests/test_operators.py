@@ -8,7 +8,6 @@ from entropiclab import (
     build_hamiltonian,
     entropy_operator,
     evolve_h,
-    evolve_h_perturbed,
     evolve_s,
     picture_consistency,
     spectral_decompose,
@@ -266,11 +265,11 @@ THREE_STATE = StateVector([1.0, 0.0, 0.0])
 
 @pytest.mark.parametrize("call", [
     lambda: evolve_h(THREE_STATE, TWO_LEVEL, [0.0, 1.0]),
-    lambda: evolve_h_perturbed(THREE_STATE, TWO_LEVEL, [0.0, 1.0], 0.1),
+    lambda: evolve_h(THREE_STATE, TWO_LEVEL, [0.0, 1.0], epsilon_prime=0.1),
     lambda: evolve_s(THREE_STATE, entropy_operator(TWO_LEVEL, 1.0), [0.0, 1.0], -0.1),
     lambda: picture_consistency(THREE_STATE, TWO_LEVEL, 1.0, "frozen_S", [0.0, 1.0], -0.1),
     lambda: apply_exponential(TWO_LEVEL, 0.5j, THREE_STATE),
-], ids=["evolve_h", "evolve_h_perturbed", "evolve_s", "picture_consistency",
+], ids=["evolve_h", "evolve_h_epsilon_prime", "evolve_s", "picture_consistency",
         "apply_exponential"])
 def test_a_state_of_another_dimension_is_rejected(call):
     with pytest.raises(ValueError, match="dimension mismatch: operator 2 vs state 3"):

@@ -15,7 +15,7 @@ import pytest
 
 from entropiclab import HermitianOperator, OnsagerSystem, StateVector, Trajectory, relax
 from entropiclab.constants import Constants
-from entropiclab.energy_picture import evolve_h, evolve_h_perturbed
+from entropiclab.energy_picture import evolve_h
 from entropiclab.entropy_picture import (
     EigenSolutionSpec,
     _closed_form_rows,
@@ -326,13 +326,16 @@ def test_array_exponents_match_per_row_lists(hbar, kB):
 
     zs = [0j, complex(-0.0, -0.0), 1.5 - 2j, -1j * 0.0]
     assert _exp_rows(h, vectors, np.array(zs), psi.amplitudes).tobytes() == per_row(zs)
-    assert (evolve_h(psi, hamiltonian, grid, constants).amplitudes.tobytes()
-            == per_row([-1j * t / hbar for t in grid]))
+    unperturbed = per_row([-1j * t / hbar for t in grid])
+    assert evolve_h(psi, hamiltonian, grid, constants).amplitudes.tobytes() == unperturbed
     for epsilon_prime in (0.0, -0.0, 0.3):
         for mode, scale in (("exact", 1.0 / (1.0 + epsilon_prime**2)), ("first_order", 1.0)):
+            # a zero epsilon_prime, of either sign, takes the unperturbed exponent
             rate = (epsilon_prime - 1j) * scale / hbar
-            trajectory = evolve_h_perturbed(psi, hamiltonian, grid, epsilon_prime, mode, constants)
-            assert trajectory.amplitudes.tobytes() == per_row([rate * t for t in grid])
+            expected = unperturbed if epsilon_prime == 0.0 else per_row([rate * t for t in grid])
+            trajectory = evolve_h(psi, hamiltonian, grid, constants,
+                                  epsilon_prime=epsilon_prime, mode=mode)
+            assert trajectory.amplitudes.tobytes() == expected
     for epsilon in (0.0, -0.3):
         frozen = [(1j - epsilon) * (h / 1.7) * tau / kB for tau in grid]
         chart = [(1j - epsilon) * (h / (kB * 1.7)) * (1.0 - math.exp(-tau)) for tau in grid]

@@ -46,7 +46,7 @@ def test_artifact_digests_diffed_against_themselves_are_empty(tmp_path, monkeypa
     table = json.loads(digest.read_text())
     labels = ["fluct", "evolve-s", "gravity", "fluct-n2000", "gravity-p5"]
     labels += [label for label, _, _ in tool.scenario_configs(3)]
-    assert len(labels) == 22
+    assert len(labels) == 24
     assert sorted(table["3"]) == sorted(
         f"{label}{suffix}" for label in labels for suffix in (".csv", ".record.json")
     )

@@ -21,10 +21,11 @@ kB = 1.3``, all three ``compare-pictures`` modes, a ``gravity`` whose
 record holds a weak-field epsilon, an ``onsager`` of a symmetric system
 given as flat lists and one of an asymmetric system given as nested rows,
 a ``stokes`` over three resolutions, and the runs that cross CSV block
-edges: a ``fluct`` of ``EDGE_SAMPLES`` samples under ``kB = 1.3`` and a
-two-level ``evolve-s`` of ``EDGE_POINTS`` points on each schedule.  It runs
-each operation through
-``cli.main`` in process and records the sha256 of every CSV and of every
+edges: a ``fluct`` of ``EDGE_SAMPLES`` samples under ``kB = 1.3``, a
+two-level ``evolve-s`` of ``EDGE_POINTS`` points on each schedule, and a
+two-level ``evolve-h`` of as many points under ``hbar = 0.7``, plain and
+with ``epsilon_prime = 0.3`` in ``exact`` mode.  It runs each operation
+through ``cli.main`` in process and records the sha256 of every CSV and of every
 run record without its ``wall_clock_s``.  Run either once per checkout,
 with that checkout's ``src`` first on ``PYTHONPATH``, and ``diff`` the two
 files of one kind; run one copy of this script for both checkouts, so
@@ -83,8 +84,8 @@ BIG_GRAVITY_SAMPLES = 3 * 4_096 + 1
 # three whole CSV blocks of fluct (moment groups of 16,384 samples) and part
 # of a fourth, which ends in part of a sample block
 EDGE_SAMPLES = 50_001
-# two whole CSV blocks of a two-level evolve-s (8,192 rows of 8 cells) and
-# part of a third
+# two whole CSV blocks of a two-level evolve-h or evolve-s (8,192 rows of 8
+# cells) and part of a third
 EDGE_POINTS = 20_001
 MOMENTS_TOLERANCE = 1e-12
 # the quantities of fluctuations._Moments, in its order
@@ -271,9 +272,9 @@ def scenario_configs(seed: int) -> list:
     common = {"state": {"kind": "random", "seed": seed + 1},
               "grid": {"start": 0.0, "stop": 2.0, "num": 9}}
 
-    def evolve_h(**block):
+    def evolve_h(generator=hamiltonian, **block):
         return {"scenario": "evolve-h", "constants": {"hbar": 0.7},
-                "evolve_h": dict(common, hamiltonian=hamiltonian, **block)}
+                "evolve_h": dict(common, hamiltonian=generator, **block)}
 
     def evolve_s(generator, **block):
         return {"scenario": "evolve-s", "constants": units,
@@ -341,6 +342,9 @@ def scenario_configs(seed: int) -> list:
                                            strength=0.1), EDGE_POINTS),
         ("evolve-s-chart-edges", evolve_s(two_level, grid=long_grid, schedule="chart",
                                           reference_temperature=1.3, epsilon=-0.2), EDGE_POINTS),
+        ("evolve-h-edges", evolve_h(two_level, grid=long_grid), EDGE_POINTS),
+        ("evolve-h-exact-edges", evolve_h(two_level, grid=long_grid, epsilon_prime=0.3,
+                                          mode="exact"), EDGE_POINTS),
     ]
 
 
